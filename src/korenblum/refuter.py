@@ -20,7 +20,7 @@ from .analytic import Polynomial, weighted_norm
 from .certifier import check_domination
 from .errors import DomainError, KorenblumError, NoWitnessFound
 from .quadrature import integrate
-from .weights import DEFAULT_TOL, RadialWeight, liminf_at_origin_hint, moment
+from .weights import DEFAULT_TOL, RadialWeight, moment
 
 EPSILON_SCAN_STEPS = 48
 
@@ -113,7 +113,7 @@ def find_counterexample(
         if gap > best_gap:
             best_j, best_gap, best_norm_f = j, gap, norm_f
     if best_gap <= 2.0 * quad_tol:
-        hint = liminf_at_origin_hint(w).value
+        hint = w.liminf_at_origin().value
         raise NoWitnessFound(
             f"no epsilon in the scan reversed the norms at p={p}, c={c}, n={n} "
             f"(best gap {best_gap:.3e}; weight liminf hint: {hint})"

@@ -31,7 +31,6 @@ class OriginLiminf(enum.Enum):
 
     POSITIVE_LIMINF = "PositiveLiminf"
     ZERO_NEAR_ORIGIN = "ZeroNearOrigin"
-    UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
@@ -278,11 +277,6 @@ def inner_mass(w: RadialWeight, c: float, tol: float = DEFAULT_TOL) -> float:
         raise DomainError("tol must be positive")
     value, _ = w.power_mass(0.0, 0.0, c, tol)
     return value
-
-
-def liminf_at_origin_hint(w: RadialWeight) -> OriginLiminf:
-    """Classify liminf of w at the origin by kind; advisory, never blocking."""
-    return w.liminf_at_origin()
 
 
 def weight_from_spec(spec) -> RadialWeight:

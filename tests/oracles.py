@@ -48,3 +48,13 @@ def mp_schuster_F(rho, c, dps: int = 60):
             den *= (1 + c ** (2 * n - 1)) ** 2
             value *= num / den
         return value
+
+
+def family_mean(p, r, n, eps, dps: int = 30):
+    """M_p^p(r; z^n + eps^n) = max(r^n, eps^n)^p 2F1(-p/2, -p/2; 1; x^2),
+    x = min(r^n, eps^n) / max(r^n, eps^n), from the binomial series of
+    |1 + x e^{it}|^p and Parseval."""
+    with mp.workdps(dps):
+        a, b = mp.mpf(r) ** n, mp.mpf(eps) ** n
+        hi, lo = max(a, b), min(a, b)
+        return float(hi**p * mp.hyp2f1(-mp.mpf(p) / 2, -mp.mpf(p) / 2, 1, (lo / hi) ** 2))

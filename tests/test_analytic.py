@@ -9,16 +9,19 @@ from korenblum import (
     Polynomial,
     StandardWeight,
     StepWeight,
+    choose_n,
+    family_pair,
     integral_mean,
     mean_profile,
     moment,
     polynomial_from_spec,
     weighted_norm,
 )
+import korenblum.analytic as analytic
 from korenblum.analytic import _mean_pow_batch
 from korenblum.quadrature import integrate
 
-from oracles import const_moment, parseval_norm, std_moment, step_moment
+from oracles import const_moment, family_mean, parseval_norm, std_moment, step_moment
 
 TOL = 1e-9
 
@@ -97,6 +100,54 @@ class TestIntegralMean:
             integral_mean(Polynomial((1,)), 1.0, 2.0)
         with pytest.raises(DomainError):
             integral_mean(Polynomial((1,)), 0.5, 0.0)
+
+
+class TestAngularDoubling:
+    def test_converged_radius_leaves_the_doubling(self, monkeypatch):
+        # one radius next to the cusp r = eps of the family must not drag
+        # a smooth radius in the same batch up to its own grid size
+        calls = []
+        inner = analytic._abs_pow_means
+
+        def counting(f, radii, p, n, offset=0.0):
+            calls.append((np.array(radii), n))
+            return inner(f, radii, p, n, offset)
+
+        monkeypatch.setattr(analytic, "_abs_pow_means", counting)
+        eps = 0.45
+        f, _ = family_pair(0.9, 5, eps)
+        radii = np.array([0.8, eps + 5e-6])
+        vals, _ = _mean_pow_batch(f, radii, 0.5, 2.5e-10)
+        smooth = calls[0][0][0]  # the first call sees every row, in order
+        spent = sum(n * np.count_nonzero(rows == smooth) for rows, n in calls)
+        assert spent <= 512
+        assert max(n for _, n in calls) > 512
+        for i in range(len(radii)):
+            alone, _ = _mean_pow_batch(f, radii[i : i + 1], 0.5, 2.5e-10)
+            assert alone[0] == pytest.approx(vals[i], rel=1e-14)
+
+    @pytest.mark.parametrize("p", [0.45, 0.5, 0.7])
+    def test_family_mean_against_hypergeometric(self, p):
+        eps = 0.45
+        n = choose_n(p)
+        f, _ = family_pair(0.9, n, eps)
+        K = f.coeffs[-1].real
+        for r in (0.3, 0.449, 0.45001, 0.451, 0.8):
+            expected = K * family_mean(p, r, n, eps) ** (1.0 / p)
+            assert integral_mean(f, r, p) == pytest.approx(expected, rel=1e-9)
+
+    def test_lacunary_reduction(self, rng):
+        d = 3
+        for _ in range(4):
+            h = Polynomial(tuple(rng.standard_normal(4) + 1j * rng.standard_normal(4)))
+            coeffs = np.zeros(d * h.degree + 1, dtype=complex)
+            coeffs[::d] = h.coeffs
+            f = Polynomial(tuple(coeffs))
+            for p in (0.5, 1.0, 3.0):
+                for r in (0.3, 0.7, 0.9):
+                    assert integral_mean(f, r, p) == pytest.approx(
+                        integral_mean(h, r**d, p), rel=1e-14
+                    )
 
 
 class TestWeightedNorm:

@@ -11,7 +11,6 @@ from korenblum import (
     StepWeight,
     TableWeight,
     inner_mass,
-    liminf_at_origin_hint,
     moment,
     weight_from_spec,
 )
@@ -65,21 +64,21 @@ class TestInnerMassExamples:
 
 class TestLiminfHint:
     def test_constant(self):
-        assert liminf_at_origin_hint(ConstantWeight(1.0)) is OriginLiminf.POSITIVE_LIMINF
+        assert ConstantWeight(1.0).liminf_at_origin() is OriginLiminf.POSITIVE_LIMINF
 
     def test_standard(self):
-        assert liminf_at_origin_hint(StandardWeight(-0.5)) is OriginLiminf.POSITIVE_LIMINF
+        assert StandardWeight(-0.5).liminf_at_origin() is OriginLiminf.POSITIVE_LIMINF
 
     def test_step(self):
-        assert liminf_at_origin_hint(StepWeight(0.5)) is OriginLiminf.ZERO_NEAR_ORIGIN
+        assert StepWeight(0.5).liminf_at_origin() is OriginLiminf.ZERO_NEAR_ORIGIN
 
     def test_table_vanishing_at_origin(self):
         w = TableWeight(knots=(0.0, 0.5), values=(0.0, 1.0))
-        assert liminf_at_origin_hint(w) is OriginLiminf.ZERO_NEAR_ORIGIN
+        assert w.liminf_at_origin() is OriginLiminf.ZERO_NEAR_ORIGIN
 
     def test_table_positive_at_origin(self):
         w = TableWeight(knots=(0.0, 0.5), values=(0.3, 1.0))
-        assert liminf_at_origin_hint(w) is OriginLiminf.POSITIVE_LIMINF
+        assert w.liminf_at_origin() is OriginLiminf.POSITIVE_LIMINF
 
 
 class TestClosedFormsAgainstOracles:
