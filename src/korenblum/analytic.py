@@ -28,6 +28,8 @@ DEGREE_CAP = 64
 
 _THETA_CAP_BATCH = 1 << 17
 _THETA_CAP_SINGLE = 1 << 20
+#: angular nodes evaluated at once by _abs_pow_means (rows x grid size)
+_BLOCK_NODES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -152,17 +154,24 @@ def _abs_pow_means(
     """Mean over n equispaced angles (starting at `offset`) of |f|^p, per radius.
 
     f(r e^{i t}) = sum_j a_j r^j e^{i j t} is separable, so the circle grid
-    is one small matrix product instead of a Horner pass per node.
+    is one small matrix product instead of a Horner pass per node. Radii
+    are taken in blocks of at most _BLOCK_NODES nodes, which bounds the
+    memory of a large batch at a fine grid.
     """
     degree = f.degree
     js = np.arange(degree + 1)
     circle = _circle_grid(n, degree)
-    amps = np.asarray(f.coeffs)[None, :] * radii[:, None] ** js[None, :]
-    if offset:
-        amps = amps * np.exp(1j * offset * js)[None, :]
-    fz = amps @ circle
-    mod2 = fz.real**2 + fz.imag**2
-    return np.mean(_half_powers(mod2, p), axis=1)
+    coeffs = np.asarray(f.coeffs)[None, :]
+    out = np.empty(len(radii))
+    rows = max(1, _BLOCK_NODES // n)
+    for start in range(0, len(radii), rows):
+        amps = coeffs * radii[start : start + rows, None] ** js[None, :]
+        if offset:
+            amps = amps * np.exp(1j * offset * js)[None, :]
+        fz = amps @ circle
+        mod2 = fz.real**2 + fz.imag**2
+        out[start : start + rows] = np.mean(_half_powers(mod2, p), axis=1)
+    return out
 
 
 def _mean_pow_batch(

@@ -32,7 +32,6 @@ class SchusterBound:
     c: float
     F: float
     H: float | None
-    valid: bool
 
 
 def _check_box(rho: float, c: float) -> None:
@@ -68,8 +67,8 @@ def eval_H(rho: float, c: float) -> SchusterBound:
     _check_box(rho, c)
     F = float(_F_values(rho, c))
     if F >= 1.0:
-        return SchusterBound(rho=rho, c=c, F=F, H=None, valid=False)
-    return SchusterBound(rho=rho, c=c, F=F, H=F / np.sqrt(1.0 - F * F), valid=True)
+        return SchusterBound(rho=rho, c=c, F=F, H=None)
+    return SchusterBound(rho=rho, c=c, F=F, H=F / np.sqrt(1.0 - F * F))
 
 
 def inverse_H(rho, c: float):

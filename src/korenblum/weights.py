@@ -5,16 +5,21 @@ constant weight 1 has total mass exactly 1. Moments
 
     m(s) = int_0^1 2 r^{s+1} w(r) dr
 
-are computed in closed form for the constant, step and piecewise-linear
-table kinds, and by adaptive quadrature for the standard kind
-w(r) = (alpha+1)(1-r^2)^alpha. For alpha < 0 the quadrature runs in the
-substituted variable v = (1-r^2)^{alpha+1}, which absorbs the integrable
-singularity at r = 1 into a bounded integrand.
+are computed in closed form for every kind: by primitives for the
+constant, step and piecewise-linear table kinds, and for the standard
+kind w(r) = (alpha+1)(1-r^2)^alpha by the Beta function,
+m(s) = (alpha+1) B(s/2 + 1, alpha + 1), with the partial masses of s = 0
+from the primitive -(1-r^2)^{alpha+1}. Other partial power masses of the
+standard kind, and every integral against a general integrand, use
+adaptive quadrature; for alpha < 0 it runs in the substituted variable
+v = (1-r^2)^{alpha+1}, which absorbs the integrable singularity at r = 1
+into a bounded integrand.
 """
 from __future__ import annotations
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -148,6 +153,21 @@ class StandardWeight(RadialWeight):
             return phi(np.sqrt(u))
 
         return integrate(transformed, vb, va, tol)
+
+    def power_mass(self, s, a, b, tol):
+        ap1 = self.alpha + 1.0
+        if s == 0.0:
+            # primitive -(1-r^2)^{alpha+1}, shifted by 1 and kept as expm1 so
+            # that small radii do not cancel against 1
+            def v_minus_one(r):
+                return -1.0 if r == 1.0 else math.expm1(ap1 * math.log1p(-r * r))
+
+            return v_minus_one(a) - v_minus_one(b), 0.0
+        if a == 0.0 and b == 1.0:
+            # (alpha+1) B(s/2 + 1, alpha + 1)
+            h = 0.5 * s + 1.0
+            return ap1 * math.exp(math.lgamma(h) + math.lgamma(ap1) - math.lgamma(h + ap1)), 0.0
+        return super().power_mass(s, a, b, tol)
 
     def to_spec(self) -> dict:
         return {"kind": "standard", "alpha": self.alpha}

@@ -1,11 +1,15 @@
-"""Independent oracles: closed-form moments, Parseval norms, and a
-high-precision evaluation of the Schuster product.
+"""Independent oracles: closed-form moments, Parseval norms, a
+high-precision evaluation of the Schuster product, and a depth-first
+walk of the adaptive quadrature's panel tree.
 
 Nothing here goes through the package's quadrature paths.
 """
 import math
 
 import mpmath as mp
+import numpy as np
+
+from korenblum.errors import QuadratureDivergence
 
 
 def const_moment(s: float, level: float = 1.0) -> float:
@@ -58,3 +62,58 @@ def family_mean(p, r, n, eps, dps: int = 30):
         a, b = mp.mpf(r) ** n, mp.mpf(eps) ** n
         hi, lo = max(a, b), min(a, b)
         return float(hi**p * mp.hyp2f1(-mp.mpf(p) / 2, -mp.mpf(p) / 2, 1, (lo / hi) ** 2))
+
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+
+def _gl_panel(f, lo, hi):
+    half = 0.5 * (hi - lo)
+    x = lo + half * (_GL_NODES + 1.0)
+    return half * float(np.sum(_GL_WEIGHTS * np.asarray(f(x), dtype=float)))
+
+
+def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
+    """The adaptive 15-node Gauss-Legendre panel tree walked depth first,
+    one integrand call per panel, with the same settle / stuck / split
+    rules as ``korenblum.quadrature.integrate``. Returns
+    ``(value, err_est, deepest)``, deepest the largest bisection level
+    at which a panel was refined."""
+    if a == b:
+        return 0.0, 0.0, -1
+    cuts = sorted({float(x) for x in breakpoints if a < x < b})
+    edges = [a, *cuts, b]
+    share = tol / (len(edges) - 1)
+
+    total = 0.0
+    settled_err = 0.0
+    stuck_err = 0.0
+    deepest = 0
+    stack = [
+        (lo, hi, _gl_panel(f, lo, hi), share, 0)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
+    while stack:
+        lo, hi, coarse, panel_tol, depth = stack.pop()
+        deepest = max(deepest, depth)
+        mid = 0.5 * (lo + hi)
+        left = _gl_panel(f, lo, mid)
+        right = _gl_panel(f, mid, hi)
+        fine = left + right
+        err = abs(fine - coarse)
+        if err <= panel_tol or mid <= lo or mid >= hi:
+            total += fine
+            settled_err += err
+        elif depth >= max_depth:
+            total += fine
+            stuck_err += err
+        else:
+            stack.append((lo, mid, left, 0.5 * panel_tol, depth + 1))
+            stack.append((mid, hi, right, 0.5 * panel_tol, depth + 1))
+
+    if stuck_err > tol:
+        raise QuadratureDivergence(
+            f"quadrature on [{a}, {b}] left error {stuck_err:.3e} > tol {tol:.3e} "
+            f"after {max_depth} bisection levels"
+        )
+    return total, settled_err + stuck_err, deepest

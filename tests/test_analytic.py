@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,25 @@ class TestAngularDoubling:
                     assert integral_mean(f, r, p) == pytest.approx(
                         integral_mean(h, r**d, p), rel=1e-14
                     )
+
+
+class TestAngularBlocks:
+    def test_large_batch_memory_is_bounded(self):
+        # 64 radii at the finest batch grid: rows are taken in blocks, so
+        # the (radii x nodes) product never exists in one piece
+        f = Polynomial((0.3, -1.2, 0.7j, 0.4))
+        radii = np.linspace(0.05, 0.95, 64)
+        n = 1 << 16
+        tracemalloc.start()
+        try:
+            vals = analytic._abs_pow_means(f, radii, 0.5, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        for r, v in zip(radii, vals):
+            alone = analytic._abs_pow_means(f, np.array([r]), 0.5, n)[0]
+            assert v == pytest.approx(alone, rel=1e-14)
 
 
 class TestWeightedNorm:

@@ -19,7 +19,7 @@ class TestEvalF:
         # stays barely below 1 here; valid H, large
         assert eval_F(0.9, 0.24) == pytest.approx(0.9995820592449590, rel=1e-12)
         bound = eval_H(0.9, 0.24)
-        assert bound.valid and bound.H == pytest.approx(34.57733164644842, rel=1e-10)
+        assert bound.H is not None and bound.H == pytest.approx(34.57733164644842, rel=1e-10)
 
     @pytest.mark.parametrize("frac", [0.02, 0.25, 0.5, 0.75, 0.97])
     @pytest.mark.parametrize("c", [0.001, 0.05, 0.12, 0.2, 0.24])
@@ -47,19 +47,18 @@ class TestEvalH:
     @pytest.mark.parametrize("rho", [0.1 * k for k in range(1, 10)])
     def test_small_c_limit(self, rho):
         bound = eval_H(rho, 1e-5)
-        assert bound.valid
+        assert bound.H is not None
         assert abs(bound.H - 2 * rho / (1 - rho * rho)) <= 1e-3
 
     def test_undefined_where_F_at_least_one(self):
         bound = eval_H(0.999, 0.24)
         assert bound.F >= 1.0
         assert bound.H is None
-        assert not bound.valid
 
     def test_H_dominates_F(self):
         for rho in np.linspace(0.3, 0.97, 15):
             bound = eval_H(float(rho), 0.2)
-            if bound.valid:
+            if bound.H is not None:
                 assert bound.H >= bound.F
 
     def test_inverse_H_vectorized(self):
@@ -72,7 +71,7 @@ class TestEvalH:
         # agreement with the scalar path
         k = 10
         bound = eval_H(float(rhos[k]), 0.24)
-        expected = 1.0 / bound.H if bound.valid else 0.0
+        expected = 1.0 / bound.H if bound.H is not None else 0.0
         assert inverse_H(float(rhos[k]), 0.24) == pytest.approx(expected, rel=1e-14)
 
 

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import beta, betainc
 
 from korenblum import (
     ConstantWeight,
@@ -12,9 +15,9 @@ from korenblum import (
     TableWeight,
     inner_mass,
     moment,
+    monomial_upper_bound,
     weight_from_spec,
 )
-from korenblum.quadrature import integrate
 
 from oracles import const_moment, std_moment, step_moment
 
@@ -112,6 +115,44 @@ class TestClosedFormsAgainstOracles:
             assert quad == pytest.approx(closed, abs=2 * TOL)
 
 
+class TestStandardClosedForms:
+    @pytest.mark.parametrize("alpha", [-0.95, -0.5, 0.25, 6.0])
+    @pytest.mark.parametrize("s", [0.0, 0.3, 1.0, 2.0, 5.0, 17.0])
+    def test_moment_against_beta(self, alpha, s):
+        m = moment(StandardWeight(alpha), s)
+        assert m.value == pytest.approx((alpha + 1.0) * beta(s / 2.0 + 1.0, alpha + 1.0), rel=1e-13)
+        assert m.est_error == 0.0
+
+    @pytest.mark.parametrize("alpha", [-0.95, -0.5, 0.25, 6.0])
+    @pytest.mark.parametrize("a,b", [(0.0, 1e-6), (0.0, 0.3), (0.2, 0.9), (0.5, 1.0)])
+    def test_partial_mass_against_betainc(self, alpha, a, b):
+        # int_a^b 2 r w(r) dr = I_{b^2}(1, alpha+1) - I_{a^2}(1, alpha+1)
+        value, err = StandardWeight(alpha).power_mass(0.0, a, b, TOL)
+        expected = betainc(1.0, alpha + 1.0, b * b) - betainc(1.0, alpha + 1.0, a * a)
+        assert value == pytest.approx(expected, rel=1e-13)
+        assert err == 0.0
+
+    @pytest.mark.parametrize("alpha", [-0.5, 1.0])
+    def test_quadrature_paths_match_closed_form(self, alpha):
+        # integrate_against (the substituted variable for alpha < 0) and the
+        # quadrature fallback for partial masses with s > 0
+        w = StandardWeight(alpha)
+        for s in (0.0, 1.5, 4.0):
+            quad, _ = w.integrate_against(lambda r: r**s, 0.0, 1.0, TOL)
+            assert quad == pytest.approx(moment(w, s).value, abs=2 * TOL)
+        a, b, s = 0.3, 0.8, 2.0
+        partial, _ = w.power_mass(s, a, b, TOL)
+        h = s / 2.0 + 1.0
+        full = (alpha + 1.0) * beta(h, alpha + 1.0)
+        expected = full * (betainc(h, alpha + 1.0, b * b) - betainc(h, alpha + 1.0, a * a))
+        assert partial == pytest.approx(expected, abs=2 * TOL)
+
+    def test_c_star_of_arcsine_weight_is_quarter_pi(self):
+        # m(1)/m(0) = (1/2) B(3/2, 1/2) = pi/4 for alpha = -1/2
+        c_star = monomial_upper_bound(1.0, StandardWeight(-0.5)).c_star
+        assert abs(c_star - math.pi / 4.0) <= math.ulp(math.pi / 4.0)
+
+
 class TestInvariants:
     @given(
         s1=st.floats(min_value=0.0, max_value=20.0),
@@ -203,25 +244,3 @@ class TestJsonSpecs:
         with pytest.raises(DomainError):
             weight_from_spec(bad)
 
-
-class TestQuadratureEngine:
-    def test_smooth_integral(self):
-        value, err = integrate(lambda x: np.sin(x), 0.0, np.pi, 1e-12)
-        assert value == pytest.approx(2.0, abs=1e-12)
-        assert err <= 1e-12
-
-    def test_breakpoints_handle_jumps(self):
-        f = lambda x: np.where(x < 0.3, 1.0, 2.0)
-        value, _ = integrate(f, 0.0, 1.0, 1e-12, breakpoints=(0.3,))
-        assert value == pytest.approx(0.3 + 1.4, abs=1e-12)
-
-    def test_endpoint_singularity_converges(self):
-        # (1-x)^(-1/2) is integrable with integral 2
-        value, _ = integrate(lambda x: (1.0 - x) ** -0.5, 0.0, 1.0, 1e-6)
-        assert value == pytest.approx(2.0, abs=1e-4)
-
-    def test_divergent_integrand_raises(self):
-        from korenblum import QuadratureDivergence
-
-        with pytest.raises(QuadratureDivergence):
-            integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-9)
