@@ -7,9 +7,9 @@ endpoints, so integrable endpoint singularities are refined into
 rather than evaluated.
 
 The panel tree is walked level by level: the halves of all panels still
-open at one bisection level are evaluated in a single call of the
-integrand. Integrands must therefore be elementwise functions of a 1-D
-array of any length.
+open at one bisection level are evaluated together, in calls of the
+integrand on at most 65536 nodes each. Integrands must therefore be
+elementwise functions of a 1-D array of any length.
 """
 from __future__ import annotations
 
@@ -21,6 +21,9 @@ from .errors import QuadratureDivergence
 
 #: bisection levels before a panel is declared stuck
 MAX_DEPTH = 40
+#: nodes passed to an integrand in one call (also the block size of the
+#: angular grids in ``analytic``)
+_BLOCK_NODES = 1 << 16
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
@@ -28,13 +31,22 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 def _panel_sums(
     f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """15-node Gauss estimates of the panels [lo[k], hi[k]], one integrand call."""
+    """15-node Gauss estimates of the panels [lo[k], hi[k]].
+
+    The integrand sees at most _BLOCK_NODES nodes per call, which bounds
+    the memory of a deep bisection level.
+    """
     half = 0.5 * (hi - lo)
-    x = lo[:, None] + half[:, None] * (_NODES + 1.0)
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    # row sums round exactly as a sum over one panel does, so every
-    # settle/split decision matches a panel-by-panel walk bit for bit
-    return half * np.sum(_WEIGHTS * fx, axis=1)
+    sums = np.empty(lo.size)
+    rows = _BLOCK_NODES // _NODES.size
+    for start in range(0, lo.size, rows):
+        block = slice(start, start + rows)
+        x = lo[block, None] + half[block, None] * (_NODES + 1.0)
+        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        # row sums round exactly as a sum over one panel does, so every
+        # settle/split decision matches a panel-by-panel walk bit for bit
+        sums[block] = np.sum(_WEIGHTS * fx, axis=1)
+    return half * sums
 
 
 def integrate(
@@ -49,7 +61,8 @@ def integrate(
     """Integrate a vectorized integrand over [a, b] to absolute tolerance.
 
     ``f`` must map a 1-D array of any length elementwise to its values:
-    all panels open at one bisection level are evaluated in one call.
+    all panels open at one bisection level are evaluated together, at
+    most _BLOCK_NODES nodes per call.
     ``breakpoints`` are interior points where the integrand is known to be
     non-smooth (jumps, kinks); panels never straddle them. Returns
     ``(value, err_est)``. Raises :class:`QuadratureDivergence` when the

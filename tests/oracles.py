@@ -54,13 +54,15 @@ def mp_schuster_F(rho, c, dps: int = 60):
         return value
 
 
-def family_mean(p, r, n, eps, dps: int = 30):
-    """M_p^p(r; z^n + eps^n) = max(r^n, eps^n)^p 2F1(-p/2, -p/2; 1; x^2),
-    x = min(r^n, eps^n) / max(r^n, eps^n), from the binomial series of
-    |1 + x e^{it}|^p and Parseval."""
+def binomial_mean(p, a0, a1, r, d: int = 1, dps: int = 30):
+    """M_p^p(r; a0 + a1 z^d) = max(A, B)^p 2F1(-p/2, -p/2; 1; x^2), with
+    A = |a0|, B = |a1| r^d and x = min(A, B) / max(A, B), from the binomial
+    series of |1 + x e^{it}|^p and Parseval."""
     with mp.workdps(dps):
-        a, b = mp.mpf(r) ** n, mp.mpf(eps) ** n
-        hi, lo = max(a, b), min(a, b)
+        A, B = abs(mp.mpc(a0)), abs(mp.mpc(a1)) * mp.mpf(r) ** d
+        hi, lo = max(A, B), min(A, B)
+        if hi == 0:
+            return 0.0
         return float(hi**p * mp.hyp2f1(-mp.mpf(p) / 2, -mp.mpf(p) / 2, 1, (lo / hi) ** 2))
 
 

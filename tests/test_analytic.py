@@ -13,6 +13,7 @@ from korenblum import (
     StepWeight,
     choose_n,
     family_pair,
+    find_counterexample,
     integral_mean,
     mean_profile,
     moment,
@@ -23,7 +24,7 @@ import korenblum.analytic as analytic
 from korenblum.analytic import _mean_pow_batch
 from korenblum.quadrature import integrate
 
-from oracles import const_moment, family_mean, parseval_norm, std_moment, step_moment
+from oracles import binomial_mean, const_moment, parseval_norm, std_moment, step_moment
 
 TOL = 1e-9
 
@@ -117,7 +118,8 @@ class TestAngularDoubling:
 
         monkeypatch.setattr(analytic, "_abs_pow_means", counting)
         eps = 0.45
-        f, _ = family_pair(0.9, 5, eps)
+        # not a binomial, so it is not taken by the closed form
+        f = family_pair(0.9, 5, eps)[0] * Polynomial((1.0, 0.5))
         radii = np.array([0.8, eps + 5e-6])
         vals, _ = _mean_pow_batch(f, radii, 0.5, 2.5e-10)
         smooth = calls[0][0][0]  # the first call sees every row, in order
@@ -133,9 +135,8 @@ class TestAngularDoubling:
         eps = 0.45
         n = choose_n(p)
         f, _ = family_pair(0.9, n, eps)
-        K = f.coeffs[-1].real
         for r in (0.3, 0.449, 0.45001, 0.451, 0.8):
-            expected = K * family_mean(p, r, n, eps) ** (1.0 / p)
+            expected = binomial_mean(p, f.coeffs[0], f.coeffs[-1], r, n) ** (1.0 / p)
             assert integral_mean(f, r, p) == pytest.approx(expected, rel=1e-9)
 
     def test_lacunary_reduction(self, rng):
@@ -150,6 +151,53 @@ class TestAngularDoubling:
                     assert integral_mean(f, r, p) == pytest.approx(
                         integral_mean(h, r**d, p), rel=1e-14
                     )
+
+
+BINOMIAL_PS = (0.05, 0.45, 0.5, 0.74, 1.0, 1.5, 2.0, 3.0, 4.0, 7.3, 20.0)
+BINOMIAL_XS = (0.0, 0.3, 0.7071, 0.7072, 0.9, 0.999, 1 - 1e-8, 1 - 2.0**-52, 1.0)
+
+
+class TestBinomialMeans:
+    @pytest.mark.parametrize("p", BINOMIAL_PS)
+    def test_against_hypergeometric(self, p):
+        # h = 1 + w at radius x has A = 1, B = x: both branches of S_p
+        # (series for x^2 <= 1/2, integral above) and the x = 1 edge
+        h = Polynomial((1.0, 1.0))
+        radii = np.array(BINOMIAL_XS)
+        vals, diff = analytic._binomial_means(h, radii, p)
+        for x, v in zip(BINOMIAL_XS, vals):
+            assert v == pytest.approx(binomial_mean(p, 1.0, 1.0, x), rel=1e-13, abs=0.0)
+        assert np.array_equal(diff, 1e-13 * vals ** (1.0 / p))
+
+    @pytest.mark.parametrize("p", BINOMIAL_PS)
+    def test_against_trapezoid(self, p):
+        # a0 dominant and a1 dominant, with phases; x <= 0.9 throughout
+        radii = np.array([0.1, 0.45, 0.9])
+        for h in (Polynomial((2.0j, -1.8)), Polynomial((0.3 - 0.4j, 1.0))):
+            vals, _ = analytic._binomial_means(h, radii, p)
+            trapezoid = analytic._abs_pow_means(h, radii, p, 1024)
+            np.testing.assert_allclose(vals, trapezoid, rtol=1e-13, atol=0.0)
+
+    def test_refutation_family_takes_no_angular_nodes(self, monkeypatch):
+        calls = []
+        inner = analytic._abs_pow_means
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "_abs_pow_means", counting)
+        witness = find_counterexample(0.5, 0.9, ConstantWeight(1.0))
+        assert (witness.n, witness.epsilon) == (5, 0.45)
+        assert calls == []
+
+    def test_profile_across_the_cusp_is_monotone(self):
+        eps = 0.45
+        f, _ = family_pair(0.9, 5, eps)
+        radii = eps + 1e-4 * np.arange(-100, 100)  # r = eps included
+        for p in (0.45, 0.5, 0.74):
+            prof = mean_profile(f, p, radii)  # raises MonotonicityViolation on failure
+            assert prof.est_error <= 1e-13 * max(prof.values)
 
 
 class TestAngularBlocks:

@@ -3,7 +3,7 @@ walk of the panel tree against the depth-first reference walk."""
 import numpy as np
 import pytest
 
-from korenblum.quadrature import integrate
+from korenblum.quadrature import _BLOCK_NODES, integrate
 
 from oracles import depth_first_integrate
 
@@ -45,6 +45,20 @@ class TestPanelTree:
         assert abs(err - ref_err) <= 1e-14
         assert len(calls) <= deepest + 2
         assert all(x.ndim == 1 for x in calls)
+
+    def test_integrand_calls_are_bounded(self):
+        # 122,880 nodes at the deepest level: split into calls of at most
+        # _BLOCK_NODES nodes, with the nodes and panel sums of one call
+        f = lambda x: np.sin(10000.0 * x)
+        g_ref, ref_calls = _recording(f)
+        ref_value, _, _ = depth_first_integrate(g_ref, 0.0, 10.0, 1e-8)
+        g, calls = _recording(f)
+        value, _ = integrate(g, 0.0, 10.0, 1e-8)
+
+        assert max(x.size for x in calls) <= _BLOCK_NODES
+        assert sum(x.size for x in calls) > 2 * _BLOCK_NODES
+        assert np.array_equal(np.sort(np.concatenate(calls)), np.sort(np.concatenate(ref_calls)))
+        assert abs(value - ref_value) <= 1e-14
 
 
 class TestQuadratureEngine:
