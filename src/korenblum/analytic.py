@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from .weights import DEFAULT_TOL, RadialWeight, moment
 
 DEGREE_CAP = 64
 
-_THETA_CAP_BATCH = 1 << 17
-_THETA_CAP_SINGLE = 1 << 20
+#: angle count at which the doubling of a circle mean stops
+_THETA_CAP = 1 << 17
 #: equal 15-node Gauss panels of S_p's integral form (x^2 > 1/2), on the
 #: sinh-substituted v in [0, 1/2] and on v in [1/2, pi/2]
 _BINOMIAL_INNER_PANELS = 16
@@ -52,16 +52,13 @@ class Polynomial:
     """Analytic function given by finitely many complex coefficients, a0 first."""
 
     coeffs: tuple[complex, ...]
-    degree_cap: int = field(default=DEGREE_CAP, compare=False, repr=False)
 
     def __post_init__(self):
         cs = [complex(c) for c in self.coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        if len(cs) - 1 > self.degree_cap:
-            raise DomainError(
-                f"degree {len(cs) - 1} exceeds the cap {self.degree_cap}"
-            )
+        if len(cs) - 1 > DEGREE_CAP:
+            raise DomainError(f"degree {len(cs) - 1} exceeds the cap {DEGREE_CAP}")
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
@@ -117,9 +114,10 @@ def polynomial_from_spec(spec) -> Polynomial:
         if isinstance(entry, (list, tuple)):
             if len(entry) != 2:
                 raise DomainError(f"coefficient entries are [re, im], got {entry!r}")
-            coeffs.append(complex(entry[0], entry[1]))
-        else:
-            coeffs.append(complex(entry))
+        try:
+            coeffs.append(complex(*entry) if isinstance(entry, (list, tuple)) else complex(entry))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"malformed coefficient {entry!r}: {exc}") from exc
     return Polynomial(tuple(coeffs))
 
 
@@ -283,7 +281,7 @@ def _binomial_means(
 
 
 def _mean_pow_batch(
-    f: Polynomial, radii: np.ndarray, p: float, tol: float, cap: int = _THETA_CAP_BATCH
+    f: Polynomial, radii: np.ndarray, p: float, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """M_p^p(r; f) row per radius, doubling the angle grid per radius.
 
@@ -297,7 +295,7 @@ def _mean_pow_batch(
     (relative, per row): a row leaves the doubling once two successive
     refinements agree, so its value depends only on its own radius, not
     on the radii that share its batch. Rows still open when the grid
-    reaches `cap` stop there; `diff` holds each row's last change.
+    reaches _THETA_CAP stop there; `diff` holds each row's last change.
     """
     # exact: the N-node rule on f is the N/d-node rule on h when d divides N
     d = int(np.gcd.reduce(np.flatnonzero(np.asarray(f.coeffs))))
@@ -317,7 +315,7 @@ def _mean_pow_batch(
         means_next = vals_next ** (1.0 / p)
         step = np.abs(means_next - means[active])
         vals[active], means[active], diff[active] = vals_next, means_next, step
-        if n >= cap:
+        if n >= _THETA_CAP:
             break
         active = active[~(step <= tol * np.maximum(means_next, 1e-300))]
     return vals, diff
@@ -331,7 +329,7 @@ def integral_mean(f: Polynomial, r: float, p: float, tol: float = DEFAULT_TOL) -
         raise DomainError("integral_mean needs p > 0 and tol > 0")
     if f.is_zero:
         return 0.0
-    vals, _ = _mean_pow_batch(f, np.array([r]), p, tol, cap=_THETA_CAP_SINGLE)
+    vals, _ = _mean_pow_batch(f, np.array([r]), p, tol)
     return float(vals[0] ** (1.0 / p))
 
 

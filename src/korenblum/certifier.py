@@ -18,7 +18,7 @@ import numpy as np
 from .analytic import Polynomial, weighted_norm
 from .errors import DomainError, NoCertificate
 from .schuster import inverse_H
-from .weights import DEFAULT_TOL, RadialWeight, weight_from_spec
+from .weights import DEFAULT_TOL, RadialWeight
 
 C_GRID_LO = 1e-6
 C_GRID_HI = 0.25
@@ -192,25 +192,3 @@ def random_dominating_pair(
         a = rng.random() * np.exp(2j * np.pi * rng.random())
         h = Polynomial((a / 2.0, 0.5))
     return h * g, g
-
-
-def certificate_to_json(cert: RadiusCertificate, w: RadialWeight) -> dict:
-    return {
-        "c": cert.c,
-        "inner": cert.inner,
-        "outer": cert.outer,
-        "margin": cert.margin,
-        "quad_tol": cert.quad_tol,
-        "weight": w.to_spec(),
-    }
-
-
-def certificate_from_json(obj: dict) -> tuple[RadiusCertificate, RadialWeight]:
-    cert = RadiusCertificate(
-        c=float(obj["c"]),
-        inner=float(obj["inner"]),
-        outer=float(obj["outer"]),
-        margin=float(obj["margin"]),
-        quad_tol=float(obj["quad_tol"]),
-    )
-    return cert, weight_from_spec(obj["weight"])

@@ -1,17 +1,26 @@
 """Command-line front end.
 
 Subcommands: norm, means, certify, refute, bound, sweep, verify.
-Reports go to stdout (JSON by default, CSV or human-readable on request),
-diagnostics to stderr. Exit status: 0 success, 1 negative search result
-(no certificate / no witness), 2 bad input, 3 quadrature divergence.
+
+Each command returns a JSON payload (for certify, refute, bound, means
+and a two-polynomial verify, the fields of the result dataclass) and a
+table of flat records, and one renderer writes the report to stdout:
+``--output json`` (the default; ``sweep`` defaults to csv) prints the
+payload, ``csv`` the table under a header row, ``human`` the same cells
+as aligned columns. A negative search result is reported the same way,
+as the one record {"found": false, "reason": ..., "detail": ...}.
+Diagnostics go to stderr. Exit status: 0 success, 1 negative search
+result (no certificate / no witness), 2 bad input, 3 quadrature
+divergence.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -35,41 +44,6 @@ EXIT_QUADRATURE = 3
 SWEEP_HEADER = "p,c_certified,c_star_upper,witness_found_at_c_star,status"
 
 
-@dataclass
-class RunConfig:
-    """One CLI invocation, fully determining the report."""
-
-    command: str
-    weight_spec: str | None = None
-    p_values: tuple[float, ...] = ()
-    c: float | None = None
-    polys: tuple[Polynomial, ...] = ()
-    tol: float = 1e-9
-    output: str = "json"
-    seed: int | None = None
-    n: int | None = None
-    grid: int | None = None
-    count: int = 100
-    _weight: RadialWeight | None = field(default=None, repr=False)
-
-    @property
-    def p(self) -> float:
-        return self.p_values[0]
-
-    def weight(self) -> RadialWeight:
-        if self._weight is None:
-            if self.weight_spec is None:
-                raise DomainError(f"command {self.command!r} requires --weight")
-            text = self.weight_spec.strip()
-            if not text.startswith("{"):
-                path = Path(text)
-                if not path.is_file():
-                    raise DomainError(f"weight spec file not found: {text}")
-                text = path.read_text()
-            self._weight = weight_from_spec(text)
-        return self._weight
-
-
 def parse_poly(text: str) -> Polynomial:
     """Accept the JSON form {"coeffs": ...} or the shorthand "1,0,-2"."""
     text = text.strip()
@@ -82,223 +56,148 @@ def parse_poly(text: str) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def parse_weight(text: str) -> RadialWeight:
+    """Accept a weight spec as inline JSON or as the path of a JSON file."""
+    text = text.strip()
+    if not text.startswith("{"):
+        path = Path(text)
+        if not path.is_file():
+            raise DomainError(f"weight spec file not found: {text}")
+        text = path.read_text()
+    return weight_from_spec(text)
 
 
-def _emit_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+def parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise DomainError(f"cannot parse tolerance {text!r}") from exc
+    if not tol > 0:
+        raise DomainError(f"must be positive, got {text}")
+    return tol
 
 
-def _emit(config: RunConfig, payload: dict, csv_rows: list[list[str]], human: str) -> str:
-    if config.output == "json":
-        return _emit_json(payload)
-    if config.output == "csv":
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def render(payload: dict, table: list[dict], output: str) -> str:
+    """The report: the payload as JSON, or the table's records as CSV or
+    as aligned columns, each under a header row of the record keys."""
+    if output == "json":
+        return json.dumps(payload, indent=2, sort_keys=True)
+    rows = [list(table[0])] + [[_cell(v) for v in record.values()] for record in table]
+    if output == "csv":
         buf = io.StringIO()
-        for row in csv_rows:
-            buf.write(",".join(row) + "\n")
+        csv.writer(buf, lineterminator="\n").writerows(rows)
         return buf.getvalue().rstrip("\n")
-    return human
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return "\n".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in rows
+    )
 
 
-def _cmd_norm(config: RunConfig) -> tuple[int, str]:
-    if len(config.polys) != 1:
+def _cmd_norm(args):
+    if len(args.poly) != 1:
         raise DomainError("norm requires exactly one --poly")
-    f = config.polys[0]
-    value = weighted_norm(f, config.weight(), config.p, tol=config.tol)
-    payload = {
-        "norm": value,
-        "p": config.p,
-        "poly": f.to_spec(),
-        "weight": config.weight().to_spec(),
-    }
-    rows = [["norm"], [_fmt(value)]]
-    return EXIT_OK, _emit(config, payload, rows, _fmt(value))
+    f = args.poly[0]
+    value = weighted_norm(f, args.weight, args.p, tol=args.tol)
+    payload = {"norm": value, "p": args.p, "poly": f.to_spec(), "weight": args.weight.to_spec()}
+    return EXIT_OK, payload, [{"norm": value}]
 
 
-def _cmd_means(config: RunConfig) -> tuple[int, str]:
-    if len(config.polys) != 1:
+def _cmd_means(args):
+    if len(args.poly) != 1:
         raise DomainError("means requires exactly one --poly")
-    n = config.grid or 32
-    radii = [k / (n + 1) for k in range(1, n + 1)]
-    profile = mean_profile(config.polys[0], config.p, radii)
-    payload = {
-        "p": profile.p,
-        "radii": list(profile.radii),
-        "values": list(profile.values),
-        "est_error": profile.est_error,
-    }
-    rows = [["r", "mean"]] + [
-        [_fmt(r), _fmt(v)] for r, v in zip(profile.radii, profile.values)
-    ]
-    human = "\n".join(f"M_p({_fmt(r)}) = {_fmt(v)}" for r, v in zip(profile.radii, profile.values))
-    return EXIT_OK, _emit(config, payload, rows, human)
+    radii = [k / (args.grid + 1) for k in range(1, args.grid + 1)]
+    profile = mean_profile(args.poly[0], args.p, radii)
+    table = [{"r": r, "mean": v} for r, v in zip(profile.radii, profile.values)]
+    return EXIT_OK, asdict(profile), table
 
 
-def _cmd_certify(config: RunConfig) -> tuple[int, str]:
-    cert = certifier.certify(config.weight(), quad_tol=config.tol, grid=config.grid or 64)
-    payload = certifier.certificate_to_json(cert, config.weight())
-    rows = [
-        ["c", "inner", "outer", "margin", "quad_tol"],
-        [_fmt(cert.c), _fmt(cert.inner), _fmt(cert.outer), _fmt(cert.margin), _fmt(cert.quad_tol)],
-    ]
-    human = (
-        f"certified radius c = {_fmt(cert.c)}\n"
-        f"inner mass  = {_fmt(cert.inner)}\n"
-        f"outer bound = {_fmt(cert.outer)}\n"
-        f"margin      = {_fmt(cert.margin)} (quad_tol {_fmt(cert.quad_tol)})"
-    )
-    return EXIT_OK, _emit(config, payload, rows, human)
+def _cmd_certify(args):
+    cert = certifier.certify(args.weight, quad_tol=args.tol, grid=args.grid)
+    return EXIT_OK, asdict(cert) | {"weight": args.weight.to_spec()}, [asdict(cert)]
 
 
-def _cmd_refute(config: RunConfig) -> tuple[int, str]:
-    if config.c is None:
-        raise DomainError("refute requires --c")
+def _cmd_refute(args):
     witness = refuter.find_counterexample(
-        config.p, config.c, config.weight(), quad_tol=config.tol, n=config.n
+        args.p, args.c, args.weight, quad_tol=args.tol, n=args.n
     )
-    payload = refuter.witness_to_json(witness)
-    rows = [
-        ["p", "c", "n", "epsilon", "norm_f", "norm_g", "gap"],
-        [
-            _fmt(witness.p),
-            _fmt(witness.c),
-            str(witness.n),
-            _fmt(witness.epsilon),
-            _fmt(witness.norm_f),
-            _fmt(witness.norm_g),
-            _fmt(witness.gap),
-        ],
-    ]
-    human = (
-        f"witness at p={_fmt(witness.p)}, c={_fmt(witness.c)}: n={witness.n}, "
-        f"epsilon={_fmt(witness.epsilon)}\n"
-        f"||f|| = {_fmt(witness.norm_f)} > ||g|| = {_fmt(witness.norm_g)} "
-        f"(gap {_fmt(witness.gap)})"
-    )
-    return EXIT_OK, _emit(config, payload, rows, human)
+    return EXIT_OK, asdict(witness), [asdict(witness)]
 
 
-def _cmd_bound(config: RunConfig) -> tuple[int, str]:
-    bound = refuter.monomial_upper_bound(config.p, config.weight(), quad_tol=config.tol)
-    payload = {"p": bound.p, "c_star": bound.c_star, "witness_c": bound.witness_c}
-    rows = [
-        ["p", "c_star", "witness_c"],
-        [_fmt(bound.p), _fmt(bound.c_star), _fmt(bound.witness_c)],
-    ]
-    human = f"c(p={_fmt(bound.p)}) <= c_star = {_fmt(bound.c_star)} (witness at {_fmt(bound.witness_c)})"
-    return EXIT_OK, _emit(config, payload, rows, human)
+def _cmd_bound(args):
+    bound = refuter.monomial_upper_bound(args.p, args.weight, quad_tol=args.tol)
+    return EXIT_OK, asdict(bound), [asdict(bound)]
 
 
-def _cmd_verify(config: RunConfig) -> tuple[int, str]:
-    if config.c is None:
-        raise DomainError("verify requires --c")
-    if len(config.polys) == 2:
-        f, g = config.polys
-        report = certifier.verify_instance(
-            f, g, config.weight(), config.p, config.c, tol=config.tol
-        )
-        payload = {
-            "dominates": report.dominates,
-            "norm_f": report.norm_f,
-            "norm_g": report.norm_g,
-            "principle_holds": report.principle_holds,
-        }
-        rows = [
-            ["dominates", "norm_f", "norm_g", "principle_holds"],
-            [
-                str(report.dominates).lower(),
-                _fmt(report.norm_f),
-                _fmt(report.norm_g),
-                str(report.principle_holds).lower(),
-            ],
-        ]
-        human = (
-            f"dominates: {report.dominates}\n"
-            f"||f|| = {_fmt(report.norm_f)}, ||g|| = {_fmt(report.norm_g)}\n"
-            f"principle holds: {report.principle_holds}"
-        )
-        return EXIT_OK, _emit(config, payload, rows, human)
-    if config.polys:
-        raise DomainError("verify takes either two --poly arguments or none (random sweep)")
+def _cmd_verify(args):
+    if args.poly:
+        if len(args.poly) != 2:
+            raise DomainError("verify takes either two --poly arguments or none (random sweep)")
+        f, g = args.poly
+        report = certifier.verify_instance(f, g, args.weight, args.p, args.c, tol=args.tol)
+        return EXIT_OK, asdict(report), [asdict(report)]
 
-    rng = np.random.default_rng(config.seed or 0)
+    rng = np.random.default_rng(args.seed)
     checked = 0
     violations = []
-    for _ in range(config.count):
+    for _ in range(args.count):
         f, g = certifier.random_dominating_pair(rng)
-        if not certifier.check_domination(f, g, config.c).conclusive:
+        if not certifier.check_domination(f, g, args.c).conclusive:
             continue
         checked += 1
-        report = certifier.verify_instance(f, g, config.weight(), config.p, config.c, tol=config.tol)
+        report = certifier.verify_instance(f, g, args.weight, args.p, args.c, tol=args.tol)
         if not report.principle_holds:
             violations.append({"f": f.to_spec(), "g": g.to_spec(), "norm_f": report.norm_f, "norm_g": report.norm_g})
     payload = {
-        "pairs": config.count,
+        "pairs": args.count,
         "conclusive": checked,
         "violations": violations,
-        "seed": config.seed or 0,
+        "seed": args.seed,
     }
-    rows = [["pairs", "conclusive", "violations"], [str(config.count), str(checked), str(len(violations))]]
-    human = f"{checked}/{config.count} pairs conclusive, {len(violations)} norm violations"
-    return EXIT_OK, _emit(config, payload, rows, human)
+    return EXIT_OK, payload, [{"pairs": args.count, "conclusive": checked, "violations": len(violations)}]
 
 
-def _cmd_sweep(config: RunConfig) -> tuple[int, str]:
-    if not config.p_values:
-        raise DomainError("sweep requires --p with at least one value")
-    w = config.weight()
+def _cmd_sweep(args):
+    w = args.weight
     cert_c: float | None = None
     cert_status = "ok"
-    if any(p >= 1.0 for p in config.p_values):
+    if any(p >= 1.0 for p in args.p):
         try:
-            cert_c = certifier.certify(w, quad_tol=config.tol, grid=config.grid or 64).c
+            cert_c = certifier.certify(w, quad_tol=args.tol, grid=args.grid).c
         except NoCertificate:
             cert_status = "no_certificate"
 
-    rows_payload = []
-    all_ok = True
-    for p in config.p_values:
-        row = {
-            "p": p,
-            "c_certified": None,
-            "c_star_upper": None,
-            "witness_found_at_c_star": None,
-            "status": "ok",
-        }
+    rows = []
+    for p in args.p:
+        row = dict.fromkeys(SWEEP_HEADER.split(","))
+        row.update(p=p, status="ok")
         try:
-            row["c_star_upper"] = refuter.monomial_upper_bound(p, w, quad_tol=config.tol).c_star
+            row["c_star_upper"] = refuter.monomial_upper_bound(p, w, quad_tol=args.tol).c_star
             if p >= 1.0:
                 row["c_certified"] = cert_c
                 if cert_c is None:
                     row["status"] = cert_status
             else:
                 try:
-                    refuter.find_counterexample(p, row["c_star_upper"], w, quad_tol=config.tol, n=config.n)
+                    refuter.find_counterexample(p, row["c_star_upper"], w, quad_tol=args.tol, n=args.n)
                     row["witness_found_at_c_star"] = True
                 except NoWitnessFound:
                     row["witness_found_at_c_star"] = False
         except KorenblumError as exc:
             row["status"] = type(exc).__name__
-        if row["status"] != "ok":
-            all_ok = False
-        rows_payload.append(row)
-
-    csv_rows = [SWEEP_HEADER.split(",")]
-    for row in rows_payload:
-        witness = row["witness_found_at_c_star"]
-        csv_rows.append(
-            [
-                _fmt(row["p"]),
-                "" if row["c_certified"] is None else _fmt(row["c_certified"]),
-                "" if row["c_star_upper"] is None else _fmt(row["c_star_upper"]),
-                "" if witness is None else str(witness).lower(),
-                row["status"],
-            ]
-        )
-    human = "\n".join(",".join(r) for r in csv_rows)
-    code = EXIT_OK if all_ok else EXIT_NEGATIVE
-    return code, _emit(config, {"rows": rows_payload}, csv_rows, human)
+        rows.append(row)
+    code = EXIT_OK if all(row["status"] == "ok" for row in rows) else EXIT_NEGATIVE
+    return code, {"rows": rows}, rows
 
 
 _COMMANDS = {
@@ -312,22 +211,35 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch one configured command; print the report; return the exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch one parsed command; print the report; return the exit code."""
     try:
-        code, text = _COMMANDS[config.command](config)
+        code, payload, table = _COMMANDS[args.command](args)
     except (NoCertificate, NoWitnessFound) as exc:
-        print(f"korenblum {config.command}: {exc}", file=sys.stderr)
-        print(_emit_json({"found": False, "reason": type(exc).__name__, "detail": str(exc)}))
-        return EXIT_NEGATIVE
+        print(f"korenblum {args.command}: {exc}", file=sys.stderr)
+        code = EXIT_NEGATIVE
+        payload = {"found": False, "reason": type(exc).__name__, "detail": str(exc)}
+        table = [payload]
     except DomainError as exc:
-        print(f"korenblum {config.command}: {exc}", file=sys.stderr)
+        print(f"korenblum {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except QuadratureDivergence as exc:
-        print(f"korenblum {config.command}: {exc}", file=sys.stderr)
+        print(f"korenblum {args.command}: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
-    print(text)
+    print(render(payload, table, args.output))
     return code
+
+
+def _argument(parse):
+    """An argparse ``type=`` converter: a DomainError becomes a usage error (exit 2)."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return convert
 
 
 def _parse_p_list(text: str) -> tuple[float, ...]:
@@ -349,21 +261,24 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    poly = _argument(parse_poly)
 
     def common(sp, weight=True):
         if weight:
-            sp.add_argument("--weight", required=True, help="weight spec JSON or a path to one")
-        sp.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance (default 1e-9)")
+            sp.add_argument("--weight", type=_argument(parse_weight), required=True,
+                            help="weight spec JSON or a path to one")
+        sp.add_argument("--tol", type=_argument(parse_tol), default=1e-9,
+                        help="quadrature tolerance (default 1e-9)")
         sp.add_argument("--output", choices=("json", "csv", "human"), default="json")
-        sp.add_argument("--seed", type=int, default=None, help="seed for randomized sweeps")
+        sp.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps (default 0)")
 
     sp = sub.add_parser("norm", help="weighted Bergman norm of a polynomial")
-    sp.add_argument("--poly", action="append", required=True, help='coefficients "a0,a1,..." or {"coeffs": ...}')
+    sp.add_argument("--poly", type=poly, action="append", required=True, help='coefficients "a0,a1,..." or {"coeffs": ...}')
     sp.add_argument("--p", type=float, required=True)
     common(sp)
 
     sp = sub.add_parser("means", help="circle means along a radius grid")
-    sp.add_argument("--poly", action="append", required=True)
+    sp.add_argument("--poly", type=poly, action="append", required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--grid", type=int, default=32, help="number of radii (default 32)")
     common(sp, weight=False)
@@ -383,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("verify", help="check one dominating pair, or a random sweep")
-    sp.add_argument("--poly", action="append", default=None, help="give twice: f then g")
+    sp.add_argument("--poly", type=poly, action="append", default=None, help="give twice: f then g")
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--count", type=int, default=100, help="random pairs when no --poly given")
@@ -399,36 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    p_values: tuple[float, ...] = ()
-    if getattr(args, "p", None) is not None:
-        p_values = args.p if isinstance(args.p, tuple) else (args.p,)
-    polys = tuple(parse_poly(s) for s in (getattr(args, "poly", None) or ()))
-    if getattr(args, "tol", 1e-9) <= 0:
-        raise DomainError("--tol must be positive")
-    return RunConfig(
-        command=args.command,
-        weight_spec=getattr(args, "weight", None),
-        p_values=p_values,
-        c=getattr(args, "c", None),
-        polys=polys,
-        tol=args.tol,
-        output=args.output,
-        seed=args.seed,
-        n=getattr(args, "n", None),
-        grid=getattr(args, "grid", None),
-        count=getattr(args, "count", 100),
-    )
-
-
 def main(argv=None) -> None:
-    args = build_parser().parse_args(argv)
-    try:
-        config = config_from_args(args)
-    except DomainError as exc:
-        print(f"korenblum: {exc}", file=sys.stderr)
-        sys.exit(EXIT_INPUT)
-    sys.exit(run(config))
+    sys.exit(run(build_parser().parse_args(argv)))
 
 
 if __name__ == "__main__":

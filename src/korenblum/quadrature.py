@@ -56,7 +56,6 @@ def integrate(
     tol: float,
     *,
     breakpoints: Iterable[float] = (),
-    max_depth: int = MAX_DEPTH,
 ) -> tuple[float, float]:
     """Integrate a vectorized integrand over [a, b] to absolute tolerance.
 
@@ -66,7 +65,7 @@ def integrate(
     ``breakpoints`` are interior points where the integrand is known to be
     non-smooth (jumps, kinks); panels never straddle them. Returns
     ``(value, err_est)``. Raises :class:`QuadratureDivergence` when the
-    accumulated error of panels that hit ``max_depth`` still exceeds
+    accumulated error of panels that hit ``MAX_DEPTH`` still exceeds
     ``tol``.
     """
     if tol <= 0:
@@ -93,7 +92,7 @@ def integrate(
         fine = left + right
         err = np.abs(fine - coarse)
         settled = (err <= panel_tol) | (mid <= lo) | (mid >= hi)
-        done = settled | (depth >= max_depth)
+        done = settled | (depth >= MAX_DEPTH)
         total += float(np.sum(fine[done]))
         settled_err += float(np.sum(err[settled]))
         stuck_err += float(np.sum(err[done & ~settled]))
@@ -107,6 +106,6 @@ def integrate(
     if stuck_err > tol:
         raise QuadratureDivergence(
             f"quadrature on [{a}, {b}] left error {stuck_err:.3e} > tol {tol:.3e} "
-            f"after {max_depth} bisection levels"
+            f"after {MAX_DEPTH} bisection levels"
         )
     return total, settled_err + stuck_err

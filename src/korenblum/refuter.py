@@ -36,7 +36,6 @@ class CounterexampleWitness:
     norm_f: float
     norm_g: float
     gap: float
-    domination_checked: bool
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,6 @@ def find_counterexample(
         norm_f=best_norm_f,
         norm_g=norm_g,
         gap=best_gap,
-        domination_checked=True,
     )
 
 
@@ -161,7 +159,6 @@ def revalidate_witness(
         norm_f=norm_f,
         norm_g=norm_g,
         gap=gap,
-        domination_checked=True,
     )
 
 
@@ -231,28 +228,3 @@ def monomial_upper_bound(
             f"min_gap={report.min_gap:.3e}, ||g||={norm_g!r}, ||1||={norm_unit!r}"
         )
     return RadiusUpperBound(p=p, c_star=c_star, witness_c=witness_c)
-
-
-def witness_to_json(witness: CounterexampleWitness) -> dict:
-    return {
-        "p": witness.p,
-        "c": witness.c,
-        "n": witness.n,
-        "epsilon": witness.epsilon,
-        "norm_f": witness.norm_f,
-        "norm_g": witness.norm_g,
-        "gap": witness.gap,
-    }
-
-
-def witness_from_json(obj: dict) -> CounterexampleWitness:
-    return CounterexampleWitness(
-        p=float(obj["p"]),
-        c=float(obj["c"]),
-        n=int(obj["n"]),
-        epsilon=float(obj["epsilon"]),
-        norm_f=float(obj["norm_f"]),
-        norm_g=float(obj["norm_g"]),
-        gap=float(obj["gap"]),
-        domination_checked=True,
-    )

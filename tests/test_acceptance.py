@@ -121,7 +121,7 @@ def test_criterion_05_refutation_witness():
     ok = (
         witness.n == 5
         and witness.gap > 1e-6
-        and witness.domination_checked
+        and check_domination(*family_pair(0.9, witness.n, witness.epsilon), 0.9).conclusive
         and finer.gap > 2 * QUAD_TOL / 10.0
     )
     elapsed = time.monotonic() - start

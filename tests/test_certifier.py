@@ -1,5 +1,4 @@
 import inspect
-import json
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from korenblum import (
     verify_instance,
     weighted_norm,
 )
-from korenblum.certifier import certificate_from_json, certificate_to_json, radius_grid
+from korenblum.certifier import radius_grid
 
 QUAD_TOL = 1e-9
 
@@ -148,13 +147,3 @@ class TestVerifyInstance:
             report = verify_instance(f, g, w, p, c, tol=1e-8)
             assert report.principle_holds
         assert checked >= 50
-
-
-class TestCertificateJson:
-    def test_round_trip(self):
-        w = StepWeight(0.5)
-        cert = certify(w, quad_tol=QUAD_TOL)
-        blob = json.dumps(certificate_to_json(cert, w))
-        parsed_cert, parsed_w = certificate_from_json(json.loads(blob))
-        assert parsed_cert == cert
-        assert parsed_w == w

@@ -1,11 +1,20 @@
+import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from korenblum.certifier import certificate_from_json
+from korenblum import (
+    CounterexampleWitness,
+    InstanceReport,
+    RadiusCertificate,
+    RadiusUpperBound,
+    certify,
+    find_counterexample,
+    weight_from_spec,
+)
 from korenblum.cli import SWEEP_HEADER, main
-from korenblum.refuter import witness_from_json
 
 CONST1 = '{"kind":"constant","level":1}'
 STEP05 = '{"kind":"step","R":0.5}'
@@ -34,7 +43,7 @@ class TestNorm:
             "--output", "human",
         )
         assert code == 0
-        assert out.strip() == "0.707106781187"
+        assert out.split() == ["norm", "0.707106781187"]
 
     def test_poly_json_form(self, capsys):
         code, out, _ = run_cli(
@@ -71,7 +80,11 @@ class TestCertify:
     def test_constant_weight(self, capsys):
         code, out, _ = run_cli(capsys, "certify", "--weight", CONST1)
         assert code == 0
-        cert, w = certificate_from_json(json.loads(out))
+        payload = json.loads(out)
+        w = weight_from_spec(CONST1)
+        assert weight_from_spec(payload.pop("weight")) == w
+        cert = RadiusCertificate(**payload)
+        assert cert == certify(w)
         assert cert.margin > 0
         assert cert.c == pytest.approx(0.18682104186142803, rel=1e-12)
 
@@ -82,6 +95,18 @@ class TestCertify:
         assert "NoCertificate" in json.loads(out)["reason"]
         assert err.strip()
 
+    def test_no_certificate_csv(self, capsys):
+        spec = '{"kind":"table","r":[0.0, 1e-7, 2e-7],"w":[1.0, 1.0, 0.0]}'
+        _, out, _ = run_cli(capsys, "certify", "--weight", spec)
+        detail = json.loads(out)["detail"]
+        code, out, _ = run_cli(capsys, "certify", "--weight", spec, "--output", "csv")
+        assert code == 1
+        assert "," in detail  # the CSV writer must quote it
+        assert list(csv.reader(out.splitlines())) == [
+            ["found", "reason", "detail"],
+            ["false", "NoCertificate", detail],
+        ]
+
 
 class TestRefute:
     def test_witness_json(self, capsys):
@@ -89,7 +114,8 @@ class TestRefute:
             capsys, "refute", "--p", "0.5", "--c", "0.9", "--weight", CONST1
         )
         assert code == 0
-        witness = witness_from_json(json.loads(out))
+        witness = CounterexampleWitness(**json.loads(out))
+        assert witness == find_counterexample(0.5, 0.9, weight_from_spec(CONST1))
         assert witness.n == 5
         assert witness.gap > 1e-6
 
@@ -173,6 +199,31 @@ class TestSweep:
         assert rows[0]["c_star_upper"] == pytest.approx(np.sqrt(0.5), abs=1e-9)
 
 
+CSV_CASES = {
+    "certify": (("certify", "--weight", CONST1), RadiusCertificate),
+    "refute": (("refute", "--p", "0.5", "--c", "0.9", "--weight", CONST1), CounterexampleWitness),
+    "bound": (("bound", "--p", "2", "--weight", CONST1), RadiusUpperBound),
+    "verify": (
+        ("verify", "--poly", "0,0.5", "--poly", "0,1", "--p", "2", "--c", "0.5", "--weight", CONST1),
+        InstanceReport,
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, result_type", CSV_CASES.values(), ids=list(CSV_CASES))
+def test_csv_row_is_the_json_result(capsys, argv, result_type):
+    _, out, _ = run_cli(capsys, *argv)
+    payload = json.loads(out)
+    code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+    assert code == 0
+    header, row = csv.reader(out.splitlines())
+    assert header == [f.name for f in fields(result_type)]
+    assert set(header) == {k for k, v in payload.items() if not isinstance(v, (dict, list))}
+    for key, cell in zip(header, row):
+        value = payload[key]
+        assert cell == (json.dumps(value) if isinstance(value, bool) else f"{value:.12g}")
+
+
 class TestDeterminismAndErrors:
     def test_byte_identical_reports(self, capsys):
         args = ("verify", "--p", "2", "--c", "0.18", "--weight", CONST1,
@@ -191,6 +242,14 @@ class TestDeterminismAndErrors:
     def test_missing_required_flag_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "refute", "--p", "0.5", "--weight", CONST1)
         assert code == 2
+
+    def test_nonpositive_tol_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "norm", "--poly", "0,1", "--p", "2", "--weight", CONST1, "--tol", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
 
     def test_bad_poly_exit_2(self, capsys):
         code, _, _ = run_cli(
