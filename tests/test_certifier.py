@@ -1,4 +1,6 @@
 import inspect
+import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from korenblum import (
     DomainError,
     NoCertificate,
     Polynomial,
+    RadiusCertificate,
     StandardWeight,
     StepWeight,
     certification_scan,
@@ -16,6 +19,7 @@ from korenblum import (
     family_pair,
     random_dominating_pair,
     verify_instance,
+    weight_from_spec,
     weighted_norm,
 )
 from korenblum.certifier import radius_grid
@@ -147,3 +151,13 @@ class TestVerifyInstance:
             report = verify_instance(f, g, w, p, c, tol=1e-8)
             assert report.principle_holds
         assert checked >= 50
+
+
+class TestCertificateJson:
+    def test_round_trip(self):
+        # the certify report is asdict(cert) plus the weight spec
+        w = StepWeight(0.5)
+        cert = certify(w, quad_tol=QUAD_TOL)
+        payload = json.loads(json.dumps(asdict(cert) | {"weight": w.to_spec()}))
+        assert weight_from_spec(payload.pop("weight")) == w
+        assert RadiusCertificate(**payload) == cert

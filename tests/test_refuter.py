@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from korenblum import (
     ConstantWeight,
+    CounterexampleWitness,
     DomainError,
     NoWitnessFound,
     StandardWeight,
@@ -216,3 +220,11 @@ class TestImmunityAtCertifiedRadius:
         c_cert = certify(ConstantWeight(1.0), quad_tol=QUAD_TOL).c
         with pytest.raises(NoWitnessFound):
             find_counterexample(2.0, c_cert, ConstantWeight(1.0), quad_tol=QUAD_TOL, n=5)
+
+
+class TestWitnessJson:
+    def test_round_trip(self):
+        # the refute report is asdict(witness)
+        witness = find_counterexample(0.5, 0.9, ConstantWeight(1.0), quad_tol=QUAD_TOL)
+        payload = json.loads(json.dumps(asdict(witness)))
+        assert CounterexampleWitness(**payload) == witness
