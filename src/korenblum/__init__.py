@@ -41,7 +41,7 @@ from .refuter import (
     monomial_upper_bound,
     revalidate_witness,
 )
-from .schuster import SchusterBound, eval_F, eval_H, f_below_one_window, inverse_H
+from .schuster import SchusterBound, eval_F, eval_H, inverse_H
 from .weights import (
     ConstantWeight,
     Moment,
@@ -50,7 +50,6 @@ from .weights import (
     StandardWeight,
     StepWeight,
     TableWeight,
-    inner_mass,
     moment,
     weight_from_spec,
 )
@@ -89,10 +88,8 @@ __all__ = [
     "choose_n",
     "eval_F",
     "eval_H",
-    "f_below_one_window",
     "family_pair",
     "find_counterexample",
-    "inner_mass",
     "integral_mean",
     "inverse_H",
     "mean_profile",

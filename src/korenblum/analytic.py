@@ -77,15 +77,7 @@ class Polynomial:
         """Horner evaluation; accepts scalars or numpy arrays."""
         if not self.coeffs:
             return np.zeros_like(z, dtype=complex) if isinstance(z, np.ndarray) else 0j
-        if isinstance(z, np.ndarray):
-            acc = np.full(z.shape, self.coeffs[-1], dtype=complex)
-            for a in reversed(self.coeffs[:-1]):
-                acc = acc * z + a
-            return acc
-        acc = self.coeffs[-1]
-        for a in reversed(self.coeffs[:-1]):
-            acc = acc * z + a
-        return acc
+        return np.polynomial.polynomial.polyval(z, self.coeffs)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
@@ -131,17 +123,6 @@ class MeanProfile:
     est_error: float
 
 
-def _half_powers(mod2: np.ndarray, p: float) -> np.ndarray:
-    # |f|^p from |f|^2, avoiding the generic pow where p is special
-    if p == 2.0:
-        return mod2
-    if p == 1.0:
-        return np.sqrt(mod2)
-    if p == 4.0:
-        return mod2 * mod2
-    return mod2 ** (p / 2.0)
-
-
 _circle_cache: dict[int, np.ndarray] = {}
 _CIRCLE_CACHE_MAX_N = 8192
 
@@ -183,7 +164,7 @@ def _abs_pow_means(
             amps = amps * np.exp(1j * offset * js)[None, :]
         fz = amps @ circle
         mod2 = fz.real**2 + fz.imag**2
-        out[start : start + rows] = np.mean(_half_powers(mod2, p), axis=1)
+        out[start : start + rows] = np.mean(mod2 ** (0.5 * p), axis=1)
     return out
 
 

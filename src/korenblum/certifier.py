@@ -22,6 +22,8 @@ from .weights import DEFAULT_TOL, RadialWeight
 
 C_GRID_LO = 1e-6
 C_GRID_HI = 0.25
+#: largest degree of g in random_dominating_pair
+PAIR_MAX_DEGREE = 8
 
 
 @dataclass(frozen=True)
@@ -66,10 +68,10 @@ class InstanceReport:
     principle_holds: bool
 
 
-def radius_grid(grid: int, lo: float = C_GRID_LO, hi: float = C_GRID_HI) -> np.ndarray:
-    """Geometric midpoint grid of candidate radii strictly inside (lo, hi)."""
-    ratio = (hi / lo) ** (1.0 / grid)
-    return lo * ratio ** (np.arange(grid) + 0.5)
+def radius_grid(grid: int) -> np.ndarray:
+    """Geometric midpoint grid of candidate radii strictly inside (C_GRID_LO, C_GRID_HI)."""
+    ratio = (C_GRID_HI / C_GRID_LO) ** (1.0 / grid)
+    return C_GRID_LO * ratio ** (np.arange(grid) + 0.5)
 
 
 def _sides_at(w: RadialWeight, c: float, quad_tol: float) -> tuple[float, float]:
@@ -168,9 +170,7 @@ def verify_instance(
     )
 
 
-def random_dominating_pair(
-    rng: np.random.Generator, max_degree: int = 8
-) -> tuple[Polynomial, Polynomial]:
+def random_dominating_pair(rng: np.random.Generator) -> tuple[Polynomial, Polynomial]:
     """A random pair (f, g) with f = h*g and |h| <= 1 on the closed disk.
 
     h is either a monomial z^k or an affine contraction (z + a)/2 with
@@ -178,7 +178,7 @@ def random_dominating_pair(
     by sampling before relying on it.
     """
     while True:
-        degree = int(rng.integers(0, max_degree + 1))
+        degree = int(rng.integers(0, PAIR_MAX_DEGREE + 1))
         re = rng.standard_normal(degree + 1)
         im = rng.standard_normal(degree + 1)
         coeffs = re + 1j * im

@@ -77,6 +77,16 @@ def parse_tol(text: str) -> float:
     return tol
 
 
+def parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise DomainError(f"cannot parse seed {text!r}") from exc
+    if seed < 0:
+        raise DomainError(f"must be non-negative, got {text}")
+    return seed
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -267,10 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         if weight:
             sp.add_argument("--weight", type=_argument(parse_weight), required=True,
                             help="weight spec JSON or a path to one")
-        sp.add_argument("--tol", type=_argument(parse_tol), default=1e-9,
-                        help="quadrature tolerance (default 1e-9)")
+            sp.add_argument("--tol", type=_argument(parse_tol), default=1e-9,
+                            help="quadrature tolerance (default 1e-9)")
         sp.add_argument("--output", choices=("json", "csv", "human"), default="json")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized sweeps (default 0)")
 
     sp = sub.add_parser("norm", help="weighted Bergman norm of a polynomial")
     sp.add_argument("--poly", type=poly, action="append", required=True, help='coefficients "a0,a1,..." or {"coeffs": ...}')
@@ -302,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--count", type=int, default=100, help="random pairs when no --poly given")
+    sp.add_argument("--seed", type=_argument(parse_seed), default=0,
+                    help="seed of the random sweep (default 0)")
     common(sp)
 
     sp = sub.add_parser("sweep", help="tabulate certificates against upper bounds over p")

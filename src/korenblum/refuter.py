@@ -12,7 +12,7 @@ which bounds the largest admissible radius strictly below 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -151,15 +151,7 @@ def revalidate_witness(
     report = check_domination(f, g, witness.c)
     if not report.conclusive:
         raise NoWitnessFound("witness failed domination sampling on revalidation")
-    return CounterexampleWitness(
-        p=witness.p,
-        c=witness.c,
-        n=witness.n,
-        epsilon=witness.epsilon,
-        norm_f=norm_f,
-        norm_g=norm_g,
-        gap=gap,
-    )
+    return replace(witness, norm_f=norm_f, norm_g=norm_g, gap=gap)
 
 
 def check_final_inequality(

@@ -77,29 +77,9 @@ def inverse_H(rho, c: float):
     This is the certification integrand factor: sqrt(1 - F^2)/F, clamped
     to 0 outside the region where the bound is informative.
     """
-    F = _F_values(rho, c)
-    if F.ndim == 0:
-        Fv = float(F)
-        return float(np.sqrt(1.0 - Fv * Fv) / Fv) if Fv < 1.0 else 0.0
+    F = np.atleast_1d(_F_values(rho, c))
     out = np.zeros_like(F)
     ok = F < 1.0
     Fok = F[ok]
     out[ok] = np.sqrt(1.0 - Fok * Fok) / Fok
-    return out
-
-
-def f_below_one_window(c: float, samples: int = 4096) -> tuple[float, float] | None:
-    """Numerically bracket the rho-interval where F(., c) < 1.
-
-    Returns the (lo, hi) hull of the sampled sub-level set, or None when F
-    stays at or above 1 on the whole sampled range. Discovered by scanning;
-    no closed form is asserted.
-    """
-    if not 0.0 < c < 0.25:
-        raise DomainError(f"need 0 < c < 1/4, got c={c}")
-    rho = np.linspace(c, 1.0, samples + 2)[1:-1]
-    below = _F_values(rho, c) < 1.0
-    if not np.any(below):
-        return None
-    idx = np.nonzero(below)[0]
-    return float(rho[idx[0]]), float(rho[idx[-1]])
+    return out if np.ndim(rho) else float(out[0])

@@ -5,15 +5,16 @@ constant weight 1 has total mass exactly 1. Moments
 
     m(s) = int_0^1 2 r^{s+1} w(r) dr
 
-are computed in closed form for every kind: by primitives for the
-constant, step and piecewise-linear table kinds, and for the standard
-kind w(r) = (alpha+1)(1-r^2)^alpha by the Beta function,
-m(s) = (alpha+1) B(s/2 + 1, alpha + 1), with the partial masses of s = 0
-from the primitive -(1-r^2)^{alpha+1}. Other partial power masses of the
-standard kind, and every integral against a general integrand, use
-adaptive quadrature; for alpha < 0 it runs in the substituted variable
-v = (1-r^2)^{alpha+1}, which absorbs the integrable singularity at r = 1
-into a bounded integrand.
+are computed in closed form for every kind. The constant, step and table
+kinds are piecewise linear (w = alpha + beta r on each piece) and share
+one implementation: power masses by primitives, piece by piece, and
+quadrature with the piece starts as breakpoints. For the standard kind
+w(r) = (alpha+1)(1-r^2)^alpha, m(s) = (alpha+1) B(s/2 + 1, alpha + 1),
+with the partial masses of s = 0 from the primitive -(1-r^2)^{alpha+1}.
+Other partial power masses of the standard kind, and every integral
+against a general integrand, use adaptive quadrature; for alpha < 0 it
+runs in the substituted variable v = (1-r^2)^{alpha+1}, which absorbs
+the integrable singularity at r = 1 into a bounded integrand.
 """
 from __future__ import annotations
 
@@ -85,8 +86,46 @@ class RadialWeight:
         raise NotImplementedError
 
 
+class _PiecewiseLinear(RadialWeight):
+    """w = alpha + beta r on each piece (lo, hi, alpha, beta) of ``_pieces()``.
+
+    The pieces are in increasing order and cover [lo of the first, 1];
+    w vanishes below the first piece.
+    """
+
+    def _pieces(self) -> tuple[tuple[float, float, float, float], ...]:
+        raise NotImplementedError
+
+    def breakpoints(self):
+        return tuple(lo for lo, _, _, _ in self._pieces() if 0.0 < lo < 1.0)
+
+    def liminf_at_origin(self) -> OriginLiminf:
+        lo, _, alpha, _ = self._pieces()[0]
+        if lo == 0.0 and alpha > 0.0:
+            return OriginLiminf.POSITIVE_LIMINF
+        return OriginLiminf.ZERO_NEAR_ORIGIN
+
+    def integrate_against(self, phi, a, b, tol):
+        lo = max(a, self._pieces()[0][0])
+        if b <= lo:
+            return 0.0, 0.0
+        return integrate(
+            lambda r: 2.0 * r * self.eval(r) * phi(r), lo, b, tol, breakpoints=self.breakpoints()
+        )
+
+    def power_mass(self, s, a, b, tol):
+        total = 0.0
+        for lo, hi, alpha, beta in self._pieces():
+            lo, hi = max(lo, a), min(hi, b)
+            if hi > lo:
+                total += _power_primitive(s, alpha, beta, hi) - _power_primitive(
+                    s, alpha, beta, lo
+                )
+        return total, 0.0
+
+
 @dataclass(frozen=True)
-class ConstantWeight(RadialWeight):
+class ConstantWeight(_PiecewiseLinear):
     level: float
 
     kind = "constant"
@@ -98,15 +137,8 @@ class ConstantWeight(RadialWeight):
     def eval(self, r):
         return np.full_like(np.asarray(r, dtype=float), self.level)
 
-    def liminf_at_origin(self) -> OriginLiminf:
-        return OriginLiminf.POSITIVE_LIMINF
-
-    def integrate_against(self, phi, a, b, tol):
-        lvl = self.level
-        return integrate(lambda r: 2.0 * lvl * r * phi(r), a, b, tol)
-
-    def power_mass(self, s, a, b, tol):
-        return self.level * (_power_primitive(s, 1.0, 0.0, b) - _power_primitive(s, 1.0, 0.0, a)), 0.0
+    def _pieces(self):
+        return ((0.0, 1.0, self.level, 0.0),)
 
     def to_spec(self) -> dict:
         return {"kind": "constant", "level": self.level}
@@ -174,7 +206,7 @@ class StandardWeight(RadialWeight):
 
 
 @dataclass(frozen=True)
-class StepWeight(RadialWeight):
+class StepWeight(_PiecewiseLinear):
     """0 on [0, R), 1 on [R, 1)."""
 
     R: float
@@ -188,30 +220,15 @@ class StepWeight(RadialWeight):
     def eval(self, r):
         return np.where(np.asarray(r, dtype=float) >= self.R, 1.0, 0.0)
 
-    def breakpoints(self):
-        return (self.R,)
-
-    def liminf_at_origin(self) -> OriginLiminf:
-        return OriginLiminf.ZERO_NEAR_ORIGIN
-
-    def integrate_against(self, phi, a, b, tol):
-        lo = max(a, self.R)
-        if b <= lo:
-            return 0.0, 0.0
-        return integrate(lambda r: 2.0 * r * phi(r), lo, b, tol)
-
-    def power_mass(self, s, a, b, tol):
-        lo = max(a, self.R)
-        if b <= lo:
-            return 0.0, 0.0
-        return _power_primitive(s, 1.0, 0.0, b) - _power_primitive(s, 1.0, 0.0, lo), 0.0
+    def _pieces(self):
+        return ((self.R, 1.0, 1.0, 0.0),)
 
     def to_spec(self) -> dict:
         return {"kind": "step", "R": self.R}
 
 
 @dataclass(frozen=True)
-class TableWeight(RadialWeight):
+class TableWeight(_PiecewiseLinear):
     """Piecewise-linear between knots, constant beyond the last knot.
 
     Knots must start at 0, increase strictly and stay below 1; values are
@@ -241,39 +258,15 @@ class TableWeight(RadialWeight):
             raise DomainError("table weight has zero total mass")
 
     def _pieces(self):
-        # (lo, hi, alpha, beta) with w(r) = alpha + beta r on [lo, hi]
         ks, vs = self.knots, self.values
+        pieces = []
         for i in range(len(ks) - 1):
             slope = (vs[i + 1] - vs[i]) / (ks[i + 1] - ks[i])
-            yield ks[i], ks[i + 1], vs[i] - slope * ks[i], slope
-        yield ks[-1], 1.0, vs[-1], 0.0
+            pieces.append((ks[i], ks[i + 1], vs[i] - slope * ks[i], slope))
+        return (*pieces, (ks[-1], 1.0, vs[-1], 0.0))
 
     def eval(self, r):
         return np.interp(np.asarray(r, dtype=float), self.knots, self.values)
-
-    def breakpoints(self):
-        return tuple(k for k in self.knots if 0.0 < k < 1.0)
-
-    def liminf_at_origin(self) -> OriginLiminf:
-        if self.values[0] > 0.0:
-            return OriginLiminf.POSITIVE_LIMINF
-        return OriginLiminf.ZERO_NEAR_ORIGIN
-
-    def integrate_against(self, phi, a, b, tol):
-        def f(r):
-            return 2.0 * r * self.eval(r) * phi(r)
-
-        return integrate(f, a, b, tol, breakpoints=self.breakpoints())
-
-    def power_mass(self, s, a, b, tol):
-        total = 0.0
-        for lo, hi, alpha, beta in self._pieces():
-            lo, hi = max(lo, a), min(hi, b)
-            if hi > lo:
-                total += _power_primitive(s, alpha, beta, hi) - _power_primitive(
-                    s, alpha, beta, lo
-                )
-        return total, 0.0
 
     def to_spec(self) -> dict:
         return {"kind": "table", "r": list(self.knots), "w": list(self.values)}
@@ -287,16 +280,6 @@ def moment(w: RadialWeight, s: float, tol: float = DEFAULT_TOL) -> Moment:
         raise DomainError("tol must be positive")
     value, err = w.power_mass(s, 0.0, 1.0, tol)
     return Moment(exponent=s, value=value, est_error=err)
-
-
-def inner_mass(w: RadialWeight, c: float, tol: float = DEFAULT_TOL) -> float:
-    """int_0^c 2 r w(r) dr, the weight mass of the disk of radius c."""
-    if not 0.0 < c < 1.0:
-        raise DomainError(f"inner_mass needs c in (0,1), got {c}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    value, _ = w.power_mass(0.0, 0.0, c, tol)
-    return value
 
 
 def weight_from_spec(spec) -> RadialWeight:

@@ -251,6 +251,22 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert "--tol" in err
 
+    def test_negative_seed_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "verify", "--p", "2", "--c", "0.18", "--weight", CONST1,
+            "--seed", "-1", "--count", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--seed" in err
+
+    def test_seed_only_on_verify(self, capsys):
+        code, _, err = run_cli(
+            capsys, "norm", "--poly", "0,1", "--p", "2", "--weight", CONST1, "--seed", "0"
+        )
+        assert code == 2
+        assert "--seed" in err
+
     def test_bad_poly_exit_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "norm", "--poly", "1,zebra", "--p", "2", "--weight", CONST1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from korenblum import DomainError, eval_F, eval_H, f_below_one_window, inverse_H
+from korenblum import DomainError, eval_F, eval_H, inverse_H
 
 from oracles import mp_schuster_F
 
@@ -75,15 +75,22 @@ class TestEvalH:
         assert inverse_H(float(rhos[k]), 0.24) == pytest.approx(expected, rel=1e-14)
 
 
+def below_one_window(c, samples=4096):
+    """Hull of the sampled rho in (c, 1) where F(., c) < 1, i.e. 1/H > 0."""
+    rho = np.linspace(c, 1.0, samples + 2)[1:-1]
+    idx = np.nonzero(inverse_H(rho, c) > 0.0)[0]
+    return (float(rho[idx[0]]), float(rho[idx[-1]])) if idx.size else None
+
+
 class TestBelowOneWindow:
     def test_window_found_and_consistent(self):
-        window = f_below_one_window(0.2)
+        window = below_one_window(0.2)
         assert window is not None
         lo, hi = window
         assert 0.2 < lo < hi < 1.0
         assert eval_F(0.5 * (lo + hi), 0.2) < 1.0
 
     def test_window_shrinks_near_quarter(self):
-        lo_small, hi_small = f_below_one_window(0.01)
-        lo_big, hi_big = f_below_one_window(0.249)
+        lo_small, hi_small = below_one_window(0.01)
+        lo_big, hi_big = below_one_window(0.249)
         assert (hi_big - lo_big) < (hi_small - lo_small)

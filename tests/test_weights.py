@@ -13,7 +13,6 @@ from korenblum import (
     StandardWeight,
     StepWeight,
     TableWeight,
-    inner_mass,
     moment,
     monomial_upper_bound,
     weight_from_spec,
@@ -47,22 +46,18 @@ class TestMomentExamples:
 
 class TestInnerMassExamples:
     def test_constant(self):
-        assert inner_mass(ConstantWeight(1.0), 0.2) == pytest.approx(0.04, abs=TOL)
+        assert ConstantWeight(1.0).power_mass(0.0, 0.0, 0.2, TOL)[0] == pytest.approx(0.04, abs=TOL)
 
     def test_step_below_jump(self):
-        assert inner_mass(StepWeight(0.5), 0.3) == 0.0
+        assert StepWeight(0.5).power_mass(0.0, 0.0, 0.3, TOL)[0] == 0.0
 
     def test_standard_alpha0_matches_constant(self):
-        assert inner_mass(StandardWeight(0.0), 0.5) == pytest.approx(0.25, abs=TOL)
+        assert StandardWeight(0.0).power_mass(0.0, 0.0, 0.5, TOL)[0] == pytest.approx(0.25, abs=TOL)
 
     def test_monotone_in_c(self):
         w = StandardWeight(1.0)
-        values = [inner_mass(w, c) for c in np.linspace(0.05, 0.95, 12)]
+        values = [w.power_mass(0.0, 0.0, c, TOL)[0] for c in np.linspace(0.05, 0.95, 12)]
         assert all(b >= a - 2 * TOL for a, b in zip(values, values[1:]))
-
-    def test_bad_c_rejected(self):
-        with pytest.raises(DomainError):
-            inner_mass(ConstantWeight(1.0), 1.0)
 
 
 class TestLiminfHint:
@@ -113,6 +108,31 @@ class TestClosedFormsAgainstOracles:
             closed = moment(w, s).value
             quad, _ = w.integrate_against(lambda r: r**s, 0.0, 1.0, TOL)
             assert quad == pytest.approx(closed, abs=2 * TOL)
+
+
+class TestPiecewisePartialRanges:
+    """Closed-form power masses of the piecewise-linear kinds against their
+    own quadrature path, on partial ranges [a, b] of [0, 1]."""
+
+    CASES = [
+        (ConstantWeight(0.7), 0.0, 0.4),
+        (ConstantWeight(0.7), 0.2, 0.9),
+        (ConstantWeight(0.7), 0.5, 1.0),
+        (StepWeight(0.5), 0.3, 0.8),  # a < R < b
+        (StepWeight(0.5), 0.1, 0.4),  # b < R
+        (StepWeight(0.5), 0.2, 0.5),  # b == R
+        (TableWeight(knots=(0.0, 0.25, 0.6), values=(1.0, 0.2, 0.8)), 0.1, 0.7),
+        (TableWeight(knots=(0.0, 0.25, 0.6), values=(1.0, 0.2, 0.8)), 0.3, 0.95),
+        (TableWeight(knots=(0.0, 0.25, 0.6), values=(0.0, 0.2, 0.8)), 0.2, 0.3),
+    ]
+
+    @pytest.mark.parametrize("s", [0.0, 1.5, 4.0])
+    @pytest.mark.parametrize("w,a,b", CASES)
+    def test_power_mass_matches_quadrature(self, w, a, b, s):
+        closed, err = w.power_mass(s, a, b, TOL)
+        quad, _ = w.integrate_against(lambda r: r**s, a, b, TOL)
+        assert closed == pytest.approx(quad, abs=2 * TOL)
+        assert err == 0.0
 
 
 class TestStandardClosedForms:
@@ -168,7 +188,7 @@ class TestInvariants:
     def test_mass_additivity(self, c, fixture_weights):
         for w in fixture_weights:
             total = moment(w, 0.0).value
-            inner = inner_mass(w, c)
+            inner = w.power_mass(0.0, 0.0, c, TOL)[0]
             outer, _ = w.power_mass(0.0, c, 1.0, TOL)
             assert inner + outer == pytest.approx(total, abs=2 * TOL)
 
