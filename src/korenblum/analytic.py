@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MonotonicityViolation
+from .errors import DomainError, MonotonicityViolation, positive
 from .quadrature import _BLOCK_NODES, _NODES, _WEIGHTS
 from .weights import DEFAULT_TOL, RadialWeight, moment
 
@@ -62,8 +62,8 @@ class Polynomial:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
-    def monomial(cls, n: int, coeff: complex = 1.0) -> "Polynomial":
-        return cls((0,) * n + (coeff,))
+    def monomial(cls, n: int) -> "Polynomial":
+        return cls((0,) * n + (1.0,))
 
     @property
     def degree(self) -> int:
@@ -84,9 +84,6 @@ class Polynomial:
             return Polynomial(())
         prod = np.convolve(np.asarray(self.coeffs), np.asarray(other.coeffs))
         return Polynomial(tuple(prod))
-
-    def scale(self, factor: complex) -> "Polynomial":
-        return Polynomial(tuple(factor * c for c in self.coeffs))
 
     def to_spec(self) -> dict:
         return {"coeffs": [[c.real, c.imag] for c in self.coeffs]}
@@ -306,8 +303,8 @@ def integral_mean(f: Polynomial, r: float, p: float, tol: float = DEFAULT_TOL) -
     """M_p(r; f) with relative error about tol (zero polynomial gives 0)."""
     if not 0.0 <= r < 1.0:
         raise DomainError(f"integral_mean needs r in [0,1), got {r}")
-    if p <= 0 or tol <= 0:
-        raise DomainError("integral_mean needs p > 0 and tol > 0")
+    positive("p", p)
+    positive("tol", tol)
     if f.is_zero:
         return 0.0
     vals, _ = _mean_pow_batch(f, np.array([r]), p, tol)
@@ -323,8 +320,8 @@ def weighted_norm(
     the integral, then a pass whose absolute tolerance targets the final
     relative accuracy of the norm.
     """
-    if p <= 0 or tol <= 0:
-        raise DomainError("weighted_norm needs p > 0 and tol > 0")
+    positive("p", p)
+    positive("tol", tol)
     if f.is_zero:
         return 0.0
 
@@ -334,7 +331,7 @@ def weighted_norm(
         vals, _ = _mean_pow_batch(f, np.asarray(r, dtype=float), p, theta_tol)
         return vals
 
-    scale = float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0, tol=1e-6).value
+    scale = float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0).value
     coarse_tol = max(1e-3 * scale, 1e-300)
     coarse, _ = w.integrate_against(phi, 0.0, 1.0, coarse_tol)
     fine_tol = max(0.25 * tol * p * max(coarse, 1e-300), 1e-300)
@@ -351,8 +348,7 @@ def mean_profile(f: Polynomial, p: float, radii) -> MeanProfile:
         raise DomainError("mean_profile needs radii inside (0,1)")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise DomainError("mean_profile radii must be strictly increasing")
-    if p <= 0:
-        raise DomainError("mean_profile needs p > 0")
+    positive("p", p)
     if f.is_zero:
         return MeanProfile(p=p, radii=radii, values=(0.0,) * len(radii), est_error=0.0)
 

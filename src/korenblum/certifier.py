@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import Polynomial, weighted_norm
-from .errors import DomainError, NoCertificate
+from .errors import DomainError, NoCertificate, positive
 from .schuster import inverse_H
 from .weights import DEFAULT_TOL, RadialWeight
 
@@ -24,6 +24,8 @@ C_GRID_LO = 1e-6
 C_GRID_HI = 0.25
 #: largest degree of g in random_dominating_pair
 PAIR_MAX_DEGREE = 8
+#: (radii, angles) of the sampled domination check
+DOMINATION_GRID = (64, 256)
 
 
 @dataclass(frozen=True)
@@ -90,8 +92,7 @@ def certification_scan(
     """Both sides of the certification inequality on the whole radius grid."""
     if grid < 32:
         raise DomainError(f"certification grid must be >= 32, got {grid}")
-    if quad_tol <= 0:
-        raise DomainError("quad_tol must be positive")
+    positive("quad_tol", quad_tol)
     points = []
     for c in radius_grid(grid):
         inner, outer = _sides_at(w, float(c), quad_tol)
@@ -129,15 +130,11 @@ def certify(
     )
 
 
-def check_domination(
-    f: Polynomial, g: Polynomial, c: float, grid: tuple[int, int] = (64, 256)
-) -> DominationReport:
-    """Minimum of |g| - |f| on a tensor grid over the annulus {c <= |z| < 1}."""
+def check_domination(f: Polynomial, g: Polynomial, c: float) -> DominationReport:
+    """Minimum of |g| - |f| on the DOMINATION_GRID over the annulus {c <= |z| < 1}."""
     if not 0.0 < c < 1.0:
         raise DomainError(f"check_domination needs c in (0,1), got {c}")
-    n_r, n_a = grid
-    if n_r < 16 or n_a < 16:
-        raise DomainError(f"domination grid sizes must be >= 16, got {grid}")
+    n_r, n_a = DOMINATION_GRID
     radii = np.linspace(c, 1.0 - 1e-6, n_r)
     # midpoint-offset angles keep equality rays (e.g. phase 0 of a monomial
     # pair) off the grid, where the sampled gap would be rounding noise
@@ -145,7 +142,7 @@ def check_domination(
     z = radii[:, None] * angles[None, :]
     gap = np.abs(g(z)) - np.abs(f(z))
     min_gap = float(np.min(gap))
-    return DominationReport(c=c, min_gap=min_gap, grid=(n_r, n_a), conclusive=min_gap >= 0.0)
+    return DominationReport(c=c, min_gap=min_gap, grid=DOMINATION_GRID, conclusive=min_gap >= 0.0)
 
 
 def verify_instance(
@@ -157,8 +154,8 @@ def verify_instance(
     tol: float = DEFAULT_TOL,
 ) -> InstanceReport:
     """Pair a sampled domination check with the weighted-norm comparison."""
-    if p <= 0:
-        raise DomainError(f"verify_instance needs p > 0, got {p}")
+    positive("p", p)
+    positive("tol", tol)
     report = check_domination(f, g, c)
     norm_f = weighted_norm(f, w, p, tol=tol)
     norm_g = weighted_norm(g, w, p, tol=tol)

@@ -33,6 +33,7 @@ from .errors import (
     NoCertificate,
     NoWitnessFound,
     QuadratureDivergence,
+    positive,
 )
 from .weights import RadialWeight, weight_from_spec
 
@@ -65,26 +66,6 @@ def parse_weight(text: str) -> RadialWeight:
             raise DomainError(f"weight spec file not found: {text}")
         text = path.read_text()
     return weight_from_spec(text)
-
-
-def parse_tol(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError as exc:
-        raise DomainError(f"cannot parse tolerance {text!r}") from exc
-    if not tol > 0:
-        raise DomainError(f"must be positive, got {text}")
-    return tol
-
-
-def parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError as exc:
-        raise DomainError(f"cannot parse seed {text!r}") from exc
-    if seed < 0:
-        raise DomainError(f"must be non-negative, got {text}")
-    return seed
 
 
 def _cell(value) -> str:
@@ -252,14 +233,17 @@ def _argument(parse):
     return convert
 
 
-def _parse_p_list(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse p values {text!r}") from exc
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("p values must be positive")
-    return values
+def _number(cast, closed=False, many=False):
+    """An argparse ``type=`` converter: ``cast`` of the text (with ``many``,
+    a tuple of its comma-separated entries), each a finite number > 0
+    (>= 0 when ``closed``). A bad value is a usage error naming the flag."""
+
+    def check(text: str):
+        return positive("value", cast(text), closed=closed)
+
+    convert = _argument(lambda text: tuple(map(check, text.split(","))) if many else check(text))
+    convert.__name__ = cast.__name__  # argparse: "invalid float value: 'x'"
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,53 +256,54 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     poly = _argument(parse_poly)
+    real, count = _number(float), _number(int)
 
     def common(sp, weight=True):
         if weight:
             sp.add_argument("--weight", type=_argument(parse_weight), required=True,
                             help="weight spec JSON or a path to one")
-            sp.add_argument("--tol", type=_argument(parse_tol), default=1e-9,
+            sp.add_argument("--tol", type=real, default=1e-9,
                             help="quadrature tolerance (default 1e-9)")
         sp.add_argument("--output", choices=("json", "csv", "human"), default="json")
 
     sp = sub.add_parser("norm", help="weighted Bergman norm of a polynomial")
     sp.add_argument("--poly", type=poly, action="append", required=True, help='coefficients "a0,a1,..." or {"coeffs": ...}')
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=real, required=True)
     common(sp)
 
     sp = sub.add_parser("means", help="circle means along a radius grid")
     sp.add_argument("--poly", type=poly, action="append", required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--grid", type=int, default=32, help="number of radii (default 32)")
+    sp.add_argument("--p", type=real, required=True)
+    sp.add_argument("--grid", type=count, default=32, help="number of radii (default 32)")
     common(sp, weight=False)
 
     sp = sub.add_parser("certify", help="certify an admissible radius for a weight")
-    sp.add_argument("--grid", type=int, default=64, help="radius scan points (default 64)")
+    sp.add_argument("--grid", type=count, default=64, help="radius scan points (default 64)")
     common(sp)
 
     sp = sub.add_parser("refute", help="search the explicit family for a norm reversal")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=real, required=True)
     sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--n", type=int, default=None, help="force the family exponent")
+    sp.add_argument("--n", type=count, default=None, help="force the family exponent")
     common(sp)
 
     sp = sub.add_parser("bound", help="moment-ratio upper bound on the admissible radius")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=real, required=True)
     common(sp)
 
     sp = sub.add_parser("verify", help="check one dominating pair, or a random sweep")
     sp.add_argument("--poly", type=poly, action="append", default=None, help="give twice: f then g")
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--p", type=real, required=True)
     sp.add_argument("--c", type=float, required=True)
-    sp.add_argument("--count", type=int, default=100, help="random pairs when no --poly given")
-    sp.add_argument("--seed", type=_argument(parse_seed), default=0,
+    sp.add_argument("--count", type=count, default=100, help="random pairs when no --poly given")
+    sp.add_argument("--seed", type=_number(int, closed=True), default=0,
                     help="seed of the random sweep (default 0)")
     common(sp)
 
     sp = sub.add_parser("sweep", help="tabulate certificates against upper bounds over p")
-    sp.add_argument("--p", type=_parse_p_list, required=True, help="comma-separated p grid")
-    sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--p", type=_number(float, many=True), required=True, help="comma-separated p grid")
+    sp.add_argument("--grid", type=count, default=64)
+    sp.add_argument("--n", type=count, default=None)
     common(sp)
     sp.set_defaults(output="csv")
 

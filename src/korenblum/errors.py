@@ -1,4 +1,6 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the one domain check
+for numeric arguments."""
+import math
 
 
 class KorenblumError(Exception):
@@ -7,6 +9,19 @@ class KorenblumError(Exception):
 
 class DomainError(KorenblumError, ValueError):
     """An argument lies outside an operation's mathematical domain."""
+
+
+def positive(name: str, value, least=0, *, closed=False):
+    """Return ``value`` if it is a finite number above ``least`` (at least
+    ``least`` when ``closed``); raise :class:`DomainError` naming it otherwise.
+
+    The comparisons are written so that NaN fails them.
+    """
+    above = least <= value if closed else least < value
+    if not (above and value < math.inf):
+        bound = ">=" if closed else ">"
+        raise DomainError(f"{name} must be a finite number {bound} {least}, got {value}")
+    return value
 
 
 class QuadratureDivergence(KorenblumError):

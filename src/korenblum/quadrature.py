@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import QuadratureDivergence
+from .errors import QuadratureDivergence, positive
 
 #: bisection levels before a panel is declared stuck
 MAX_DEPTH = 40
@@ -64,21 +64,28 @@ def integrate(
     most _BLOCK_NODES nodes per call.
     ``breakpoints`` are interior points where the integrand is known to be
     non-smooth (jumps, kinks); panels never straddle them. Returns
-    ``(value, err_est)``. Raises :class:`QuadratureDivergence` when the
-    accumulated error of panels that hit ``MAX_DEPTH`` still exceeds
-    ``tol``.
+    ``(value, err_est)``. Raises :class:`QuadratureDivergence` when a
+    panel sum is not finite (such a panel never settles; declare interior
+    singularities as breakpoints, since nodes never touch a panel's
+    ends), or when the accumulated error of panels that hit ``MAX_DEPTH``
+    still exceeds ``tol``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    positive("tol", tol)
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
     if a == b:
         return 0.0, 0.0
 
+    def finite_sums(lo, hi):
+        sums = _panel_sums(f, lo, hi)
+        if not np.isfinite(sums).all():
+            raise QuadratureDivergence(f"quadrature on [{a}, {b}] met a non-finite panel sum")
+        return sums
+
     cuts = sorted({float(x) for x in breakpoints if a < x < b})
     edges = np.array([a, *cuts, b], dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    coarse = _panel_sums(f, lo, hi)
+    coarse = finite_sums(lo, hi)
     panel_tol = np.full(lo.size, tol / lo.size)
 
     total = 0.0
@@ -87,7 +94,7 @@ def integrate(
     depth = 0
     while lo.size:
         mid = 0.5 * (lo + hi)
-        halves = _panel_sums(f, np.concatenate((lo, mid)), np.concatenate((mid, hi)))
+        halves = finite_sums(np.concatenate((lo, mid)), np.concatenate((mid, hi)))
         left, right = halves[: lo.size], halves[lo.size :]
         fine = left + right
         err = np.abs(fine - coarse)

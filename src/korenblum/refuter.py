@@ -18,7 +18,7 @@ import numpy as np
 
 from .analytic import Polynomial, weighted_norm
 from .certifier import check_domination
-from .errors import DomainError, KorenblumError, NoWitnessFound
+from .errors import DomainError, KorenblumError, NoWitnessFound, positive
 from .quadrature import integrate
 from .weights import DEFAULT_TOL, RadialWeight, moment
 
@@ -91,12 +91,10 @@ def find_counterexample(
     the p >= 1 immunity sweeps are run. Raises :class:`NoWitnessFound`
     when no scanned epsilon clears the gap threshold 2*quad_tol.
     """
-    if p <= 0:
-        raise DomainError(f"find_counterexample needs p > 0, got {p}")
+    positive("p", p)
     if not 0.0 < c < 1.0:
         raise DomainError(f"find_counterexample needs c in (0,1), got {c}")
-    if quad_tol <= 0:
-        raise DomainError("quad_tol must be positive")
+    positive("quad_tol", quad_tol)
     if n is None:
         n = choose_n(p)
     elif n < 1:
@@ -176,8 +174,7 @@ def check_final_inequality(
         raise DomainError(f"need 0 < epsilon < c < 1, got epsilon={epsilon}, c={c}")
     if n * (1.0 - p) <= 2.0:
         raise DomainError(f"need n(1-p) > 2, got n={n}, p={p}")
-    if quad_tol <= 0:
-        raise DomainError("quad_tol must be positive")
+    positive("quad_tol", quad_tol)
 
     np_exp = n * p
 
@@ -186,7 +183,7 @@ def check_final_inequality(
 
     cuts = [b / epsilon for b in w.breakpoints() if 0.0 < b / epsilon < 1.0]
     lhs, _ = integrate(lhs_integrand, 0.0, 1.0, quad_tol, breakpoints=cuts)
-    rhs = (p / c**n) * epsilon ** (n * (1.0 - p) - 2.0) * moment(w, np_exp, quad_tol).value
+    rhs = (p / c**n) * epsilon ** (n * (1.0 - p) - 2.0) * moment(w, np_exp).value
     return FinalInequalityCheck(lhs=lhs, rhs=rhs, holds=lhs > rhs + 2.0 * quad_tol)
 
 
@@ -202,10 +199,10 @@ def monomial_upper_bound(
     the inner boundary where the two moduli are exactly equal and the
     sampled gap would be rounding noise.
     """
-    if p <= 0:
-        raise DomainError(f"monomial_upper_bound needs p > 0, got {p}")
-    m_p = moment(w, p, tol=quad_tol).value
-    m_0 = moment(w, 0.0, tol=quad_tol).value
+    positive("p", p)
+    positive("quad_tol", quad_tol)
+    m_p = moment(w, p).value
+    m_0 = moment(w, 0.0).value
     c_star = (m_p / m_0) ** (1.0 / p)
     witness_c = min(1.0 - 1e-9, c_star * (1.0 + 1e-3))
 

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, positive
 from .quadrature import integrate
 
 DEFAULT_TOL = 1e-9
@@ -55,8 +55,6 @@ def _power_primitive(s: float, alpha: float, beta: float, r: float) -> float:
 
 class RadialWeight:
     """Base class for radial weights; all kinds are immutable and pure."""
-
-    kind: str
 
     def eval(self, r):
         """Pointwise w(r); accepts scalars or arrays with entries in [0, 1)."""
@@ -128,11 +126,8 @@ class _PiecewiseLinear(RadialWeight):
 class ConstantWeight(_PiecewiseLinear):
     level: float
 
-    kind = "constant"
-
     def __post_init__(self):
-        if not (np.isfinite(self.level) and self.level > 0):
-            raise DomainError(f"constant weight needs level > 0, got {self.level}")
+        positive("constant weight level", self.level)
 
     def eval(self, r):
         return np.full_like(np.asarray(r, dtype=float), self.level)
@@ -150,13 +145,8 @@ class StandardWeight(RadialWeight):
 
     alpha: float
 
-    kind = "standard"
-
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > -1.0):
-            raise DomainError(
-                f"standard weight needs alpha > -1 for integrability, got {self.alpha}"
-            )
+        positive("standard weight alpha", self.alpha, least=-1.0)
 
     def eval(self, r):
         r = np.asarray(r, dtype=float)
@@ -211,8 +201,6 @@ class StepWeight(_PiecewiseLinear):
 
     R: float
 
-    kind = "step"
-
     def __post_init__(self):
         if not (np.isfinite(self.R) and 0.0 < self.R < 1.0):
             raise DomainError(f"step weight needs R in (0,1), got {self.R}")
@@ -238,8 +226,6 @@ class TableWeight(_PiecewiseLinear):
     knots: tuple[float, ...]
     values: tuple[float, ...]
 
-    kind = "table"
-
     def __post_init__(self):
         knots = tuple(float(x) for x in self.knots)
         values = tuple(float(x) for x in self.values)
@@ -251,8 +237,8 @@ class TableWeight(_PiecewiseLinear):
             raise DomainError("table knots must start at 0 and end below 1")
         if any(b <= a for a, b in zip(knots, knots[1:])):
             raise DomainError("table knots must be strictly increasing")
-        if not all(np.isfinite(v) and v >= 0.0 for v in values):
-            raise DomainError("table values must be finite and nonnegative")
+        for v in values:
+            positive("table weight value", v, closed=True)
         mass, _ = self.power_mass(0.0, 0.0, 1.0, DEFAULT_TOL)
         if mass <= 0.0:
             raise DomainError("table weight has zero total mass")
@@ -272,13 +258,10 @@ class TableWeight(_PiecewiseLinear):
         return {"kind": "table", "r": list(self.knots), "w": list(self.values)}
 
 
-def moment(w: RadialWeight, s: float, tol: float = DEFAULT_TOL) -> Moment:
-    """m(s) = int_0^1 2 r^{s+1} w(r) dr, nonincreasing in s."""
-    if s < 0:
-        raise DomainError(f"moment exponent must be nonnegative, got {s}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    value, err = w.power_mass(s, 0.0, 1.0, tol)
+def moment(w: RadialWeight, s: float) -> Moment:
+    """m(s) = int_0^1 2 r^{s+1} w(r) dr, nonincreasing in s, in closed form."""
+    positive("moment exponent", s, closed=True)
+    value, err = w.power_mass(s, 0.0, 1.0, DEFAULT_TOL)
     return Moment(exponent=s, value=value, est_error=err)
 
 

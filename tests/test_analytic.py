@@ -11,13 +11,16 @@ from korenblum import (
     Polynomial,
     StandardWeight,
     StepWeight,
+    certification_scan,
     choose_n,
     family_pair,
     find_counterexample,
     integral_mean,
     mean_profile,
     moment,
+    monomial_upper_bound,
     polynomial_from_spec,
+    verify_instance,
     weighted_norm,
 )
 import korenblum.analytic as analytic
@@ -282,7 +285,7 @@ class TestWeightedNorm:
         lam = scale * np.exp(1j * phase)
         f = Polynomial((0.3, -1.2, 0.7j))
         w = ConstantWeight(1.0)
-        a = weighted_norm(f.scale(lam), w, 1.5)
+        a = weighted_norm(Polynomial(tuple(lam * c for c in f.coeffs)), w, 1.5)
         b = abs(lam) * weighted_norm(f, w, 1.5)
         assert a == pytest.approx(b, rel=1e-9)
 
@@ -342,3 +345,31 @@ class TestMeanProfile:
             mean_profile(f, 1.0, (0.5, 0.4))
         with pytest.raises(DomainError):
             mean_profile(f, 1.0, (0.0, 0.5))
+
+
+_F, _W = Polynomial((1.0, 2.0)), ConstantWeight(1.0)
+# each call takes the bad number x as its exponent or its tolerance; at p =
+# nan or inf the circle means and their series used to loop without end
+NUMBER_ARGUMENTS = {
+    "weighted_norm.p": lambda x: weighted_norm(_F, _W, x),
+    "weighted_norm.tol": lambda x: weighted_norm(_F, _W, 2.0, tol=x),
+    "integral_mean.p": lambda x: integral_mean(_F, 0.5, x),
+    "integral_mean.tol": lambda x: integral_mean(_F, 0.5, 2.0, tol=x),
+    "mean_profile.p": lambda x: mean_profile(_F, x, (0.5,)),
+    "verify_instance.p": lambda x: verify_instance(_F, _F, _W, x, 0.5),
+    "verify_instance.tol": lambda x: verify_instance(_F, _F, _W, 2.0, 0.5, tol=x),
+    "find_counterexample.p": lambda x: find_counterexample(x, 0.9, _W, n=5),
+    "find_counterexample.quad_tol": lambda x: find_counterexample(0.5, 0.9, _W, quad_tol=x),
+    "monomial_upper_bound.p": lambda x: monomial_upper_bound(x, _W),
+    "monomial_upper_bound.quad_tol": lambda x: monomial_upper_bound(2.0, _W, quad_tol=x),
+    "certification_scan.quad_tol": lambda x: certification_scan(_W, quad_tol=x),
+    "moment.s": lambda x: moment(_W, x),
+    "integrate.tol": lambda x: integrate(np.sin, 0.0, 1.0, x),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("call", NUMBER_ARGUMENTS.values(), ids=list(NUMBER_ARGUMENTS))
+def test_non_finite_number_is_a_domain_error(call, value):
+    with pytest.raises(DomainError):
+        call(value)

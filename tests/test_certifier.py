@@ -116,8 +116,6 @@ class TestCheckDomination:
         f, g = Polynomial((1,)), Polynomial((0, 1))
         with pytest.raises(DomainError):
             check_domination(f, g, 0.0)
-        with pytest.raises(DomainError):
-            check_domination(f, g, 0.5, grid=(8, 256))
 
 
 class TestVerifyInstance:

@@ -260,6 +260,30 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert "--seed" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("norm", "--poly", "1,2", "--p", "nan", "--weight", CONST1), "--p"),
+            (("norm", "--poly", "1,2", "--p", "inf", "--weight", CONST1), "--p"),
+            (("norm", "--poly", "1,2", "--p", "2", "--tol", "inf", "--weight", CONST1), "--tol"),
+            (("bound", "--p", "nan", "--weight", CONST1), "--p"),
+            (("sweep", "--p", "0.5,nan", "--weight", CONST1), "--p"),
+            (("sweep", "--p", "0.5,2", "--n", "0", "--weight", CONST1), "--n"),
+            (("verify", "--p", "2", "--c", "0.5", "--count", "-1", "--weight", CONST1), "--count"),
+            (("means", "--poly", "1,2", "--p", "nan"), "--p"),
+            (("certify", "--grid", "0", "--weight", CONST1), "--grid"),
+        ],
+        ids=["p-nan", "p-inf", "tol-inf", "bound-p-nan", "sweep-p-nan", "sweep-n-0",
+             "count-negative", "means-p-nan", "grid-0"],
+    )
+    def test_bad_number_exit_2(self, capsys, argv, flag):
+        # before the flag was checked, NaN or inf p hung the solver and a
+        # negative --count read as an empty clean sweep
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}:" in err
+
     def test_seed_only_on_verify(self, capsys):
         code, _, err = run_cli(
             capsys, "norm", "--poly", "0,1", "--p", "2", "--weight", CONST1, "--seed", "0"

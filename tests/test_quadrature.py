@@ -77,6 +77,20 @@ class TestQuadratureEngine:
         value, _ = integrate(lambda x: (1.0 - x) ** -0.5, 0.0, 1.0, 1e-6)
         assert value == pytest.approx(2.0, abs=1e-4)
 
+    # a NaN or inf panel never settles, so the frontier used to double at
+    # every level until memory ran out; nodes never touch 0 or 1, so
+    # 1/(x - 1/4) first fails at the level whose middle node is 1/4
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x: np.full_like(x, np.nan), lambda x: np.full_like(x, np.inf), lambda x: 1.0 / (x - 0.25)],
+        ids=["nan", "inf", "pole_at_a_node"],
+    )
+    def test_non_finite_panel_sum_raises(self, f):
+        from korenblum import QuadratureDivergence
+
+        with np.errstate(divide="ignore"), pytest.raises(QuadratureDivergence, match=r"\[0\.0, 1\.0\]"):
+            integrate(f, 0.0, 1.0, 1e-9)
+
     def test_divergent_integrand_raises(self):
         from korenblum import QuadratureDivergence
 
