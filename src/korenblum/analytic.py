@@ -179,16 +179,23 @@ _V_NODES, _V_WEIGHTS = _gauss_panels(0.5, 0.5 * np.pi, _BINOMIAL_OUTER_PANELS)
 _SIN2_V = np.sin(_V_NODES) ** 2
 
 
+def _p_overflow(p: float, quantity: str) -> DomainError:
+    return DomainError(f"p = {p} is too large: {quantity} overflows a float")
+
+
 @functools.lru_cache(maxsize=32)
 def _binomial_series(p: float) -> np.ndarray:
     """C(p/2, k)^2 for k = 1..K: past k = p/2, until C(p/2, K)^2 2^-K <= 1e-17.
 
     For x^2 <= 1/2 the terms after K shrink by at least half each, so the
-    dropped tail is below 2e-17 of the sum, which is at least 1.
+    dropped tail is below 2e-17 of the sum, which is at least 1. Above
+    p = 1033.6 the largest coefficient overflows a float.
     """
     coeffs, c, k = [], 1.0, 0
     while k <= 0.5 * p or c * 0.5**k > 1e-17:
         c *= ((k - 0.5 * p) / (k + 1)) ** 2
+        if c == math.inf:
+            raise _p_overflow(p, "the series coefficient C(p/2, k)^2")
         k += 1
         coeffs.append(c)
     coeffs = np.array(coeffs)
@@ -208,8 +215,12 @@ def _unit_binomial_means(x: np.ndarray, p: float) -> np.ndarray:
     On [0, 1/2] the substitution v = b sinh(tau) moves that pair to
     tau = +-i pi/2, so equal Gauss panels in tau converge at a rate that
     does not depend on x; [1/2, pi/2] is smooth. x = 1 is
-    Gamma(1 + p)/Gamma(1 + p/2)^2.
+    Gamma(1 + p)/Gamma(1 + p/2)^2. At large p the series coefficients and
+    the Gamma ratio overflow, so neither is formed unless a row needs it:
+    a batch of x = 0 rows (a constant or a monomial) is exactly 1.
     """
+    if not x.any():
+        return np.ones_like(x)
     out = np.empty_like(x)
     x2 = x * x
     series = x2 <= 0.5
@@ -218,10 +229,14 @@ def _unit_binomial_means(x: np.ndarray, p: float) -> np.ndarray:
     out[series] = 1.0 + np.sum(powers * coeffs, axis=1)
 
     edge = x == 1.0
-    if p < 170.0:  # math.gamma is finite; exp(lgamma) loses ~|lgamma| ulps
-        out[edge] = math.gamma(1.0 + p) / math.gamma(1.0 + 0.5 * p) ** 2
-    else:
-        out[edge] = math.exp(math.lgamma(1.0 + p) - 2.0 * math.lgamma(1.0 + 0.5 * p))
+    if edge.any():
+        if p < 170.0:  # math.gamma is finite; exp(lgamma) loses ~|lgamma| ulps
+            out[edge] = math.gamma(1.0 + p) / math.gamma(1.0 + 0.5 * p) ** 2
+        else:
+            try:
+                out[edge] = math.exp(math.lgamma(1.0 + p) - 2.0 * math.lgamma(1.0 + 0.5 * p))
+            except OverflowError:
+                raise _p_overflow(p, "Gamma(1 + p)/Gamma(1 + p/2)^2") from None
 
     rows = ~series & ~edge
     if not rows.any():  # skip the integral's fixed cost when no row needs it
@@ -331,7 +346,10 @@ def weighted_norm(
         vals, _ = _mean_pow_batch(f, np.asarray(r, dtype=float), p, theta_tol)
         return vals
 
-    scale = float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0).value
+    try:
+        scale = float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0).value
+    except OverflowError:
+        raise _p_overflow(p, "(sum |a_k|)^p") from None
     coarse_tol = max(1e-3 * scale, 1e-300)
     coarse, _ = w.integrate_against(phi, 0.0, 1.0, coarse_tol)
     fine_tol = max(0.25 * tol * p * max(coarse, 1e-300), 1e-300)

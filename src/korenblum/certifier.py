@@ -7,7 +7,9 @@ A radius c is certified for a weight w when
 holds with a margin, where H is the explicit bound from
 :mod:`korenblum.schuster` and 1/H is taken as 0 wherever the bound is
 vacuous. The inequality does not involve the exponent p: a certified c is
-admissible for every p >= 1 simultaneously.
+admissible for every p >= 1 simultaneously. :func:`certify` walks the
+radius grid from the top down and stops at the first admissible point;
+:func:`certification_scan` evaluates every point.
 """
 from __future__ import annotations
 
@@ -86,27 +88,26 @@ def _sides_at(w: RadialWeight, c: float, quad_tol: float) -> tuple[float, float]
     return inner, outer
 
 
+def _checked_grid(quad_tol: float, grid: int) -> np.ndarray:
+    if grid < 32:
+        raise DomainError(f"certification grid must be >= 32, got {grid}")
+    positive("quad_tol", quad_tol)
+    return radius_grid(grid)
+
+
+def _scan_point(w: RadialWeight, c: float, quad_tol: float) -> CertificateScanPoint:
+    inner, outer = _sides_at(w, c, quad_tol)
+    margin = outer - inner
+    return CertificateScanPoint(
+        c=c, inner=inner, outer=outer, margin=margin, admissible=margin > 2.0 * quad_tol
+    )
+
+
 def certification_scan(
     w: RadialWeight, quad_tol: float = DEFAULT_TOL, grid: int = 64
 ) -> list[CertificateScanPoint]:
     """Both sides of the certification inequality on the whole radius grid."""
-    if grid < 32:
-        raise DomainError(f"certification grid must be >= 32, got {grid}")
-    positive("quad_tol", quad_tol)
-    points = []
-    for c in radius_grid(grid):
-        inner, outer = _sides_at(w, float(c), quad_tol)
-        margin = outer - inner
-        points.append(
-            CertificateScanPoint(
-                c=float(c),
-                inner=inner,
-                outer=outer,
-                margin=margin,
-                admissible=margin > 2.0 * quad_tol,
-            )
-        )
-    return points
+    return [_scan_point(w, float(c), quad_tol) for c in _checked_grid(quad_tol, grid)]
 
 
 def certify(
@@ -114,19 +115,27 @@ def certify(
 ) -> RadiusCertificate:
     """Largest grid radius whose certification margin clears 2*quad_tol.
 
+    The grid is scanned from the top down and the scan stops at the first
+    admissible point. Each point's sides depend on its own radius alone, so
+    that point is the largest admissible one of the full
+    :func:`certification_scan`, whether or not the admissible points form
+    a prefix of the grid.
+
     Raises :class:`NoCertificate` when no grid point passes; the sufficient
     condition can fail even though some admissible radius always exists.
     """
-    best = None
-    for point in certification_scan(w, quad_tol=quad_tol, grid=grid):
+    for c in _checked_grid(quad_tol, grid)[::-1]:
+        point = _scan_point(w, float(c), quad_tol)
         if point.admissible:
-            best = point
-    if best is None:
-        raise NoCertificate(
-            f"no radius in ({C_GRID_LO}, {C_GRID_HI}) cleared margin 2*{quad_tol}"
-        )
-    return RadiusCertificate(
-        c=best.c, inner=best.inner, outer=best.outer, margin=best.margin, quad_tol=quad_tol
+            return RadiusCertificate(
+                c=point.c,
+                inner=point.inner,
+                outer=point.outer,
+                margin=point.margin,
+                quad_tol=quad_tol,
+            )
+    raise NoCertificate(
+        f"no radius in ({C_GRID_LO}, {C_GRID_HI}) cleared margin 2*{quad_tol}"
     )
 
 

@@ -13,6 +13,7 @@ from korenblum import (
     RadiusCertificate,
     StandardWeight,
     StepWeight,
+    TableWeight,
     certification_scan,
     certify,
     check_domination,
@@ -22,6 +23,7 @@ from korenblum import (
     weight_from_spec,
     weighted_norm,
 )
+from korenblum import certifier
 from korenblum.certifier import radius_grid
 
 QUAD_TOL = 1e-9
@@ -30,6 +32,14 @@ QUAD_TOL = 1e-9
 PINNED_CONST1 = dict(c=0.18682104186142803, inner=0.03490210168218945, outer=0.05486705868055169)
 PINNED_STEP05 = dict(c=0.22686557610436464, inner=0.0, outer=0.026572150271133077)
 PINNED_STD2 = dict(c=0.1538448550966299, inner=0.06933742025050535, outer=0.10187354208689124)
+
+TOP_DOWN_WEIGHTS = (
+    ConstantWeight(1.0),
+    *(StandardWeight(alpha) for alpha in (-0.95, -0.5, 1.0, 6.0)),
+    StepWeight(0.15),
+    StepWeight(0.8),
+    TableWeight(knots=(0.0, 0.3, 0.7), values=(1.0, 0.4, 1.6)),
+)
 
 
 class TestCertify:
@@ -85,14 +95,38 @@ class TestCertify:
         cert = certify(ConstantWeight(1.0), quad_tol=QUAD_TOL)
         assert best.c == cert.c and best.margin == cert.margin
 
+    @pytest.mark.parametrize("grid", [32, 64, 128])
+    @pytest.mark.parametrize("w", TOP_DOWN_WEIGHTS, ids=repr)
+    def test_top_down_equals_last_admissible_of_full_scan(self, w, grid):
+        scan = certification_scan(w, quad_tol=QUAD_TOL, grid=grid)
+        best = [point for point in scan if point.admissible][-1]
+        expected = RadiusCertificate(
+            c=best.c, inner=best.inner, outer=best.outer, margin=best.margin, quad_tol=QUAD_TOL
+        )
+        assert certify(w, quad_tol=QUAD_TOL, grid=grid) == expected
+
+    def test_stops_at_first_admissible_point_from_the_top(self, monkeypatch):
+        # the full scan evaluates all 64 grid points; from the top down the
+        # constant weight clears the margin within four
+        calls = []
+        sides_at = certifier._sides_at
+
+        def counted(w, c, quad_tol):
+            calls.append(c)
+            return sides_at(w, c, quad_tol)
+
+        monkeypatch.setattr(certifier, "_sides_at", counted)
+        cert = certify(ConstantWeight(1.0), quad_tol=QUAD_TOL)
+        assert 1 <= len(calls) <= 4
+        assert calls == sorted(calls, reverse=True) and calls[-1] == cert.c
+
     def test_no_certificate_possible(self):
         # weight supported only on [0, 2e-7]: every scanned radius sees the
         # whole mass inside and nothing outside, so none can pass
-        from korenblum import TableWeight
-
         w = TableWeight(knots=(0.0, 1e-7, 2e-7), values=(1.0, 1.0, 0.0))
-        with pytest.raises(NoCertificate):
+        with pytest.raises(NoCertificate) as exc:
             certify(w, quad_tol=QUAD_TOL)
+        assert str(exc.value) == "no radius in (1e-06, 0.25) cleared margin 2*1e-09"
 
 
 class TestCheckDomination:

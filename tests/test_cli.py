@@ -284,6 +284,36 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert f"argument {flag}:" in err
 
+    @pytest.mark.parametrize("p", ["1e4", "1e5"])
+    def test_large_p_norm_of_one(self, capsys, p):
+        # the closed form of a constant needs neither the binomial series
+        # nor the Gamma ratio at x = 1, both of which overflow at such p
+        code, out, err = run_cli(capsys, "norm", "--poly", "1", "--p", p, "--weight", CONST1)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["norm"] == 1.0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("norm", "--poly", "1,2", "--p", "1000", "--weight", CONST1),
+             "p = 1000.0 is too large: (sum |a_k|)^p"),
+            (("norm", "--poly", "0.5,1", "--p", "1100", "--weight", CONST1),
+             "p = 1100.0 is too large: the series coefficient"),
+            (("means", "--poly", "0.5,1", "--p", "1030", "--grid", "1"),
+             "p = 1030.0 is too large: Gamma(1 + p)/Gamma(1 + p/2)^2"),
+        ],
+        ids=["p-th-power", "binomial-series", "gamma-ratio"],
+    )
+    def test_large_p_overflow_exit_2(self, capsys, argv, message):
+        # 3^1000, the series coefficients C(550, k)^2 and, at r = 0.5
+        # where x = 1, Gamma(1031)/Gamma(516)^2 overflow a float: bad
+        # input, not a traceback
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_seed_only_on_verify(self, capsys):
         code, _, err = run_cli(
             capsys, "norm", "--poly", "0,1", "--p", "2", "--weight", CONST1, "--seed", "0"
