@@ -44,7 +44,6 @@ from .refuter import (
 from .schuster import SchusterBound, eval_F, eval_H, inverse_H
 from .weights import (
     ConstantWeight,
-    Moment,
     OriginLiminf,
     RadialWeight,
     StandardWeight,
@@ -67,7 +66,6 @@ __all__ = [
     "InstanceReport",
     "KorenblumError",
     "MeanProfile",
-    "Moment",
     "MonotonicityViolation",
     "NoCertificate",
     "NoWitnessFound",

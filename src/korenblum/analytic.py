@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MonotonicityViolation, positive
-from .quadrature import _BLOCK_NODES, _NODES, _WEIGHTS
-from .weights import DEFAULT_TOL, RadialWeight, moment
+from .quadrature import _BLOCK_NODES, _NODES, _WEIGHTS, DEFAULT_TOL
+from .weights import RadialWeight, moment
 
 DEGREE_CAP = 64
 
@@ -183,6 +183,15 @@ def _p_overflow(p: float, quantity: str) -> DomainError:
     return DomainError(f"p = {p} is too large: {quantity} overflows a float")
 
 
+def _finite_mean_pows(f: Polynomial, radii: np.ndarray, p: float, tol: float):
+    """_mean_pow_batch, refusing a p at which some M_p^p overflows a float."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, diffs = _mean_pow_batch(f, radii, p, tol)
+    if not np.all(np.isfinite(vals)):
+        raise _p_overflow(p, "the circle mean M_p^p")
+    return vals, diffs
+
+
 @functools.lru_cache(maxsize=32)
 def _binomial_series(p: float) -> np.ndarray:
     """C(p/2, k)^2 for k = 1..K: past k = p/2, until C(p/2, K)^2 2^-K <= 1e-17.
@@ -322,7 +331,7 @@ def integral_mean(f: Polynomial, r: float, p: float, tol: float = DEFAULT_TOL) -
     positive("tol", tol)
     if f.is_zero:
         return 0.0
-    vals, _ = _mean_pow_batch(f, np.array([r]), p, tol)
+    vals, _ = _finite_mean_pows(f, np.array([r]), p, tol)
     return float(vals[0] ** (1.0 / p))
 
 
@@ -347,7 +356,7 @@ def weighted_norm(
         return vals
 
     try:
-        scale = float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0).value
+        scale = float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0)
     except OverflowError:
         raise _p_overflow(p, "(sum |a_k|)^p") from None
     coarse_tol = max(1e-3 * scale, 1e-300)
@@ -370,7 +379,7 @@ def mean_profile(f: Polynomial, p: float, radii) -> MeanProfile:
     if f.is_zero:
         return MeanProfile(p=p, radii=radii, values=(0.0,) * len(radii), est_error=0.0)
 
-    vals, diffs = _mean_pow_batch(f, np.asarray(radii), p, DEFAULT_TOL)
+    vals, diffs = _finite_mean_pows(f, np.asarray(radii), p, DEFAULT_TOL)
     means = vals ** (1.0 / p)
     est = float(np.max(diffs)) if len(diffs) else 0.0
     drop_tol = 10.0 * max(est, 1e-15)

@@ -19,8 +19,9 @@ import numpy as np
 
 from .analytic import Polynomial, weighted_norm
 from .errors import DomainError, NoCertificate, positive
+from .quadrature import DEFAULT_TOL
 from .schuster import inverse_H
-from .weights import DEFAULT_TOL, RadialWeight
+from .weights import RadialWeight
 
 C_GRID_LO = 1e-6
 C_GRID_HI = 0.25
@@ -79,7 +80,7 @@ def radius_grid(grid: int) -> np.ndarray:
 
 
 def _sides_at(w: RadialWeight, c: float, quad_tol: float) -> tuple[float, float]:
-    inner, _ = w.power_mass(0.0, 0.0, c, quad_tol)
+    inner = w.power_mass(0.0, 0.0, c)
 
     def phi(rho):
         return 0.5 * inverse_H(rho, c)

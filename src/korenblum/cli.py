@@ -10,8 +10,8 @@ payload, ``csv`` the table under a header row, ``human`` the same cells
 as aligned columns. A negative search result is reported the same way,
 as the one record {"found": false, "reason": ..., "detail": ...}.
 Diagnostics go to stderr. Exit status: 0 success, 1 negative search
-result (no certificate / no witness), 2 bad input, 3 quadrature
-divergence.
+result (no certificate, no witness, or any other failed self-check),
+2 bad input, 3 quadrature divergence.
 """
 from __future__ import annotations
 
@@ -143,10 +143,10 @@ def _cmd_verify(args):
     violations = []
     for _ in range(args.count):
         f, g = certifier.random_dominating_pair(rng)
-        if not certifier.check_domination(f, g, args.c).conclusive:
+        report = certifier.verify_instance(f, g, args.weight, args.p, args.c, tol=args.tol)
+        if not report.dominates:
             continue
         checked += 1
-        report = certifier.verify_instance(f, g, args.weight, args.p, args.c, tol=args.tol)
         if not report.principle_holds:
             violations.append({"f": f.to_spec(), "g": g.to_spec(), "norm_f": report.norm_f, "norm_g": report.norm_g})
     payload = {
@@ -206,17 +206,17 @@ def run(args: argparse.Namespace) -> int:
     """Dispatch one parsed command; print the report; return the exit code."""
     try:
         code, payload, table = _COMMANDS[args.command](args)
-    except (NoCertificate, NoWitnessFound) as exc:
-        print(f"korenblum {args.command}: {exc}", file=sys.stderr)
-        code = EXIT_NEGATIVE
-        payload = {"found": False, "reason": type(exc).__name__, "detail": str(exc)}
-        table = [payload]
     except DomainError as exc:
         print(f"korenblum {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except QuadratureDivergence as exc:
         print(f"korenblum {args.command}: {exc}", file=sys.stderr)
         return EXIT_QUADRATURE
+    except KorenblumError as exc:
+        print(f"korenblum {args.command}: {exc}", file=sys.stderr)
+        code = EXIT_NEGATIVE
+        payload = {"found": False, "reason": type(exc).__name__, "detail": str(exc)}
+        table = [payload]
     print(render(payload, table, args.output))
     return code
 

@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import QuadratureDivergence, positive
 
+#: default absolute tolerance of the package's quadratures
+DEFAULT_TOL = 1e-9
 #: bisection levels before a panel is declared stuck
 MAX_DEPTH = 40
 #: nodes passed to an integrand in one call (also the block size of the

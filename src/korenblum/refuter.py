@@ -19,8 +19,8 @@ import numpy as np
 from .analytic import Polynomial, weighted_norm
 from .certifier import check_domination
 from .errors import DomainError, KorenblumError, NoWitnessFound, positive
-from .quadrature import integrate
-from .weights import DEFAULT_TOL, RadialWeight, moment
+from .quadrature import DEFAULT_TOL, integrate
+from .weights import RadialWeight, moment
 
 EPSILON_SCAN_STEPS = 48
 
@@ -183,7 +183,7 @@ def check_final_inequality(
 
     cuts = [b / epsilon for b in w.breakpoints() if 0.0 < b / epsilon < 1.0]
     lhs, _ = integrate(lhs_integrand, 0.0, 1.0, quad_tol, breakpoints=cuts)
-    rhs = (p / c**n) * epsilon ** (n * (1.0 - p) - 2.0) * moment(w, np_exp).value
+    rhs = (p / c**n) * epsilon ** (n * (1.0 - p) - 2.0) * moment(w, np_exp)
     return FinalInequalityCheck(lhs=lhs, rhs=rhs, holds=lhs > rhs + 2.0 * quad_tol)
 
 
@@ -201,9 +201,7 @@ def monomial_upper_bound(
     """
     positive("p", p)
     positive("quad_tol", quad_tol)
-    m_p = moment(w, p).value
-    m_0 = moment(w, 0.0).value
-    c_star = (m_p / m_0) ** (1.0 / p)
+    c_star = (moment(w, p) / moment(w, 0.0)) ** (1.0 / p)
     witness_c = min(1.0 - 1e-9, c_star * (1.0 + 1e-3))
 
     unit = Polynomial((1.0,))

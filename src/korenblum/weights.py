@@ -5,16 +5,18 @@ constant weight 1 has total mass exactly 1. Moments
 
     m(s) = int_0^1 2 r^{s+1} w(r) dr
 
-are computed in closed form for every kind. The constant, step and table
+are computed in closed form for every kind and returned as plain floats,
+with no tolerance and no error estimate. The constant, step and table
 kinds are piecewise linear (w = alpha + beta r on each piece) and share
 one implementation: power masses by primitives, piece by piece, and
 quadrature with the piece starts as breakpoints. For the standard kind
 w(r) = (alpha+1)(1-r^2)^alpha, m(s) = (alpha+1) B(s/2 + 1, alpha + 1),
-with the partial masses of s = 0 from the primitive -(1-r^2)^{alpha+1}.
-Other partial power masses of the standard kind, and every integral
-against a general integrand, use adaptive quadrature; for alpha < 0 it
-runs in the substituted variable v = (1-r^2)^{alpha+1}, which absorbs
-the integrable singularity at r = 1 into a bounded integrand.
+with the partial masses of s = 0 from the primitive -(1-r^2)^{alpha+1};
+its other partial power masses have no closed form here and are refused.
+Every integral against a general integrand uses adaptive quadrature and
+returns (value, err_est); for the standard kind with alpha < 0 it runs
+in the substituted variable v = (1-r^2)^{alpha+1}, which absorbs the
+integrable singularity at r = 1 into a bounded integrand.
 """
 from __future__ import annotations
 
@@ -29,23 +31,12 @@ import numpy as np
 from .errors import DomainError, positive
 from .quadrature import integrate
 
-DEFAULT_TOL = 1e-9
-
 
 class OriginLiminf(enum.Enum):
     """Classification of liminf_{r -> 0+} w(r), used for diagnostics only."""
 
     POSITIVE_LIMINF = "PositiveLiminf"
     ZERO_NEAR_ORIGIN = "ZeroNearOrigin"
-
-
-@dataclass(frozen=True)
-class Moment:
-    """A radial moment m(s) = int_0^1 2 r^{s+1} w(r) dr."""
-
-    exponent: float
-    value: float
-    est_error: float
 
 
 def _power_primitive(s: float, alpha: float, beta: float, r: float) -> float:
@@ -76,9 +67,9 @@ class RadialWeight:
         """
         raise NotImplementedError
 
-    def power_mass(self, s: float, a: float, b: float, tol: float) -> tuple[float, float]:
-        """int_a^b 2 r^{s+1} w(r) dr, in closed form where the kind permits."""
-        return self.integrate_against(lambda r: r**s, a, b, tol)
+    def power_mass(self, s: float, a: float, b: float) -> float:
+        """int_a^b 2 r^{s+1} w(r) dr in closed form."""
+        raise NotImplementedError
 
     def to_spec(self) -> dict:
         raise NotImplementedError
@@ -111,7 +102,7 @@ class _PiecewiseLinear(RadialWeight):
             lambda r: 2.0 * r * self.eval(r) * phi(r), lo, b, tol, breakpoints=self.breakpoints()
         )
 
-    def power_mass(self, s, a, b, tol):
+    def power_mass(self, s, a, b):
         total = 0.0
         for lo, hi, alpha, beta in self._pieces():
             lo, hi = max(lo, a), min(hi, b)
@@ -119,7 +110,7 @@ class _PiecewiseLinear(RadialWeight):
                 total += _power_primitive(s, alpha, beta, hi) - _power_primitive(
                     s, alpha, beta, lo
                 )
-        return total, 0.0
+        return total
 
 
 @dataclass(frozen=True)
@@ -176,7 +167,7 @@ class StandardWeight(RadialWeight):
 
         return integrate(transformed, vb, va, tol)
 
-    def power_mass(self, s, a, b, tol):
+    def power_mass(self, s, a, b):
         ap1 = self.alpha + 1.0
         if s == 0.0:
             # primitive -(1-r^2)^{alpha+1}, shifted by 1 and kept as expm1 so
@@ -184,12 +175,14 @@ class StandardWeight(RadialWeight):
             def v_minus_one(r):
                 return -1.0 if r == 1.0 else math.expm1(ap1 * math.log1p(-r * r))
 
-            return v_minus_one(a) - v_minus_one(b), 0.0
+            return v_minus_one(a) - v_minus_one(b)
         if a == 0.0 and b == 1.0:
             # (alpha+1) B(s/2 + 1, alpha + 1)
             h = 0.5 * s + 1.0
-            return ap1 * math.exp(math.lgamma(h) + math.lgamma(ap1) - math.lgamma(h + ap1)), 0.0
-        return super().power_mass(s, a, b, tol)
+            return ap1 * math.exp(math.lgamma(h) + math.lgamma(ap1) - math.lgamma(h + ap1))
+        raise DomainError(
+            f"standard weight power mass has no closed form for s = {s} on [{a}, {b}]"
+        )
 
     def to_spec(self) -> dict:
         return {"kind": "standard", "alpha": self.alpha}
@@ -239,8 +232,7 @@ class TableWeight(_PiecewiseLinear):
             raise DomainError("table knots must be strictly increasing")
         for v in values:
             positive("table weight value", v, closed=True)
-        mass, _ = self.power_mass(0.0, 0.0, 1.0, DEFAULT_TOL)
-        if mass <= 0.0:
+        if self.power_mass(0.0, 0.0, 1.0) <= 0.0:
             raise DomainError("table weight has zero total mass")
 
     def _pieces(self):
@@ -258,11 +250,10 @@ class TableWeight(_PiecewiseLinear):
         return {"kind": "table", "r": list(self.knots), "w": list(self.values)}
 
 
-def moment(w: RadialWeight, s: float) -> Moment:
+def moment(w: RadialWeight, s: float) -> float:
     """m(s) = int_0^1 2 r^{s+1} w(r) dr, nonincreasing in s, in closed form."""
     positive("moment exponent", s, closed=True)
-    value, err = w.power_mass(s, 0.0, 1.0, DEFAULT_TOL)
-    return Moment(exponent=s, value=value, est_error=err)
+    return w.power_mass(s, 0.0, 1.0)
 
 
 def weight_from_spec(spec) -> RadialWeight:

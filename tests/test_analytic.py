@@ -238,7 +238,7 @@ class TestWeightedNorm:
     def test_constant_function_norm(self, fixture_weights):
         for w in fixture_weights:
             for p in (0.5, 1.0, 2.0):
-                expected = moment(w, 0.0).value ** (1.0 / p)
+                expected = moment(w, 0.0) ** (1.0 / p)
                 assert weighted_norm(Polynomial((1,)), w, p) == pytest.approx(expected, rel=1e-8)
 
     def test_parseval_pinned_instance(self):

@@ -10,6 +10,7 @@ from korenblum import (
     InstanceReport,
     RadiusCertificate,
     RadiusUpperBound,
+    certifier,
     certify,
     find_counterexample,
     weight_from_spec,
@@ -144,6 +145,20 @@ class TestBound:
         assert payload["c_star"] == pytest.approx(np.sqrt(0.5), abs=1e-9)
         assert payload["witness_c"] > payload["c_star"]
 
+    def test_failed_self_check_is_a_negative_result(self, capsys):
+        # at R this close to 1 the pair (1, z/c) cannot be told apart
+        # numerically, so the bound's own verification fails: a negative
+        # result record with exit 1, not a traceback
+        code, out, err = run_cli(
+            capsys, "bound", "--p", "1", "--weight", '{"kind":"step","R":0.9999999999}'
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["found"] is False
+        assert payload["reason"] == "KorenblumError"
+        assert payload["detail"].startswith("monomial bound verification failed at p=1.0")
+        assert payload["detail"] in err
+
 
 class TestVerify:
     def test_two_polys(self, capsys):
@@ -173,6 +188,22 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["violations"] == []
         assert payload["conclusive"] >= 1
+
+    def test_random_sweep_samples_domination_once_per_pair(self, capsys, monkeypatch):
+        calls = []
+        check = certifier.check_domination
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(certifier, "check_domination", counted)
+        code, _, _ = run_cli(
+            capsys, "verify", "--p", "2", "--c", "0.18", "--weight", CONST1,
+            "--seed", "7", "--count", "8",
+        )
+        assert code == 0
+        assert len(calls) == 8
 
 
 class TestSweep:
@@ -222,6 +253,71 @@ def test_csv_row_is_the_json_result(capsys, argv, result_type):
     for key, cell in zip(header, row):
         value = payload[key]
         assert cell == (json.dumps(value) if isinstance(value, bool) else f"{value:.12g}")
+
+
+PINNED_WEIGHTS = {
+    "constant": CONST1,
+    "standard": '{"kind":"standard","alpha":-0.5}',
+    "step": '{"kind":"step","R":0.15}',
+    "table": '{"kind":"table","r":[0,0.3,0.7],"w":[1,0.4,1.6]}',
+}
+PINNED_COMMANDS = {
+    "certify": ("certify",),
+    "bound": ("bound", "--p", "2"),
+    "refute": ("refute", "--p", "0.5", "--c", "0.9"),
+    "sweep": ("sweep", "--p", "0.5,1,2"),
+}
+CERTIFY_HEADER = "c,inner,outer,margin,quad_tol\n"
+BOUND_HEADER = "p,c_star,witness_c\n"
+REFUTE_HEADER = "p,c,n,epsilon,norm_f,norm_g,gap\n"
+#: the full CSV report of each (command, weight), numbers as %.12g
+PINNED_REPORTS = {
+    ("certify", "constant"): CERTIFY_HEADER
+    + "0.186821041861,0.0349021016822,0.0548670586805,0.0199649569983,1e-09\n",
+    ("certify", "standard"): CERTIFY_HEADER
+    + "0.226865576104,0.0260739194483,0.0262334669411,0.000159547492846,1e-09\n",
+    ("certify", "step"): CERTIFY_HEADER
+    + "0.226865576104,0.0289679896212,0.0378022118913,0.00883422227014,1e-09\n",
+    ("certify", "table"): CERTIFY_HEADER
+    + "0.226865576104,0.035899569466,0.0461468837092,0.0102473142432,1e-09\n",
+    ("bound", "constant"): BOUND_HEADER + "2,0.707106781187,0.707813887968\n",
+    ("bound", "standard"): BOUND_HEADER + "2,0.816496580928,0.817313077509\n",
+    ("bound", "step"): BOUND_HEADER + "2,0.715017482304,0.715732499786\n",
+    ("bound", "table"): BOUND_HEADER + "2,0.759372568236,0.760131940804\n",
+    ("refute", "constant"): REFUTE_HEADER
+    + "0.5,0.9,5,0.45,0.205816300133,0.197530864197,0.00828543593645\n",
+    ("refute", "standard"): REFUTE_HEADER
+    + "0.5,0.9,5,0.225,0.389822779507,0.389749762926,7.30165811388e-05\n",
+    ("refute", "step"): REFUTE_HEADER
+    + "0.5,0.9,5,0.45,0.203094484069,0.197453412124,0.00564107194437\n",
+    ("refute", "table"): REFUTE_HEADER
+    + "0.5,0.9,5,0.225,0.459361319655,0.45908727733,0.000274042325156\n",
+    ("sweep", "constant"): SWEEP_HEADER + "\n"
+    "0.5,,0.64,true,ok\n"
+    "1,0.186821041861,0.666666666667,,ok\n"
+    "2,0.186821041861,0.707106781187,,ok\n",
+    ("sweep", "standard"): SWEEP_HEADER + "\n"
+    "0.5,,0.763909535336,true,ok\n"
+    "1,0.226865576104,0.785398163397,,ok\n"
+    "2,0.226865576104,0.816496580928,,ok\n",
+    ("sweep", "step"): SWEEP_HEADER + "\n"
+    "0.5,,0.658179271944,false,ok\n"
+    "1,0.226865576104,0.679710144928,,ok\n"
+    "2,0.226865576104,0.715017482304,,ok\n",
+    ("sweep", "table"): SWEEP_HEADER + "\n"
+    "0.5,,0.7139324748,true,ok\n"
+    "1,0.226865576104,0.732232462878,,ok\n"
+    "2,0.226865576104,0.759372568236,,ok\n",
+}
+
+
+@pytest.mark.parametrize("command, weight", PINNED_REPORTS, ids=[f"{c}-{w}" for c, w in PINNED_REPORTS])
+def test_pinned_csv_report(capsys, command, weight):
+    code, out, _ = run_cli(
+        capsys, *PINNED_COMMANDS[command], "--weight", PINNED_WEIGHTS[weight], "--output", "csv"
+    )
+    assert code == 0
+    assert out == PINNED_REPORTS[command, weight]
 
 
 class TestDeterminismAndErrors:
@@ -302,13 +398,16 @@ class TestDeterminismAndErrors:
              "p = 1100.0 is too large: the series coefficient"),
             (("means", "--poly", "0.5,1", "--p", "1030", "--grid", "1"),
              "p = 1030.0 is too large: Gamma(1 + p)/Gamma(1 + p/2)^2"),
+            (("means", "--poly", "1,2", "--p", "1000", "--grid", "4"),
+             "p = 1000.0 is too large: the circle mean M_p^p"),
         ],
-        ids=["p-th-power", "binomial-series", "gamma-ratio"],
+        ids=["p-th-power", "binomial-series", "gamma-ratio", "circle-mean"],
     )
     def test_large_p_overflow_exit_2(self, capsys, argv, message):
-        # 3^1000, the series coefficients C(550, k)^2 and, at r = 0.5
-        # where x = 1, Gamma(1031)/Gamma(516)^2 overflow a float: bad
-        # input, not a traceback
+        # 3^1000, the series coefficients C(550, k)^2, at r = 0.5 where
+        # x = 1, Gamma(1031)/Gamma(516)^2, and M_p^p of 1 + 2z at r = 0.6
+        # (about 2.2^1000) overflow a float: bad input, not a traceback
+        # and not Infinity in the report
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""

@@ -25,19 +25,17 @@ TOL = 1e-9
 
 class TestMomentExamples:
     def test_constant_total_mass(self):
-        assert moment(ConstantWeight(1.0), 0.0).value == pytest.approx(1.0, abs=TOL)
+        assert moment(ConstantWeight(1.0), 0.0) == pytest.approx(1.0, abs=TOL)
 
     def test_constant_at_p(self):
-        assert moment(ConstantWeight(1.0), 2.0).value == pytest.approx(0.5, abs=TOL)
+        assert moment(ConstantWeight(1.0), 2.0) == pytest.approx(0.5, abs=TOL)
 
     def test_standard_alpha1_s2(self):
         # exact symbolic value: 4 int_0^1 r^3 (1 - r^2) dr = 1/3
-        m = moment(StandardWeight(1.0), 2.0)
-        assert m.value == pytest.approx(1.0 / 3.0, abs=TOL)
-        assert m.est_error <= TOL
+        assert moment(StandardWeight(1.0), 2.0) == pytest.approx(1.0 / 3.0, abs=TOL)
 
     def test_step_total_mass(self):
-        assert moment(StepWeight(0.5), 0.0).value == pytest.approx(0.75, abs=TOL)
+        assert moment(StepWeight(0.5), 0.0) == pytest.approx(0.75, abs=TOL)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(DomainError):
@@ -46,17 +44,17 @@ class TestMomentExamples:
 
 class TestInnerMassExamples:
     def test_constant(self):
-        assert ConstantWeight(1.0).power_mass(0.0, 0.0, 0.2, TOL)[0] == pytest.approx(0.04, abs=TOL)
+        assert ConstantWeight(1.0).power_mass(0.0, 0.0, 0.2) == pytest.approx(0.04, abs=TOL)
 
     def test_step_below_jump(self):
-        assert StepWeight(0.5).power_mass(0.0, 0.0, 0.3, TOL)[0] == 0.0
+        assert StepWeight(0.5).power_mass(0.0, 0.0, 0.3) == 0.0
 
     def test_standard_alpha0_matches_constant(self):
-        assert StandardWeight(0.0).power_mass(0.0, 0.0, 0.5, TOL)[0] == pytest.approx(0.25, abs=TOL)
+        assert StandardWeight(0.0).power_mass(0.0, 0.0, 0.5) == pytest.approx(0.25, abs=TOL)
 
     def test_monotone_in_c(self):
         w = StandardWeight(1.0)
-        values = [w.power_mass(0.0, 0.0, c, TOL)[0] for c in np.linspace(0.05, 0.95, 12)]
+        values = [w.power_mass(0.0, 0.0, c) for c in np.linspace(0.05, 0.95, 12)]
         assert all(b >= a - 2 * TOL for a, b in zip(values, values[1:]))
 
 
@@ -82,18 +80,18 @@ class TestLiminfHint:
 class TestClosedFormsAgainstOracles:
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0])
     def test_constant_closed_form(self, s):
-        assert abs(moment(ConstantWeight(1.0), s).value - const_moment(s)) <= TOL
+        assert abs(moment(ConstantWeight(1.0), s) - const_moment(s)) <= TOL
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0, 2.5, 7.0])
     def test_step_closed_form(self, s):
         w = StepWeight(0.5)
-        assert abs(moment(w, s).value - step_moment(s, 0.5)) <= TOL
+        assert abs(moment(w, s) - step_moment(s, 0.5)) <= TOL
 
     @pytest.mark.parametrize("alpha", [-0.5, -0.2, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("s", [0.0, 0.7, 2.0, 5.0])
     def test_standard_quadrature_vs_beta(self, alpha, s):
         w = StandardWeight(alpha)
-        assert moment(w, s).value == pytest.approx(std_moment(s, alpha), abs=5 * TOL)
+        assert moment(w, s) == pytest.approx(std_moment(s, alpha), abs=5 * TOL)
 
     def test_step_quadrature_path_matches_closed_form(self):
         # same integral through the generic engine instead of the primitive
@@ -105,7 +103,7 @@ class TestClosedFormsAgainstOracles:
     def test_table_quadrature_path_matches_closed_form(self):
         w = TableWeight(knots=(0.0, 0.25, 0.6), values=(1.0, 0.2, 0.8))
         for s in (0.0, 1.0, 3.5):
-            closed = moment(w, s).value
+            closed = moment(w, s)
             quad, _ = w.integrate_against(lambda r: r**s, 0.0, 1.0, TOL)
             assert quad == pytest.approx(closed, abs=2 * TOL)
 
@@ -129,10 +127,9 @@ class TestPiecewisePartialRanges:
     @pytest.mark.parametrize("s", [0.0, 1.5, 4.0])
     @pytest.mark.parametrize("w,a,b", CASES)
     def test_power_mass_matches_quadrature(self, w, a, b, s):
-        closed, err = w.power_mass(s, a, b, TOL)
+        closed = w.power_mass(s, a, b)
         quad, _ = w.integrate_against(lambda r: r**s, a, b, TOL)
         assert closed == pytest.approx(quad, abs=2 * TOL)
-        assert err == 0.0
 
 
 class TestStandardClosedForms:
@@ -140,28 +137,29 @@ class TestStandardClosedForms:
     @pytest.mark.parametrize("s", [0.0, 0.3, 1.0, 2.0, 5.0, 17.0])
     def test_moment_against_beta(self, alpha, s):
         m = moment(StandardWeight(alpha), s)
-        assert m.value == pytest.approx((alpha + 1.0) * beta(s / 2.0 + 1.0, alpha + 1.0), rel=1e-13)
-        assert m.est_error == 0.0
+        assert m == pytest.approx((alpha + 1.0) * beta(s / 2.0 + 1.0, alpha + 1.0), rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [-0.95, -0.5, 0.25, 6.0])
     @pytest.mark.parametrize("a,b", [(0.0, 1e-6), (0.0, 0.3), (0.2, 0.9), (0.5, 1.0)])
     def test_partial_mass_against_betainc(self, alpha, a, b):
         # int_a^b 2 r w(r) dr = I_{b^2}(1, alpha+1) - I_{a^2}(1, alpha+1)
-        value, err = StandardWeight(alpha).power_mass(0.0, a, b, TOL)
+        value = StandardWeight(alpha).power_mass(0.0, a, b)
         expected = betainc(1.0, alpha + 1.0, b * b) - betainc(1.0, alpha + 1.0, a * a)
         assert value == pytest.approx(expected, rel=1e-13)
-        assert err == 0.0
 
     @pytest.mark.parametrize("alpha", [-0.5, 1.0])
     def test_quadrature_paths_match_closed_form(self, alpha):
-        # integrate_against (the substituted variable for alpha < 0) and the
-        # quadrature fallback for partial masses with s > 0
+        # integrate_against (the substituted variable for alpha < 0) on the
+        # full range and on a partial range, where a power mass with s > 0
+        # has no closed form and is refused
         w = StandardWeight(alpha)
         for s in (0.0, 1.5, 4.0):
             quad, _ = w.integrate_against(lambda r: r**s, 0.0, 1.0, TOL)
-            assert quad == pytest.approx(moment(w, s).value, abs=2 * TOL)
+            assert quad == pytest.approx(moment(w, s), abs=2 * TOL)
         a, b, s = 0.3, 0.8, 2.0
-        partial, _ = w.power_mass(s, a, b, TOL)
+        with pytest.raises(DomainError, match="no closed form"):
+            w.power_mass(s, a, b)
+        partial, _ = w.integrate_against(lambda r: r**s, a, b, TOL)
         h = s / 2.0 + 1.0
         full = (alpha + 1.0) * beta(h, alpha + 1.0)
         expected = full * (betainc(h, alpha + 1.0, b * b) - betainc(h, alpha + 1.0, a * a))
@@ -182,21 +180,15 @@ class TestInvariants:
     def test_moment_nonincreasing_in_exponent(self, s1, s2):
         lo, hi = min(s1, s2), max(s1, s2)
         w = StandardWeight(1.0)
-        assert moment(w, hi).value <= moment(w, lo).value + 2 * TOL
+        assert moment(w, hi) <= moment(w, lo) + 2 * TOL
 
     @pytest.mark.parametrize("c", [0.1, 0.35, 0.6, 0.9])
     def test_mass_additivity(self, c, fixture_weights):
         for w in fixture_weights:
-            total = moment(w, 0.0).value
-            inner = w.power_mass(0.0, 0.0, c, TOL)[0]
-            outer, _ = w.power_mass(0.0, c, 1.0, TOL)
+            total = moment(w, 0.0)
+            inner = w.power_mass(0.0, 0.0, c)
+            outer = w.power_mass(0.0, c, 1.0)
             assert inner + outer == pytest.approx(total, abs=2 * TOL)
-
-    def test_moment_est_error_zero_for_closed_kinds(self):
-        assert moment(ConstantWeight(2.0), 1.3).est_error == 0.0
-        assert moment(StepWeight(0.7), 1.3).est_error == 0.0
-        table = TableWeight(knots=(0.0, 0.4), values=(0.5, 1.5))
-        assert moment(table, 1.3).est_error == 0.0
 
 
 class TestConstruction:
