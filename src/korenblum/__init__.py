@@ -10,6 +10,7 @@ from .analytic import (
     mean_profile,
     polynomial_from_spec,
     weighted_norm,
+    weighted_norms,
 )
 from .certifier import (
     CertificateScanPoint,
@@ -99,4 +100,5 @@ __all__ = [
     "verify_instance",
     "weight_from_spec",
     "weighted_norm",
+    "weighted_norms",
 ]

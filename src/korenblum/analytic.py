@@ -21,6 +21,11 @@ as reference) and reported with an error of 1e-13. The weighted norm
     ||f||_{p,w} = ( int_0^1 2 r w(r) M_p^p(r; f) dr )^{1/p}
 
 nests that angular quadrature inside the radial quadrature of the weight.
+:func:`weighted_norms` computes the norms of many polynomials in one
+radial walk per pass, each polynomial a component of the integrand
+phi(r, comp) with its own tolerance and panel tree, so every norm is bit
+for bit the one it gets alone; the binomials of all components share one
+closed-form call per integrand call.
 """
 from __future__ import annotations
 
@@ -212,6 +217,12 @@ def _binomial_series(p: float) -> np.ndarray:
     return coeffs
 
 
+def _row_blocks(mask: np.ndarray, size: int):
+    """The indices of mask's true rows, in blocks of at most size."""
+    rows = np.flatnonzero(mask)
+    return (rows[i : i + size] for i in range(0, rows.size, size))
+
+
 def _unit_binomial_means(x: np.ndarray, p: float) -> np.ndarray:
     """S_p(x) = mean_t |1 + x e^{it}|^p for 0 <= x <= 1, per row.
 
@@ -234,8 +245,14 @@ def _unit_binomial_means(x: np.ndarray, p: float) -> np.ndarray:
     x2 = x * x
     series = x2 <= 0.5
     coeffs = _binomial_series(p)
-    powers = np.cumprod(np.repeat(x2[series, None], coeffs.size, axis=1), axis=1)
-    out[series] = 1.0 + np.sum(powers * coeffs, axis=1)
+    # rows in blocks of at most _BLOCK_NODES terms (in place, one temporary
+    # of a block), so a batch of many polynomials' radii stays as small in
+    # memory as one polynomial's
+    for rows in _row_blocks(series, _BLOCK_NODES // coeffs.size):
+        powers = np.repeat(x2[rows, None], coeffs.size, axis=1)
+        np.cumprod(powers, axis=1, out=powers)
+        powers *= coeffs
+        out[rows] = 1.0 + np.sum(powers, axis=1)
 
     edge = x == 1.0
     if edge.any():
@@ -247,39 +264,48 @@ def _unit_binomial_means(x: np.ndarray, p: float) -> np.ndarray:
             except OverflowError:
                 raise _p_overflow(p, "Gamma(1 + p)/Gamma(1 + p/2)^2") from None
 
-    rows = ~series & ~edge
-    if not rows.any():  # skip the integral's fixed cost when no row needs it
-        return out
-    xi = x[rows, None]
-    gap2 = (1.0 - xi) ** 2
-    b = (1.0 - xi) / (2.0 * np.sqrt(xi))
-    top = np.arcsinh(0.5 / b)
-    tau = top * _TAU_NODES
-    inner = gap2 + 4.0 * xi * np.sin(b * np.sinh(tau)) ** 2
-    inner_sum = np.sum((top * _TAU_WEIGHTS) * inner ** (0.5 * p) * (b * np.cosh(tau)), axis=1)
-    outer_sum = np.sum(_V_WEIGHTS * (gap2 + 4.0 * xi * _SIN2_V) ** (0.5 * p), axis=1)
-    out[rows] = (2.0 / np.pi) * (inner_sum + outer_sum)
+    # the integral holds about four temporaries of its block at once
+    for rows in _row_blocks(~series & ~edge, _BLOCK_NODES // (4 * _TAU_NODES.size)):
+        xi = x[rows, None]
+        gap2 = (1.0 - xi) ** 2
+        b = (1.0 - xi) / (2.0 * np.sqrt(xi))
+        top = np.arcsinh(0.5 / b)
+        tau = top * _TAU_NODES
+        inner = gap2 + 4.0 * xi * np.sin(b * np.sinh(tau)) ** 2
+        inner_sum = np.sum((top * _TAU_WEIGHTS) * inner ** (0.5 * p) * (b * np.cosh(tau)), axis=1)
+        outer_sum = np.sum(_V_WEIGHTS * (gap2 + 4.0 * xi * _SIN2_V) ** (0.5 * p), axis=1)
+        out[rows] = (2.0 / np.pi) * (inner_sum + outer_sum)
     return out
 
 
-def _binomial_means(
-    h: Polynomial, radii: np.ndarray, p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """M_p^p(r; h) of a polynomial of degree <= 1, per radius, in closed form.
+def _lacunary(f: Polynomial) -> tuple[Polynomial, int]:
+    """(h, d) with f(z) = h(z^d), d the gcd of f's exponents (0 for a constant).
+
+    M_p(r; f) = M_p(r^d; h) for d > 1, exactly for the trapezoid rule
+    too: the N-node rule on f is the N/d-node rule on h when d divides N.
+    """
+    d = int(np.gcd.reduce(np.flatnonzero(np.asarray(f.coeffs))))
+    return (Polynomial(f.coeffs[::d]), d) if d > 1 else (f, d)
+
+
+def _binomial_moduli(h: Polynomial) -> tuple[float, float]:
+    """(|a_0|, |a_1|) of a polynomial of degree <= 1."""
+    a = np.abs(np.asarray(h.coeffs, dtype=complex))
+    return (a[0] if a.size else 0.0), (a[1] if a.size > 1 else 0.0)
+
+
+def _binomial_means(a0, a1, radii: np.ndarray, p: float) -> np.ndarray:
+    """M_p^p(r; a_0 + a_1 z) per radius in closed form, given the moduli
+    |a_0| and |a_1| (scalars, or one per radius).
 
     With A = |a_0|, B = |a_1| r and x = min(A, B)/max(A, B) (0 when both
-    vanish), M_p^p = max(A, B)^p S_p(x). `diff` is the value's
-    error, _BINOMIAL_REL_ERROR relative to the mean M.
+    vanish), M_p^p = max(A, B)^p S_p(x). Rows are independent: a row's
+    value does not depend on the rows that share its call.
     """
-    a = np.abs(np.asarray(h.coeffs, dtype=complex))
-    a0 = a[0] if a.size else 0.0
-    a1 = a[1] if a.size > 1 else 0.0
-    A = np.full(radii.shape, a0)
     B = a1 * radii
-    big, small = np.maximum(A, B), np.minimum(A, B)
+    big, small = np.maximum(a0, B), np.minimum(a0, B)
     x = np.divide(small, big, out=np.zeros_like(big), where=big > 0)
-    vals = big**p * _unit_binomial_means(x, p)
-    return vals, _BINOMIAL_REL_ERROR * vals ** (1.0 / p)
+    return big**p * _unit_binomial_means(x, p)
 
 
 def _mean_pow_batch(
@@ -291,20 +317,22 @@ def _mean_pow_batch(
     radii r^d, since M_p(r; f) = M_p(r^d; h); the family K (z^n + e^n)
     becomes a degree-1 polynomial and a monomial z^n becomes w. An h of
     degree <= 1 takes the closed form of _binomial_means and no angular
-    nodes. Otherwise the doubled grid is the current grid plus its
+    nodes; its `diff` is _BINOMIAL_REL_ERROR relative to the mean M.
+    Otherwise the doubled grid is the current grid plus its
     half-spacing offset, so each refinement reuses every node already
     evaluated. Convergence is measured on the means M themselves
     (relative, per row): a row leaves the doubling once two successive
     refinements agree, so its value depends only on its own radius, not
-    on the radii that share its batch. Rows still open when the grid
-    reaches _THETA_CAP stop there; `diff` holds each row's last change.
+    on the radii that share its batch. A row whose value overflows leaves
+    at once. Rows still open when the grid reaches _THETA_CAP stop there;
+    `diff` holds each row's last change.
     """
-    # exact: the N-node rule on f is the N/d-node rule on h when d divides N
-    d = int(np.gcd.reduce(np.flatnonzero(np.asarray(f.coeffs))))
+    f, d = _lacunary(f)
     if d > 1:
-        f, radii = Polynomial(f.coeffs[::d]), np.asarray(radii, dtype=float) ** d
+        radii = np.asarray(radii, dtype=float) ** d
     if f.degree <= 1:
-        return _binomial_means(f, radii, p)
+        vals = _binomial_means(*_binomial_moduli(f), radii, p)
+        return vals, _BINOMIAL_REL_ERROR * vals ** (1.0 / p)
     n = max(256, 8 * (f.degree + 1))
     vals = _abs_pow_means(f, radii, p, n)
     means = vals ** (1.0 / p)
@@ -319,7 +347,9 @@ def _mean_pow_batch(
         vals[active], means[active], diff[active] = vals_next, means_next, step
         if n >= _THETA_CAP:
             break
-        active = active[~(step <= tol * np.maximum(means_next, 1e-300))]
+        # an overflowed row's step is NaN and would never pass the test
+        open_rows = ~(step <= tol * np.maximum(means_next, 1e-300)) & np.isfinite(means_next)
+        active = active[open_rows]
     return vals, diff
 
 
@@ -335,37 +365,90 @@ def integral_mean(f: Polynomial, r: float, p: float, tol: float = DEFAULT_TOL) -
     return float(vals[0] ** (1.0 / p))
 
 
-def weighted_norm(
-    f: Polynomial, w: RadialWeight, p: float, tol: float = DEFAULT_TOL
-) -> float:
-    """||f||_{p,w} with relative error about tol.
+def _mean_pows(fs: list[Polynomial], p: float, tol: float):
+    """The integrand phi(r, comp) = M_p^p(r; fs[comp]) of the norms of fs.
 
-    The radial quadrature runs twice: a coarse pass to learn the scale of
-    the integral, then a pass whose absolute tolerance targets the final
-    relative accuracy of the norm.
+    After the lacunary reduction every binomial (degree <= 1) component
+    takes one closed-form _binomial_means call per integrand call, with
+    its own moduli and exponent d on each row; every other component runs
+    its own _mean_pow_batch at relative angular tolerance tol.
+    """
+    reduced = [_lacunary(f) for f in fs]
+    binomial = np.array([h.degree <= 1 for h, _ in reduced])
+    moduli = np.array([_binomial_moduli(h) if h.degree <= 1 else (0.0, 0.0) for h, _ in reduced])
+    powers = np.array([d for _, d in reduced])
+    lacunary = sorted({d for (h, d) in reduced if h.degree <= 1 and d > 1})
+    others = np.flatnonzero(~binomial).tolist()
+
+    def phi(r, comp):
+        out = np.empty(r.shape)
+        rows = binomial[comp]
+        if rows.any():
+            radii, comps = r[rows], comp[rows]
+            ds = powers[comps]
+            for d in lacunary:
+                raised = ds == d
+                radii[raised] = radii[raised] ** d
+            out[rows] = _binomial_means(moduli[comps, 0], moduli[comps, 1], radii, p)
+        for k in others:
+            own = comp == k
+            if own.any():
+                out[own], _ = _mean_pow_batch(fs[k], r[own], p, tol)
+        return out
+
+    return phi
+
+
+def weighted_norms(
+    fs, w: RadialWeight, p: float, tol: float = DEFAULT_TOL
+) -> list[float]:
+    """||f||_{p,w} of every f in fs, each with relative error about tol.
+
+    The radial quadrature runs twice, each time as one walk for all the
+    polynomials (see :func:`korenblum.quadrature.integrate_many`): a
+    coarse walk to learn the scale of each integral, then a walk, of the
+    polynomials it has not already settled, whose absolute tolerances
+    target the final relative accuracy of each norm. Every component
+    keeps its own tolerances and panel tree, so each norm is bit for bit
+    the one the polynomial gets alone, ``weighted_norms([f], ...)``.
     """
     positive("p", p)
     positive("tol", tol)
-    if f.is_zero:
-        return 0.0
-
-    theta_tol = 0.25 * tol
-
-    def phi(r):
-        vals, _ = _mean_pow_batch(f, np.asarray(r, dtype=float), p, theta_tol)
-        return vals
+    fs = list(fs)
+    norms = [0.0] * len(fs)
+    at = [k for k, f in enumerate(fs) if not f.is_zero]
+    if not at:
+        return norms
+    live = [fs[k] for k in at]
 
     try:
-        scale = float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0)
+        m0 = moment(w, 0.0)
+        coarse_tols = [
+            max(1e-3 * (float(np.sum(np.abs(f.coeffs))) ** p * m0), 1e-300) for f in live
+        ]
     except OverflowError:
         raise _p_overflow(p, "(sum |a_k|)^p") from None
-    coarse_tol = max(1e-3 * scale, 1e-300)
-    coarse, _ = w.integrate_against(phi, 0.0, 1.0, coarse_tol)
-    fine_tol = max(0.25 * tol * p * max(coarse, 1e-300), 1e-300)
-    if fine_tol >= coarse_tol:
-        return max(coarse, 0.0) ** (1.0 / p)
-    value, _ = w.integrate_against(phi, 0.0, 1.0, fine_tol)
-    return max(value, 0.0) ** (1.0 / p)
+    phi = _mean_pows(live, p, 0.25 * tol)
+    values = [v for v, _ in w.integrate_against(phi, 0.0, 1.0, coarse_tols)]
+    fine_tols = [max(0.25 * tol * p * max(v, 1e-300), 1e-300) for v in values]
+    refine = [k for k, (ft, ct) in enumerate(zip(fine_tols, coarse_tols)) if ft < ct]
+    if refine:
+        index = np.array(refine)
+        fine = w.integrate_against(
+            lambda r, comp: phi(r, index[comp]), 0.0, 1.0, [fine_tols[k] for k in refine]
+        )
+        for k, (v, _) in zip(refine, fine):
+            values[k] = v
+    for k, v in zip(at, values):
+        norms[k] = max(v, 0.0) ** (1.0 / p)
+    return norms
+
+
+def weighted_norm(
+    f: Polynomial, w: RadialWeight, p: float, tol: float = DEFAULT_TOL
+) -> float:
+    """||f||_{p,w} with relative error about tol: ``weighted_norms([f])[0]``."""
+    return weighted_norms([f], w, p, tol)[0]
 
 
 def mean_profile(f: Polynomial, p: float, radii) -> MeanProfile:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import Polynomial, weighted_norm
+from .analytic import Polynomial, weighted_norms
 from .errors import DomainError, NoCertificate, positive
 from .quadrature import DEFAULT_TOL
 from .schuster import inverse_H
@@ -82,10 +82,10 @@ def radius_grid(grid: int) -> np.ndarray:
 def _sides_at(w: RadialWeight, c: float, quad_tol: float) -> tuple[float, float]:
     inner = w.power_mass(0.0, 0.0, c)
 
-    def phi(rho):
+    def phi(rho, comp):
         return 0.5 * inverse_H(rho, c)
 
-    outer, _ = w.integrate_against(phi, c, 1.0, quad_tol)
+    [(outer, _)] = w.integrate_against(phi, c, 1.0, [quad_tol])
     return inner, outer
 
 
@@ -167,8 +167,7 @@ def verify_instance(
     positive("p", p)
     positive("tol", tol)
     report = check_domination(f, g, c)
-    norm_f = weighted_norm(f, w, p, tol=tol)
-    norm_g = weighted_norm(g, w, p, tol=tol)
+    norm_f, norm_g = weighted_norms([f, g], w, p, tol=tol)
     return InstanceReport(
         dominates=report.conclusive,
         norm_f=norm_f,

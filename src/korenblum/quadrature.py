@@ -2,18 +2,26 @@
 
 A panel's estimate is compared against the sum of its two half-panel
 estimates; the panel is bisected until the difference falls below its
-share of the absolute tolerance. Gauss nodes never touch panel
-endpoints, so integrable endpoint singularities are refined into
-rather than evaluated.
+share of the absolute tolerance, or below the rounding of the halves
+themselves, 8 eps (|left| + |right|), which no bisection can lower.
+Gauss nodes never touch panel endpoints, so integrable endpoint
+singularities are refined into rather than evaluated.
 
-The panel tree is walked level by level: the halves of all panels still
-open at one bisection level are evaluated together, in calls of the
-integrand on at most 65536 nodes each. Integrands must therefore be
-elementwise functions of a 1-D array of any length.
+:func:`integrate_many` integrates K integrands over the same [a, b] and
+breakpoints in one walk of their panel trees, level by level: the halves
+of every panel still open at one bisection level, of every component,
+are evaluated together, in calls ``f(x, comp)`` on at most 65536 nodes
+each, ``comp[i]`` being the component of node ``x[i]``. Integrands must
+therefore be elementwise functions of the two 1-D arrays. Each component
+keeps its own tolerance, panel tree, settle/split decisions, non-finite
+check and stuck-error test, and its value and error estimate are summed
+over its own panels in the order a walk of it alone takes, so each
+component's result is bit for bit what a separate walk would give.
+:func:`integrate` is that walk for a single integrand ``f(x)``.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -26,14 +34,14 @@ MAX_DEPTH = 40
 #: nodes passed to an integrand in one call (also the block size of the
 #: angular grids in ``analytic``)
 _BLOCK_NODES = 1 << 16
+#: a panel whose halves agree to this share of their magnitudes is settled
+_ROUNDING = 8.0 * np.finfo(float).eps
 
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-def _panel_sums(
-    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """15-node Gauss estimates of the panels [lo[k], hi[k]].
+def _panel_sums(f: Callable, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """15-node Gauss estimates of the panels [lo[k], hi[k]] of components comp[k].
 
     The integrand sees at most _BLOCK_NODES nodes per call, which bounds
     the memory of a deep bisection level.
@@ -44,11 +52,114 @@ def _panel_sums(
     for start in range(0, lo.size, rows):
         block = slice(start, start + rows)
         x = lo[block, None] + half[block, None] * (_NODES + 1.0)
-        fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        fx = np.asarray(f(x.ravel(), np.repeat(comp[block], _NODES.size)), dtype=float)
+        fx = fx.reshape(x.shape)
         # row sums round exactly as a sum over one panel does, so every
         # settle/split decision matches a panel-by-panel walk bit for bit
-        sums[block] = np.sum(_WEIGHTS * fx, axis=1)
+        sums[block] = (_WEIGHTS * fx).sum(axis=1)
     return half * sums
+
+
+def _add_by_component(acc: list[float], values: np.ndarray, comp: np.ndarray) -> None:
+    """acc[k] += the sum of the values of component k, in their order.
+
+    Each share is summed on its own, so it rounds as in a walk of that
+    component alone: ndarray.sum adds pairwise, while np.add.reduceat and
+    np.bincount add sequentially.
+    """
+    if not values.size:
+        return
+    counts = np.bincount(comp)
+    if counts[-1] == values.size:  # one component, the common case
+        acc[counts.size - 1] += float(values.sum())
+        return
+    values = values[np.argsort(comp, kind="stable")]
+    start = 0
+    for k, end in enumerate(np.cumsum(counts).tolist()):
+        if end > start:
+            acc[k] += float(values[start:end].sum())
+            start = end
+
+
+def integrate_many(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    tols: Sequence[float],
+    *,
+    breakpoints: Iterable[float] = (),
+) -> list[tuple[float, float]]:
+    """Integrate the components k of ``f(x, comp)`` over [a, b], component
+    k to absolute tolerance ``tols[k]``, in one walk (see the module notes).
+
+    ``breakpoints`` are interior points where some integrand is known to
+    be non-smooth (jumps, kinks); panels never straddle them. Returns one
+    ``(value, err_est)`` per component. Raises
+    :class:`QuadratureDivergence` when a panel sum is not finite (such a
+    panel never settles; declare interior singularities as breakpoints,
+    since nodes never touch a panel's ends), or when the accumulated
+    error of a component's panels that hit ``MAX_DEPTH`` still exceeds
+    its tolerance.
+    """
+    tols = [positive("tol", tol) for tol in tols]
+    if b < a:
+        raise ValueError("integration bounds must satisfy a <= b")
+    if a == b:
+        return [(0.0, 0.0)] * len(tols)
+
+    def finite_sums(lo, hi, comp):
+        sums = _panel_sums(f, lo, hi, comp)
+        if not np.isfinite(sums).all():
+            raise QuadratureDivergence(f"quadrature on [{a}, {b}] met a non-finite panel sum")
+        return sums
+
+    cuts = sorted({float(x) for x in breakpoints if a < x < b})
+    edges = np.array([a, *cuts, b], dtype=float)
+    pieces = edges.size - 1
+    lo, hi = np.concatenate([edges[:-1]] * len(tols)), np.concatenate([edges[1:]] * len(tols))
+    comp = np.repeat(np.arange(len(tols)), pieces)
+    panel_tol = np.repeat(np.array(tols) / pieces, pieces)
+    coarse = finite_sums(lo, hi, comp)
+
+    total = [0.0] * len(tols)
+    settled_err = [0.0] * len(tols)
+    stuck_err = [0.0] * len(tols)
+    depth = 0
+    while lo.size:
+        mid = 0.5 * (lo + hi)
+        halves = finite_sums(
+            np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((comp, comp))
+        )
+        left, right = halves[: lo.size], halves[lo.size :]
+        fine = left + right
+        err = np.abs(fine - coarse)
+        settled = (
+            (err <= np.maximum(panel_tol, _ROUNDING * (np.abs(left) + np.abs(right))))
+            | (mid <= lo)
+            | (mid >= hi)
+        )
+        done = settled | (depth >= MAX_DEPTH)
+        _add_by_component(total, fine[done], comp[done])
+        _add_by_component(settled_err, err[settled], comp[settled])
+        if depth >= MAX_DEPTH:  # the panels still open are stuck
+            _add_by_component(stuck_err, err[~settled], comp[~settled])
+        # children keep each component's panels in the order of its own walk:
+        # all left halves, then all right halves
+        split = ~done
+        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
+        coarse = np.concatenate((left[split], right[split]))
+        comp = np.concatenate((comp[split], comp[split]))
+        half_tol = 0.5 * panel_tol[split]
+        panel_tol = np.concatenate((half_tol, half_tol))
+        depth += 1
+
+    for tol, err in zip(tols, stuck_err):
+        if err > tol:
+            raise QuadratureDivergence(
+                f"quadrature on [{a}, {b}] left error {err:.3e} > tol {tol:.3e} "
+                f"after {MAX_DEPTH} bisection levels"
+            )
+    return [(value, s + e) for value, s, e in zip(total, settled_err, stuck_err)]
 
 
 def integrate(
@@ -59,62 +170,10 @@ def integrate(
     *,
     breakpoints: Iterable[float] = (),
 ) -> tuple[float, float]:
-    """Integrate a vectorized integrand over [a, b] to absolute tolerance.
+    """Integrate one vectorized integrand ``f(x)`` over [a, b] to absolute
+    tolerance: :func:`integrate_many` with the single component f.
 
-    ``f`` must map a 1-D array of any length elementwise to its values:
-    all panels open at one bisection level are evaluated together, at
-    most _BLOCK_NODES nodes per call.
-    ``breakpoints`` are interior points where the integrand is known to be
-    non-smooth (jumps, kinks); panels never straddle them. Returns
-    ``(value, err_est)``. Raises :class:`QuadratureDivergence` when a
-    panel sum is not finite (such a panel never settles; declare interior
-    singularities as breakpoints, since nodes never touch a panel's
-    ends), or when the accumulated error of panels that hit ``MAX_DEPTH``
-    still exceeds ``tol``.
+    Returns ``(value, err_est)``.
     """
-    positive("tol", tol)
-    if b < a:
-        raise ValueError("integration bounds must satisfy a <= b")
-    if a == b:
-        return 0.0, 0.0
-
-    def finite_sums(lo, hi):
-        sums = _panel_sums(f, lo, hi)
-        if not np.isfinite(sums).all():
-            raise QuadratureDivergence(f"quadrature on [{a}, {b}] met a non-finite panel sum")
-        return sums
-
-    cuts = sorted({float(x) for x in breakpoints if a < x < b})
-    edges = np.array([a, *cuts, b], dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    coarse = finite_sums(lo, hi)
-    panel_tol = np.full(lo.size, tol / lo.size)
-
-    total = 0.0
-    settled_err = 0.0
-    stuck_err = 0.0
-    depth = 0
-    while lo.size:
-        mid = 0.5 * (lo + hi)
-        halves = finite_sums(np.concatenate((lo, mid)), np.concatenate((mid, hi)))
-        left, right = halves[: lo.size], halves[lo.size :]
-        fine = left + right
-        err = np.abs(fine - coarse)
-        settled = (err <= panel_tol) | (mid <= lo) | (mid >= hi)
-        done = settled | (depth >= MAX_DEPTH)
-        total += float(np.sum(fine[done]))
-        settled_err += float(np.sum(err[settled]))
-        stuck_err += float(np.sum(err[done & ~settled]))
-        split = ~done
-        lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
-        coarse = np.concatenate((left[split], right[split]))
-        half_tol = 0.5 * panel_tol[split]
-        panel_tol = np.concatenate((half_tol, half_tol))
-        depth += 1
-
-    if stuck_err > tol:
-        raise QuadratureDivergence(
-            f"quadrature on [{a}, {b}] left error {stuck_err:.3e} > tol {tol:.3e} "
-            f"after {MAX_DEPTH} bisection levels"
-        )
-    return total, settled_err + stuck_err
+    [result] = integrate_many(lambda x, comp: f(x), a, b, [tol], breakpoints=breakpoints)
+    return result

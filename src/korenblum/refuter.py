@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analytic import Polynomial, weighted_norm
+from .analytic import Polynomial, weighted_norms
 from .certifier import check_domination
 from .errors import DomainError, KorenblumError, NoWitnessFound, positive
 from .quadrature import DEFAULT_TOL, integrate
@@ -100,12 +100,10 @@ def find_counterexample(
     elif n < 1:
         raise DomainError(f"forced n must be a positive integer, got {n}")
 
-    norm_g = weighted_norm(Polynomial.monomial(n), w, p, tol=quad_tol)
+    family = [family_pair(c, n, c * 2.0**-j)[0] for j in range(1, EPSILON_SCAN_STEPS + 1)]
+    norm_g, *norms_f = weighted_norms([Polynomial.monomial(n), *family], w, p, tol=quad_tol)
     best_j, best_gap, best_norm_f = None, -np.inf, 0.0
-    for j in range(1, EPSILON_SCAN_STEPS + 1):
-        epsilon = c * 2.0**-j
-        f, _ = family_pair(c, n, epsilon)
-        norm_f = weighted_norm(f, w, p, tol=quad_tol)
+    for j, norm_f in enumerate(norms_f, start=1):
         gap = norm_f - norm_g
         if gap > best_gap:
             best_j, best_gap, best_norm_f = j, gap, norm_f
@@ -139,8 +137,7 @@ def revalidate_witness(
 ) -> CounterexampleWitness:
     """Recompute a witness's norms and domination at a fresh tolerance."""
     f, g = family_pair(witness.c, witness.n, witness.epsilon)
-    norm_f = weighted_norm(f, w, witness.p, tol=quad_tol)
-    norm_g = weighted_norm(g, w, witness.p, tol=quad_tol)
+    norm_f, norm_g = weighted_norms([f, g], w, witness.p, tol=quad_tol)
     gap = norm_f - norm_g
     if gap <= 2.0 * quad_tol:
         raise NoWitnessFound(
@@ -206,8 +203,7 @@ def monomial_upper_bound(
 
     unit = Polynomial((1.0,))
     g = Polynomial((0.0, 1.0 / witness_c))
-    norm_unit = weighted_norm(unit, w, p, tol=quad_tol)
-    norm_g = weighted_norm(g, w, p, tol=quad_tol)
+    norm_unit, norm_g = weighted_norms([unit, g], w, p, tol=quad_tol)
     report = check_domination(unit, g, witness_c * (1.0 + 1e-12))
     if not report.conclusive or not norm_g < norm_unit:
         raise KorenblumError(

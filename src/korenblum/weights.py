@@ -13,10 +13,11 @@ quadrature with the piece starts as breakpoints. For the standard kind
 w(r) = (alpha+1)(1-r^2)^alpha, m(s) = (alpha+1) B(s/2 + 1, alpha + 1),
 with the partial masses of s = 0 from the primitive -(1-r^2)^{alpha+1};
 its other partial power masses have no closed form here and are refused.
-Every integral against a general integrand uses adaptive quadrature and
-returns (value, err_est); for the standard kind with alpha < 0 it runs
-in the substituted variable v = (1-r^2)^{alpha+1}, which absorbs the
-integrable singularity at r = 1 into a bounded integrand.
+Integrals against general integrands phi(r, k), k = 0..K-1, use one
+adaptive quadrature walk for all K and return one (value, err_est) per
+component; for the standard kind with alpha < 0 the walk runs in the
+substituted variable v = (1-r^2)^{alpha+1}, which absorbs the integrable
+singularity at r = 1 into a bounded integrand.
 """
 from __future__ import annotations
 
@@ -24,12 +25,12 @@ import enum
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, positive
-from .quadrature import integrate
+from .quadrature import integrate_many
 
 
 class OriginLiminf(enum.Enum):
@@ -59,11 +60,14 @@ class RadialWeight:
         raise NotImplementedError
 
     def integrate_against(
-        self, phi: Callable, a: float, b: float, tol: float
-    ) -> tuple[float, float]:
-        """int_a^b 2 r w(r) phi(r) dr with absolute error <= tol.
+        self, phi: Callable, a: float, b: float, tols: Sequence[float]
+    ) -> list[tuple[float, float]]:
+        """int_a^b 2 r w(r) phi(r, k) dr for k = 0..K-1, component k with
+        absolute error <= tols[k], in one quadrature walk.
 
-        ``phi`` must accept numpy arrays. Returns (value, err_est).
+        ``phi(r, comp)`` maps arrays of radii and of their components
+        elementwise (see :func:`korenblum.quadrature.integrate_many`).
+        Returns one (value, err_est) per tolerance.
         """
         raise NotImplementedError
 
@@ -94,13 +98,15 @@ class _PiecewiseLinear(RadialWeight):
             return OriginLiminf.POSITIVE_LIMINF
         return OriginLiminf.ZERO_NEAR_ORIGIN
 
-    def integrate_against(self, phi, a, b, tol):
+    def integrate_against(self, phi, a, b, tols):
         lo = max(a, self._pieces()[0][0])
         if b <= lo:
-            return 0.0, 0.0
-        return integrate(
-            lambda r: 2.0 * r * self.eval(r) * phi(r), lo, b, tol, breakpoints=self.breakpoints()
-        )
+            return [(0.0, 0.0)] * len(tols)
+
+        def kernel(r, comp):
+            return 2.0 * r * self.eval(r) * phi(r, comp)
+
+        return integrate_many(kernel, lo, b, tols, breakpoints=self.breakpoints())
 
     def power_mass(self, s, a, b):
         total = 0.0
@@ -147,13 +153,13 @@ class StandardWeight(RadialWeight):
     def liminf_at_origin(self) -> OriginLiminf:
         return OriginLiminf.POSITIVE_LIMINF
 
-    def integrate_against(self, phi, a, b, tol):
+    def integrate_against(self, phi, a, b, tols):
         al = self.alpha
         if al >= 0.0:
-            def direct(r):
-                return 2.0 * (al + 1.0) * r * (1.0 - r * r) ** al * phi(r)
+            def direct(r, comp):
+                return 2.0 * (al + 1.0) * r * (1.0 - r * r) ** al * phi(r, comp)
 
-            return integrate(direct, a, b, tol)
+            return integrate_many(direct, a, b, tols)
 
         # v = (1-r^2)^{alpha+1} turns the kernel into plain dv and keeps the
         # transformed integrand bounded up to r = 1.
@@ -161,11 +167,11 @@ class StandardWeight(RadialWeight):
         va = (1.0 - a * a) ** (al + 1.0)
         vb = (1.0 - b * b) ** (al + 1.0)
 
-        def transformed(v):
+        def transformed(v, comp):
             u = np.clip(1.0 - v**q, 0.0, 1.0)
-            return phi(np.sqrt(u))
+            return phi(np.sqrt(u), comp)
 
-        return integrate(transformed, vb, va, tol)
+        return integrate_many(transformed, vb, va, tols)
 
     def power_mass(self, s, a, b):
         ap1 = self.alpha + 1.0

@@ -78,7 +78,9 @@ def _gl_panel(f, lo, hi):
 def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
     """The adaptive 15-node Gauss-Legendre panel tree walked depth first,
     one integrand call per panel, with the same settle / stuck / split
-    rules as ``korenblum.quadrature.integrate``. Returns
+    rules as ``korenblum.quadrature.integrate``: a panel settles when its
+    error is within its share of tol or within the rounding
+    8 eps (|left| + |right|) of its halves. Returns
     ``(value, err_est, deepest)``, deepest the largest bisection level
     at which a panel was refined."""
     if a == b:
@@ -103,7 +105,8 @@ def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
         right = _gl_panel(f, mid, hi)
         fine = left + right
         err = abs(fine - coarse)
-        if err <= panel_tol or mid <= lo or mid >= hi:
+        rounding = 8.0 * np.finfo(float).eps * (abs(left) + abs(right))
+        if err <= panel_tol or err <= rounding or mid <= lo or mid >= hi:
             total += fine
             settled_err += err
         elif depth >= max_depth:

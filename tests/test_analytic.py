@@ -11,6 +11,7 @@ from korenblum import (
     Polynomial,
     StandardWeight,
     StepWeight,
+    TableWeight,
     certification_scan,
     choose_n,
     family_pair,
@@ -22,10 +23,12 @@ from korenblum import (
     polynomial_from_spec,
     verify_instance,
     weighted_norm,
+    weighted_norms,
 )
 import korenblum.analytic as analytic
 from korenblum.analytic import _mean_pow_batch
-from korenblum.quadrature import integrate
+from korenblum.quadrature import integrate, integrate_many
+from korenblum.refuter import EPSILON_SCAN_STEPS
 
 from oracles import binomial_mean, const_moment, parseval_norm, std_moment, step_moment
 
@@ -135,6 +138,21 @@ class TestAngularDoubling:
             alone, _ = _mean_pow_batch(f, radii[i : i + 1], 0.5, 2.5e-10)
             assert alone[0] == pytest.approx(vals[i], rel=1e-14)
 
+    def test_overflowed_row_leaves_the_doubling(self, monkeypatch):
+        # M_p^p overflows at r = 0.6 and 0.8; their step inf - inf is NaN,
+        # which used to keep both rows doubling up to the angular cap
+        calls = []
+        inner = analytic._abs_pow_means
+
+        def counting(f, radii, p, n, offset=0.0):
+            calls.append(n)
+            return inner(f, radii, p, n, offset)
+
+        monkeypatch.setattr(analytic, "_abs_pow_means", counting)
+        with pytest.raises(DomainError, match="circle mean M_p"):
+            mean_profile(Polynomial((1, 2, 1)), 1000.0, [0.2, 0.4, 0.6, 0.8])
+        assert calls == [256, 256]
+
     @pytest.mark.parametrize("p", [0.45, 0.5, 0.7])
     def test_family_mean_against_hypergeometric(self, p):
         eps = 0.45
@@ -169,7 +187,7 @@ class TestBinomialMeans:
         # (series for x^2 <= 1/2, integral above) and the x = 1 edge
         h = Polynomial((1.0, 1.0))
         radii = np.array(BINOMIAL_XS)
-        vals, diff = analytic._binomial_means(h, radii, p)
+        vals, diff = _mean_pow_batch(h, radii, p, 1e-9)
         for x, v in zip(BINOMIAL_XS, vals):
             assert v == pytest.approx(binomial_mean(p, 1.0, 1.0, x), rel=1e-13, abs=0.0)
         assert np.array_equal(diff, 1e-13 * vals ** (1.0 / p))
@@ -179,7 +197,7 @@ class TestBinomialMeans:
         # a0 dominant and a1 dominant, with phases; x <= 0.9 throughout
         radii = np.array([0.1, 0.45, 0.9])
         for h in (Polynomial((2.0j, -1.8)), Polynomial((0.3 - 0.4j, 1.0))):
-            vals, _ = analytic._binomial_means(h, radii, p)
+            vals, _ = _mean_pow_batch(h, radii, p, 1e-9)
             trapezoid = analytic._abs_pow_means(h, radii, p, 1024)
             np.testing.assert_allclose(vals, trapezoid, rtol=1e-13, atol=0.0)
 
@@ -222,6 +240,21 @@ class TestAngularBlocks:
         for r, v in zip(radii, vals):
             alone = analytic._abs_pow_means(f, np.array([r]), 0.5, n)[0]
             assert v == pytest.approx(alone, rel=1e-14)
+
+
+    def test_large_binomial_batch_memory_is_bounded(self):
+        # a batch of many polynomials' radii: both branches of S_p are taken
+        # in row blocks, and a row's value does not depend on its block
+        x = np.linspace(0.0, 1.0, 20001)
+        tracemalloc.start()
+        try:
+            vals = analytic._unit_binomial_means(x, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        for i in (0, 7000, 7072, 15000, 20000):
+            assert vals[i] == analytic._unit_binomial_means(x[i : i + 1], 0.5)[0]
 
 
 class TestWeightedNorm:
@@ -313,6 +346,53 @@ class TestWeightedNorm:
                 assert full**p == pytest.approx(restricted, rel=1e-12)
 
 
+class TestWeightedNorms:
+    """weighted_norms walks all its polynomials at once; each norm must
+    come out bit for bit as weighted_norm gives it alone."""
+
+    # one refute cell per weight kind, and the substituted variable of a
+    # standard weight with alpha < 0
+    REFUTE_CELLS = {
+        "constant": (0.45, 0.50, ConstantWeight(1.0)),
+        "standard": (0.57, 0.80, StandardWeight(1.0)),
+        "standard_alpha_below_0": (0.5, 0.9, StandardWeight(-0.5)),
+        "step": (0.53, 0.65, StepWeight(0.3)),
+        "table": (0.55, 0.75, TableWeight(knots=(0.0, 0.35, 0.6), values=(0.0, 1.2, 0.6))),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(REFUTE_CELLS))
+    def test_refute_scan_equals_one_norm_at_a_time(self, cell):
+        p, c, w = self.REFUTE_CELLS[cell]
+        n = choose_n(p)
+        family = [family_pair(c, n, c * 2.0**-j)[0] for j in range(1, EPSILON_SCAN_STEPS + 1)]
+        fs = [Polynomial.monomial(n), *family]
+        assert weighted_norms(fs, w, p) == [weighted_norm(f, w, p) for f in fs]
+
+    @pytest.mark.parametrize("p", [0.5, 1.5, 3.0])
+    def test_mixed_degrees_equal_one_norm_at_a_time(self, p, rng, fixture_weights):
+        # degree >= 2 components take their own angular doubling; binomials,
+        # lacunary ones among them, share one closed form; zero is 0
+        g = random_poly(rng, max_degree=5)
+        fs = [
+            Polynomial((0.5, 0.5)) * g,
+            Polynomial(()),
+            g,
+            Polynomial((2.0,)),
+            Polynomial((1.0, 0.0, 0.0, -0.7j)),
+            Polynomial((1.0, 0.0, 0.4, 0.0, 0.2)),
+            Polynomial((0.3, 1.0)),
+        ]
+        for w in fixture_weights:
+            assert weighted_norms(fs, w, p, tol=1e-10) == [
+                weighted_norm(f, w, p, tol=1e-10) for f in fs
+            ]
+
+    def test_only_zero_polynomials(self):
+        w = ConstantWeight(1.0)
+        assert weighted_norms([Polynomial(()), Polynomial((0.0,))], w, 1.0) == [0.0, 0.0]
+        assert weighted_norms([], w, 1.0) == []
+
+
 class TestMeanProfile:
     def test_square_profile(self):
         prof = mean_profile(Polynomial((0, 0, 1)), 1.0, (0.1, 0.5, 0.9))
@@ -353,6 +433,8 @@ _F, _W = Polynomial((1.0, 2.0)), ConstantWeight(1.0)
 NUMBER_ARGUMENTS = {
     "weighted_norm.p": lambda x: weighted_norm(_F, _W, x),
     "weighted_norm.tol": lambda x: weighted_norm(_F, _W, 2.0, tol=x),
+    "weighted_norms.p": lambda x: weighted_norms([_F, _F], _W, x),
+    "weighted_norms.tol": lambda x: weighted_norms([_F, _F], _W, 2.0, tol=x),
     "integral_mean.p": lambda x: integral_mean(_F, 0.5, x),
     "integral_mean.tol": lambda x: integral_mean(_F, 0.5, 2.0, tol=x),
     "mean_profile.p": lambda x: mean_profile(_F, x, (0.5,)),
@@ -365,6 +447,7 @@ NUMBER_ARGUMENTS = {
     "certification_scan.quad_tol": lambda x: certification_scan(_W, quad_tol=x),
     "moment.s": lambda x: moment(_W, x),
     "integrate.tol": lambda x: integrate(np.sin, 0.0, 1.0, x),
+    "integrate_many.tol": lambda x: integrate_many(lambda r, comp: r, 0.0, 1.0, [1e-9, x]),
 }
 
 

@@ -1,9 +1,12 @@
-"""The adaptive Gauss-Legendre engine: accuracy, and the level-by-level
-walk of the panel tree against the depth-first reference walk."""
+"""The adaptive Gauss-Legendre engine: accuracy, the level-by-level walk
+of the panel tree against the depth-first reference walk, and the walk of
+many integrals at once against one walk per integral."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from korenblum.quadrature import _BLOCK_NODES, integrate
+from korenblum.quadrature import _BLOCK_NODES, integrate, integrate_many
 
 from oracles import depth_first_integrate
 
@@ -96,3 +99,108 @@ class TestQuadratureEngine:
 
         with pytest.raises(QuadratureDivergence):
             integrate(lambda x: 1.0 / x, 0.0, 1.0, 1e-9)
+
+
+def _kinked(amp, kink, power, freq):
+    """Component k: amp_k |x - kink_k|^power_k + sin(freq_k x), elementwise
+    in the nodes and their components."""
+    amp, kink, power, freq = map(np.asarray, (amp, kink, power, freq))
+
+    def f(x, comp):
+        return amp[comp] * np.abs(x - kink[comp]) ** power[comp] + np.sin(freq[comp] * x)
+
+    return f
+
+
+_component = st.tuples(
+    st.floats(0.1, 10.0),  # amplitude
+    st.floats(0.0, 1.0),  # kink, as a share of [a, b]
+    st.sampled_from([0.5, 1.0, 1.5, 3.0]),  # power at the kink
+    st.floats(0.0, 300.0),  # frequency: many panels settle at one level
+    st.integers(4, 14),  # tolerance 10^-k
+)
+
+
+class TestManyIntegrals:
+    """integrate_many walks K panel trees at once; each component must come
+    out bit for bit as it does from its own walk."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        components=st.lists(_component, min_size=1, max_size=8),
+        a=st.floats(-1.0, 1.0),
+        width=st.floats(0.1, 3.0),
+        cut_shares=st.lists(st.floats(0.01, 0.99), max_size=2),
+    )
+    def test_each_component_equals_its_own_walk(self, components, a, width, cut_shares):
+        b = a + width
+        amp, share, power, freq, digits = zip(*components)
+        kink = [a + s * width for s in share]
+        tols = [10.0**-k for k in digits]
+        cuts = [a + s * width for s in cut_shares]
+        f = _kinked(amp, kink, power, freq)
+
+        batch = integrate_many(f, a, b, tols, breakpoints=cuts)
+        for k, tol in enumerate(tols):
+            alone = integrate(lambda x: f(x, np.full(x.size, k)), a, b, tol, breakpoints=cuts)
+            assert batch[k] == alone
+
+    def test_one_integrand_call_per_level(self):
+        calls = []
+        f = _kinked([1.0, 2.0, 0.5], [0.3, 0.6, 0.9], [0.5, 1.5, 3.0], [1.0, 5.0, 9.0])
+
+        def recording(x, comp):
+            calls.append(np.unique(comp).tolist())
+            return f(x, comp)
+
+        integrate_many(recording, 0.0, 1.0, [1e-10, 1e-6, 1e-12])
+        # the first call has every component's coarse panels, each later one
+        # the halves of every open panel of every component
+        assert calls[0] == [0, 1, 2]
+        depths = [
+            depth_first_integrate(lambda x, k=k: f(x, np.full(x.size, k)), 0.0, 1.0, tol)[2]
+            for k, tol in enumerate([1e-10, 1e-6, 1e-12])
+        ]
+        assert len(calls) == max(depths) + 2
+
+    def test_nan_component_raises_naming_the_interval(self):
+        from korenblum import QuadratureDivergence
+
+        def f(x, comp):
+            return np.where(comp == 1, np.nan, np.sin(x))
+
+        with pytest.raises(QuadratureDivergence, match=r"\[0\.0, 2\.0\] met a non-finite"):
+            integrate_many(f, 0.0, 2.0, [1e-9, 1e-9, 1e-9])
+
+    def test_stuck_component_raises_with_its_own_tolerance(self):
+        from korenblum import QuadratureDivergence
+
+        # 1/x is finite at every node but its panel at 0 never settles
+        def f(x, comp):
+            return np.where(comp == 1, 1.0 / x, x)
+
+        with pytest.raises(QuadratureDivergence, match=r"> tol 3\.700e-09 after 40 bisection"):
+            integrate_many(f, 0.0, 1.0, [1e-9, 3.7e-9])
+
+    def test_zero_width_interval(self):
+        assert integrate_many(lambda x, comp: x, 0.5, 0.5, [1e-9, 1e-3]) == [(0.0, 0.0)] * 2
+
+
+class TestRoundingFloor:
+    """A tolerance below the rounding of the integral settles each panel
+    once its halves agree to 8 eps of their size, instead of splitting
+    every panel to MAX_DEPTH."""
+
+    def test_tolerance_below_rounding_settles(self):
+        g, calls = _recording(np.sin)
+        value, err = integrate(g, 0.0, np.pi, 1e-300)
+        assert value == pytest.approx(2.0, rel=1e-15)
+        assert err <= 1e-14
+        assert sum(x.size for x in calls) < 1000
+
+    def test_norm_at_tolerance_below_rounding(self):
+        from korenblum import ConstantWeight, Polynomial, weighted_norm
+
+        f, w = Polynomial((1.0, 2.0, 0.5)), ConstantWeight(1.0)
+        fine = weighted_norm(f, w, 1.5, tol=1e-16)
+        assert fine == pytest.approx(weighted_norm(f, w, 1.5, tol=1e-12), rel=1e-12)
