@@ -374,7 +374,7 @@ def _mean_pows(fs: list[Polynomial], p: float, tol: float):
     its own _mean_pow_batch at relative angular tolerance tol.
     """
     reduced = [_lacunary(f) for f in fs]
-    binomial = np.array([h.degree <= 1 for h, _ in reduced])
+    binomial = np.array([h.degree <= 1 for h, _ in reduced], dtype=bool)
     moduli = np.array([_binomial_moduli(h) if h.degree <= 1 else (0.0, 0.0) for h, _ in reduced])
     powers = np.array([d for _, d in reduced])
     lacunary = sorted({d for (h, d) in reduced if h.degree <= 1 and d > 1})
@@ -406,42 +406,31 @@ def weighted_norms(
 
     The radial quadrature runs twice, each time as one walk for all the
     polynomials (see :func:`korenblum.quadrature.integrate_many`): a
-    coarse walk to learn the scale of each integral, then a walk, of the
-    polynomials it has not already settled, whose absolute tolerances
-    target the final relative accuracy of each norm. Every component
-    keeps its own tolerances and panel tree, so each norm is bit for bit
-    the one the polynomial gets alone, ``weighted_norms([f], ...)``.
+    coarse walk to learn the scale of each integral, then a walk whose
+    absolute tolerances target the final relative accuracy of each norm,
+    or stay at the coarse ones where those are finer already (that walk
+    repeats the coarse one). Each component keeps its own tolerances and
+    panel tree, and its panels are added one by one in frontier order,
+    so each norm is bit for bit the one the polynomial gets alone,
+    ``weighted_norms([f], ...)``.
     """
     positive("p", p)
     positive("tol", tol)
     fs = list(fs)
-    norms = [0.0] * len(fs)
-    at = [k for k, f in enumerate(fs) if not f.is_zero]
-    if not at:
-        return norms
-    live = [fs[k] for k in at]
-
     try:
         m0 = moment(w, 0.0)
         coarse_tols = [
-            max(1e-3 * (float(np.sum(np.abs(f.coeffs))) ** p * m0), 1e-300) for f in live
+            max(1e-3 * (float(np.sum(np.abs(f.coeffs))) ** p * m0), 1e-300) for f in fs
         ]
     except OverflowError:
         raise _p_overflow(p, "(sum |a_k|)^p") from None
-    phi = _mean_pows(live, p, 0.25 * tol)
-    values = [v for v, _ in w.integrate_against(phi, 0.0, 1.0, coarse_tols)]
-    fine_tols = [max(0.25 * tol * p * max(v, 1e-300), 1e-300) for v in values]
-    refine = [k for k, (ft, ct) in enumerate(zip(fine_tols, coarse_tols)) if ft < ct]
-    if refine:
-        index = np.array(refine)
-        fine = w.integrate_against(
-            lambda r, comp: phi(r, index[comp]), 0.0, 1.0, [fine_tols[k] for k in refine]
-        )
-        for k, (v, _) in zip(refine, fine):
-            values[k] = v
-    for k, v in zip(at, values):
-        norms[k] = max(v, 0.0) ** (1.0 / p)
-    return norms
+    phi = _mean_pows(fs, p, 0.25 * tol)
+    coarse = w.integrate_against(phi, 0.0, 1.0, coarse_tols)
+    fine_tols = [
+        min(max(0.25 * tol * p * max(v, 1e-300), 1e-300), ct)
+        for (v, _), ct in zip(coarse, coarse_tols)
+    ]
+    return [max(v, 0.0) ** (1.0 / p) for v, _ in w.integrate_against(phi, 0.0, 1.0, fine_tols)]
 
 
 def weighted_norm(

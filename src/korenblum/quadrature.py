@@ -14,8 +14,9 @@ are evaluated together, in calls ``f(x, comp)`` on at most 65536 nodes
 each, ``comp[i]`` being the component of node ``x[i]``. Integrands must
 therefore be elementwise functions of the two 1-D arrays. Each component
 keeps its own tolerance, panel tree, settle/split decisions, non-finite
-check and stuck-error test, and its value and error estimate are summed
-over its own panels in the order a walk of it alone takes, so each
+check and stuck-error test. Its value and error estimate are added up
+by one ``np.bincount`` per level, which adds each component's panels one
+by one in frontier order, the order a walk of it alone takes; so each
 component's result is bit for bit what a separate walk would give.
 :func:`integrate` is that walk for a single integrand ``f(x)``.
 """
@@ -60,27 +61,6 @@ def _panel_sums(f: Callable, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray) -
     return half * sums
 
 
-def _add_by_component(acc: list[float], values: np.ndarray, comp: np.ndarray) -> None:
-    """acc[k] += the sum of the values of component k, in their order.
-
-    Each share is summed on its own, so it rounds as in a walk of that
-    component alone: ndarray.sum adds pairwise, while np.add.reduceat and
-    np.bincount add sequentially.
-    """
-    if not values.size:
-        return
-    counts = np.bincount(comp)
-    if counts[-1] == values.size:  # one component, the common case
-        acc[counts.size - 1] += float(values.sum())
-        return
-    values = values[np.argsort(comp, kind="stable")]
-    start = 0
-    for k, end in enumerate(np.cumsum(counts).tolist()):
-        if end > start:
-            acc[k] += float(values[start:end].sum())
-            start = end
-
-
 def integrate_many(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     a: float,
@@ -116,14 +96,13 @@ def integrate_many(
     cuts = sorted({float(x) for x in breakpoints if a < x < b})
     edges = np.array([a, *cuts, b], dtype=float)
     pieces = edges.size - 1
-    lo, hi = np.concatenate([edges[:-1]] * len(tols)), np.concatenate([edges[1:]] * len(tols))
-    comp = np.repeat(np.arange(len(tols)), pieces)
+    K = len(tols)
+    lo, hi = np.tile(edges[:-1], K), np.tile(edges[1:], K)
+    comp = np.repeat(np.arange(K), pieces)
     panel_tol = np.repeat(np.array(tols) / pieces, pieces)
     coarse = finite_sums(lo, hi, comp)
 
-    total = [0.0] * len(tols)
-    settled_err = [0.0] * len(tols)
-    stuck_err = [0.0] * len(tols)
+    total, settled_err, stuck_err = np.zeros(K), np.zeros(K), np.zeros(K)
     depth = 0
     while lo.size:
         mid = 0.5 * (lo + hi)
@@ -139,10 +118,10 @@ def integrate_many(
             | (mid >= hi)
         )
         done = settled | (depth >= MAX_DEPTH)
-        _add_by_component(total, fine[done], comp[done])
-        _add_by_component(settled_err, err[settled], comp[settled])
+        total += np.bincount(comp[done], fine[done], K)
+        settled_err += np.bincount(comp[settled], err[settled], K)
         if depth >= MAX_DEPTH:  # the panels still open are stuck
-            _add_by_component(stuck_err, err[~settled], comp[~settled])
+            stuck_err += np.bincount(comp[~settled], err[~settled], K)
         # children keep each component's panels in the order of its own walk:
         # all left halves, then all right halves
         split = ~done
@@ -153,13 +132,13 @@ def integrate_many(
         panel_tol = np.concatenate((half_tol, half_tol))
         depth += 1
 
-    for tol, err in zip(tols, stuck_err):
+    for tol, err in zip(tols, stuck_err.tolist()):
         if err > tol:
             raise QuadratureDivergence(
                 f"quadrature on [{a}, {b}] left error {err:.3e} > tol {tol:.3e} "
                 f"after {MAX_DEPTH} bisection levels"
             )
-    return [(value, s + e) for value, s, e in zip(total, settled_err, stuck_err)]
+    return list(zip(total.tolist(), (settled_err + stuck_err).tolist()))
 
 
 def integrate(

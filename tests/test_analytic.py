@@ -387,6 +387,15 @@ class TestWeightedNorms:
                 weighted_norm(f, w, p, tol=1e-10) for f in fs
             ]
 
+    def test_fine_tolerance_not_below_coarse(self):
+        # at tol = 0.5 the fine tolerance of 1, 0.25 tol p ||1||^p = 0.25,
+        # is above its coarse one, 1e-3 m(0); its second walk repeats the first
+        fs = [Polynomial((1.0,)), Polynomial.monomial(3)]
+        for w in (ConstantWeight(1.0), StandardWeight(-0.5), StepWeight(0.5)):
+            assert weighted_norms(fs, w, 2.0, tol=0.5) == [
+                weighted_norm(f, w, 2.0, tol=0.5) for f in fs
+            ]
+
     def test_only_zero_polynomials(self):
         w = ConstantWeight(1.0)
         assert weighted_norms([Polynomial(()), Polynomial((0.0,))], w, 1.0) == [0.0, 0.0]

@@ -185,6 +185,9 @@ class TestManyIntegrals:
     def test_zero_width_interval(self):
         assert integrate_many(lambda x, comp: x, 0.5, 0.5, [1e-9, 1e-3]) == [(0.0, 0.0)] * 2
 
+    def test_no_components(self):
+        assert integrate_many(lambda x, comp: x, 0.0, 1.0, []) == []
+
 
 class TestRoundingFloor:
     """A tolerance below the rounding of the integral settles each panel

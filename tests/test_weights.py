@@ -173,6 +173,16 @@ class TestStandardClosedForms:
         assert abs(c_star - math.pi / 4.0) <= math.ulp(math.pi / 4.0)
 
 
+@pytest.mark.parametrize(
+    "w",
+    [ConstantWeight(1.0), StandardWeight(1.0), StandardWeight(-0.5), StepWeight(0.5),
+     TableWeight(knots=(0.0, 0.5), values=(0.0, 1.0))],
+    ids=repr,
+)
+def test_integrate_against_no_components(w):
+    assert w.integrate_against(lambda r, comp: r, 0.0, 1.0, []) == []
+
+
 class TestInvariants:
     @given(
         s1=st.floats(min_value=0.0, max_value=20.0),
