@@ -188,6 +188,20 @@ def _p_overflow(p: float, quantity: str) -> DomainError:
     return DomainError(f"p = {p} is too large: {quantity} overflows a float")
 
 
+def _above_floor(fs: list[Polynomial], p: float, tols: list[float]) -> list[float]:
+    """The radial walk tolerances of fs, refusing a p at which a nonzero
+    polynomial's would fall below 1e-300: that walk would settle at once,
+    on an integral lost under the floor. A zero polynomial's integrand is
+    exactly 0, and its walks take 1e-300."""
+    for f, t in zip(fs, tols):
+        if t < 1e-300 and not f.is_zero:
+            raise DomainError(
+                f"p = {p} is out of range: the radial quadrature tolerance of "
+                f"||f||^p, {t:.3e}, falls below 1e-300"
+            )
+    return [max(t, 1e-300) for t in tols]
+
+
 def _finite_mean_pows(f: Polynomial, radii: np.ndarray, p: float, tol: float):
     """_mean_pow_batch, refusing a p at which some M_p^p overflows a float."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -419,18 +433,23 @@ def weighted_norms(
     fs = list(fs)
     try:
         m0 = moment(w, 0.0)
-        coarse_tols = [
-            max(1e-3 * (float(np.sum(np.abs(f.coeffs))) ** p * m0), 1e-300) for f in fs
-        ]
+        coarse_tols = _above_floor(
+            fs, p, [1e-3 * (float(np.sum(np.abs(f.coeffs))) ** p * m0) for f in fs]
+        )
     except OverflowError:
         raise _p_overflow(p, "(sum |a_k|)^p") from None
     phi = _mean_pows(fs, p, 0.25 * tol)
     coarse = w.integrate_against(phi, 0.0, 1.0, coarse_tols)
-    fine_tols = [
-        min(max(0.25 * tol * p * max(v, 1e-300), 1e-300), ct)
-        for (v, _), ct in zip(coarse, coarse_tols)
-    ]
-    return [max(v, 0.0) ** (1.0 / p) for v, _ in w.integrate_against(phi, 0.0, 1.0, fine_tols)]
+    fine_tols = _above_floor(
+        fs, p, [min(0.25 * tol * p * v, ct) for (v, _), ct in zip(coarse, coarse_tols)]
+    )
+    fine = w.integrate_against(phi, 0.0, 1.0, fine_tols)
+    try:
+        return [max(v, 0.0) ** (1.0 / p) for v, _ in fine]
+    except OverflowError:
+        raise DomainError(
+            f"p = {p}: the norm (int 2 r w M_p^p dr)^(1/p) overflows a float"
+        ) from None
 
 
 def weighted_norm(

@@ -125,6 +125,7 @@ class ConstantWeight(_PiecewiseLinear):
 
     def __post_init__(self):
         positive("constant weight level", self.level)
+        positive("constant weight total mass", self.power_mass(0.0, 0.0, 1.0))
 
     def eval(self, r):
         return np.full_like(np.asarray(r, dtype=float), self.level)
@@ -185,7 +186,13 @@ class StandardWeight(RadialWeight):
         if a == 0.0 and b == 1.0:
             # (alpha+1) B(s/2 + 1, alpha + 1)
             h = 0.5 * s + 1.0
-            return ap1 * math.exp(math.lgamma(h) + math.lgamma(ap1) - math.lgamma(h + ap1))
+            try:
+                return ap1 * math.exp(math.lgamma(h) + math.lgamma(ap1) - math.lgamma(h + ap1))
+            except OverflowError:
+                raise DomainError(
+                    f"standard weight moment (alpha+1) B(s/2 + 1, alpha + 1) overflows a "
+                    f"float in log-Gamma at s = {s}, alpha = {self.alpha}"
+                ) from None
         raise DomainError(
             f"standard weight power mass has no closed form for s = {s} on [{a}, {b}]"
         )
@@ -219,7 +226,7 @@ class TableWeight(_PiecewiseLinear):
     """Piecewise-linear between knots, constant beyond the last knot.
 
     Knots must start at 0, increase strictly and stay below 1; values are
-    finite and nonnegative with positive total mass.
+    finite and nonnegative with a finite, positive total mass.
     """
 
     knots: tuple[float, ...]
@@ -238,8 +245,7 @@ class TableWeight(_PiecewiseLinear):
             raise DomainError("table knots must be strictly increasing")
         for v in values:
             positive("table weight value", v, closed=True)
-        if self.power_mass(0.0, 0.0, 1.0) <= 0.0:
-            raise DomainError("table weight has zero total mass")
+        positive("table weight total mass", self.power_mass(0.0, 0.0, 1.0))
 
     def _pieces(self):
         ks, vs = self.knots, self.values

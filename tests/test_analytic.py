@@ -346,6 +346,22 @@ class TestWeightedNorm:
                 assert full**p == pytest.approx(restricted, rel=1e-12)
 
 
+class TestToleranceFloor:
+    """A norm whose radial walk would need a tolerance below 1e-300 is
+    refused instead of settling at once on a lost integral."""
+
+    @pytest.mark.parametrize(
+        "coeffs, p", [((0.0, 0.5), 1000.0), ((0.0, 0.5), 985.0), ((0.0, 1e-200), 2.0)]
+    )
+    def test_refused(self, coeffs, p):
+        fs = [Polynomial(()), Polynomial(coeffs)]
+        with pytest.raises(DomainError, match=f"p = {p} is out of range"):
+            weighted_norms(fs, ConstantWeight(1.0), p)
+
+    def test_zero_polynomial_keeps_norm_zero(self):
+        assert weighted_norms([Polynomial(())], ConstantWeight(1.0), 1000.0) == [0.0]
+
+
 class TestWeightedNorms:
     """weighted_norms walks all its polynomials at once; each norm must
     come out bit for bit as weighted_norm gives it alone."""

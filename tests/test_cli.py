@@ -400,18 +400,73 @@ class TestDeterminismAndErrors:
              "p = 1030.0 is too large: Gamma(1 + p)/Gamma(1 + p/2)^2"),
             (("means", "--poly", "1,2", "--p", "1000", "--grid", "4"),
              "p = 1000.0 is too large: the circle mean M_p^p"),
+            (("norm", "--poly", "1", "--p", "0.5", "--weight", '{"kind":"constant","level":1e300}'),
+             "p = 0.5: the norm (int 2 r w M_p^p dr)^(1/p) overflows a float"),
+            (("bound", "--p", "2", "--weight", '{"kind":"standard","alpha":1e308}'),
+             "B(s/2 + 1, alpha + 1) overflows a float in log-Gamma at s = 2.0"),
         ],
-        ids=["p-th-power", "binomial-series", "gamma-ratio", "circle-mean"],
+        ids=["p-th-power", "binomial-series", "gamma-ratio", "circle-mean", "norm-root",
+             "beta-moment"],
     )
     def test_large_p_overflow_exit_2(self, capsys, argv, message):
         # 3^1000, the series coefficients C(550, k)^2, at r = 0.5 where
-        # x = 1, Gamma(1031)/Gamma(516)^2, and M_p^p of 1 + 2z at r = 0.6
-        # (about 2.2^1000) overflow a float: bad input, not a traceback
+        # x = 1, Gamma(1031)/Gamma(516)^2, M_p^p of 1 + 2z at r = 0.6
+        # (about 2.2^1000), the square of ||1||^p = 1e300, and
+        # lgamma(1e308) overflow a float: bad input, not a traceback
         # and not Infinity in the report
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--poly", "0,0.5", "--p", "1000", "--weight", CONST1),
+            ("norm", "--poly", "0,0.5", "--p", "985", "--weight", CONST1),
+            ("norm", "--poly", "0,1e-200", "--p", "2", "--weight", CONST1),
+            ("verify", "--poly", "0,1e-200", "--poly", "0,2e-200", "--p", "2", "--c", "0.5",
+             "--weight", CONST1),
+        ],
+        ids=["coarse-floor", "fine-floor", "tiny-poly", "verify-tiny-pair"],
+    )
+    def test_norm_below_tolerance_floor_exit_2(self, capsys, argv):
+        # the integral ||f||^p would need a tolerance below 1e-300: the walk
+        # settled at once and printed 0.49642 (exact 0.49690) at p = 1000,
+        # an error of 5.2e-9 at p = 985, and 0.0 for 1e-200 z, both norms
+        # of the verify pair included, with principle_holds true
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"p = {float(argv[argv.index('--p') + 1])} is out of range" in err
+        assert "falls below 1e-300" in err
+
+    def test_norm_above_tolerance_floor(self, capsys):
+        # at p = 950 every tolerance stays above 1e-300 and the norm is the
+        # exact 0.5 (2/952)^(1/950) to the last digit, as before the floor
+        # refusal
+        code, out, err = run_cli(
+            capsys, "norm", "--poly", "0,0.5", "--p", "950", "--weight", CONST1
+        )
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["norm"] == 0.4967655502368913
+
+    @pytest.mark.parametrize("command", [("norm", "--poly", "1", "--p", "2"), ("bound", "--p", "2"),
+                                         ("refute", "--p", "0.5", "--c", "0.9"), ("certify",)])
+    @pytest.mark.parametrize(
+        "weight",
+        ['{"kind":"constant","level":1e308}', '{"kind":"table","r":[0,0.5],"w":[1e308,1e308]}'],
+        ids=["constant", "table"],
+    )
+    def test_weight_mass_overflow_exit_2(self, capsys, command, weight):
+        # the total mass 2 int r w dr overflows: a usage error naming the
+        # mass, not a NaN tolerance (exit 2) or a divergence (exit 3) later
+        code, out, err = run_cli(capsys, *command, "--weight", weight)
+        assert code == 2
+        assert out == ""
+        assert "argument --weight:" in err
+        assert "total mass must be a finite number > 0, got nan" in err
 
     def test_seed_only_on_verify(self, capsys):
         code, _, err = run_cli(
