@@ -433,11 +433,10 @@ def weighted_norms(
     fs = list(fs)
     try:
         m0 = moment(w, 0.0)
-        coarse_tols = _above_floor(
-            fs, p, [1e-3 * (float(np.sum(np.abs(f.coeffs))) ** p * m0) for f in fs]
-        )
+        scales = [float(np.sum(np.abs(f.coeffs))) ** p * m0 for f in fs]
     except OverflowError:
         raise _p_overflow(p, "(sum |a_k|)^p") from None
+    coarse_tols = _above_floor(fs, p, [1e-3 * scale for scale in scales])
     phi = _mean_pows(fs, p, 0.25 * tol)
     coarse = w.integrate_against(phi, 0.0, 1.0, coarse_tols)
     fine_tols = _above_floor(
