@@ -130,7 +130,11 @@ _CIRCLE_CACHE_MAX_N = 8192
 
 
 def _circle_grid(n: int, degree: int) -> np.ndarray:
-    """Rows e^{i j t_k} for j = 0..degree over n equispaced angles t_k."""
+    """Rows e^{i j t_k} for j = 0..degree over n equispaced angles t_k.
+
+    Every grid is cached: _abs_pow_means asks for no n above
+    _CIRCLE_CACHE_MAX_N.
+    """
     cached = _circle_cache.get(n)
     if cached is not None and cached.shape[0] > degree:
         return cached[: degree + 1]
@@ -139,8 +143,7 @@ def _circle_grid(n: int, degree: int) -> np.ndarray:
     circle[0] = 1.0
     for j in range(1, degree + 1):
         circle[j] = circle[j - 1] * base
-    if n <= _CIRCLE_CACHE_MAX_N:
-        _circle_cache[n] = circle
+    _circle_cache[n] = circle
     return circle
 
 
@@ -150,13 +153,22 @@ def _abs_pow_means(
     """Mean over n equispaced angles (starting at `offset`) of |f|^p, per radius.
 
     f(r e^{i t}) = sum_j a_j r^j e^{i j t} is separable, so the circle grid
-    is one small matrix product instead of a Horner pass per node. Radii
-    are taken in blocks of at most _BLOCK_NODES nodes, which bounds the
-    memory of a large batch at a fine grid.
+    is one small matrix product instead of a Horner pass per node. Above
+    _CIRCLE_CACHE_MAX_N angles the grid is the cached grid of m = n/2^k
+    angles turned by offset + 2 pi q/n for q = 0 .. n/m - 1: each radius's
+    amplitudes a_j r^j e^{i j offset} are stacked in n/m copies, copy q
+    multiplied by e^{2 pi i j q/n}, and its mean is taken over all n values.
+    Such an n must be m times a power of two, as every n of the doubling
+    in _mean_pow_batch is (256 or 8 (degree + 1), times 2^k).
+    Radii are taken in blocks of at most _BLOCK_NODES nodes, which bounds
+    the memory of a large batch at a fine grid.
     """
     degree = f.degree
     js = np.arange(degree + 1)
-    circle = _circle_grid(n, degree)
+    m = n
+    while m > _CIRCLE_CACHE_MAX_N:
+        m //= 2
+    circle = _circle_grid(m, degree)
     coeffs = np.asarray(f.coeffs)[None, :]
     out = np.empty(len(radii))
     rows = max(1, _BLOCK_NODES // n)
@@ -164,9 +176,12 @@ def _abs_pow_means(
         amps = coeffs * radii[start : start + rows, None] ** js[None, :]
         if offset:
             amps = amps * np.exp(1j * offset * js)[None, :]
+        if m < n:
+            turns = np.exp(2j * np.pi / n * np.outer(np.arange(n // m), js))
+            amps = (amps[:, None, :] * turns).reshape(-1, degree + 1)
         fz = amps @ circle
         mod2 = fz.real**2 + fz.imag**2
-        out[start : start + rows] = np.mean(mod2 ** (0.5 * p), axis=1)
+        out[start : start + rows] = np.mean((mod2 ** (0.5 * p)).reshape(-1, n), axis=1)
     return out
 
 
@@ -436,6 +451,10 @@ def weighted_norms(
         scales = [float(np.sum(np.abs(f.coeffs))) ** p * m0 for f in fs]
     except OverflowError:
         raise _p_overflow(p, "(sum |a_k|)^p") from None
+    if not all(map(math.isfinite, scales)):
+        raise DomainError(
+            f"p = {p}: the scale (sum |a_k|)^p m(0) of the radial tolerance overflows a float"
+        )
     coarse_tols = _above_floor(fs, p, [1e-3 * scale for scale in scales])
     phi = _mean_pows(fs, p, 0.25 * tol)
     coarse = w.integrate_against(phi, 0.0, 1.0, coarse_tols)

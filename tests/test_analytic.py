@@ -257,6 +257,61 @@ class TestAngularBlocks:
             assert vals[i] == analytic._unit_binomial_means(x[i : i + 1], 0.5)[0]
 
 
+class TestTurnedGrids:
+    """Angle counts above _CIRCLE_CACHE_MAX_N run on turned cached grids."""
+
+    @pytest.mark.parametrize(
+        "degree, n",
+        [(3, 16384), (3, 32768), (3, 65536), (40, 16384), (40, 20992), (40, 65536)],
+    )
+    @pytest.mark.parametrize("half_step", [False, True])
+    def test_against_direct_grid(self, monkeypatch, rng, degree, n, half_step):
+        # degree 40 starts at n = 8 * 41 = 328, so 20992 is 4 grids of 5248
+        monkeypatch.setattr(analytic, "_circle_cache", {})
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        f = Polynomial(tuple(coeffs))
+        radii = np.array([0.2, 0.55, 0.9])
+        offset = np.pi / n if half_step else 0.0
+        angles = np.exp(1j * (offset + 2 * np.pi * np.arange(n) / n))
+        for p in (0.5, 1.0, 3.0):
+            vals = analytic._abs_pow_means(f, radii, p, n, offset)
+            reference = [
+                np.mean(np.abs(np.polynomial.polynomial.polyval(r * angles, coeffs)) ** p)
+                for r in radii
+            ]
+            np.testing.assert_allclose(vals, reference, rtol=1e-13, atol=0.0)
+        assert analytic._circle_cache
+        assert max(analytic._circle_cache) <= analytic._CIRCLE_CACHE_MAX_N
+
+    def test_single_row_memory_at_the_finest_grid(self):
+        f = Polynomial(tuple(np.linspace(1.0, 0.1, 10)))
+        radius, n = np.array([0.7]), 1 << 16
+        analytic._abs_pow_means(f, radius, 1.0, n)  # warm the grid cache
+        tracemalloc.start()
+        try:
+            analytic._abs_pow_means(f, radius, 1.0, n, offset=np.pi / n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a 10 x 65536 grid alone takes 10 MB
+        assert peak < 4 * 2**20
+
+    def test_one_call_per_doubling_step(self, monkeypatch):
+        # |f| has a kink on the circle through its root 0.5, so the row
+        # doubles to the angular cap
+        calls = []
+        inner = analytic._abs_pow_means
+
+        def counting(f, radii, p, n, offset=0.0):
+            calls.append(n)
+            return inner(f, radii, p, n, offset)
+
+        monkeypatch.setattr(analytic, "_abs_pow_means", counting)
+        f = Polynomial((-0.5, 1.0)) * Polynomial((0.3, 1.0))
+        _mean_pow_batch(f, np.array([0.5]), 1.0, 2.5e-10)
+        assert calls == [256] + [256 << k for k in range(9)]
+
+
 class TestWeightedNorm:
     @pytest.mark.parametrize("n,p", [(1, 2.0), (2, 1.0), (5, 0.5), (3, 3.0)])
     def test_monomial_norm_constant_weight(self, n, p):

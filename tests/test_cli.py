@@ -205,6 +205,28 @@ class TestVerify:
         assert code == 0
         assert len(calls) == 8
 
+    def test_near_root_report_is_pinned(self, capsys):
+        # f = z g at p = 1, with g's roots at moduli 0.45 and 1.6: the
+        # radial nodes next to |z| = 0.45 double their angle grid up to
+        # 65536, above the largest cached circle grid
+        f = ('{"coeffs":[[0.0,0.0],[1.038897546081614,0.14586410298052038],'
+             '[-1.7682983986165577,-0.6955234255325711],[-1.2008062553292007,0.8252910543661071]]}')
+        g = ('{"coeffs":[[1.038897546081614,0.14586410298052038],'
+             '[-1.7682983986165577,-0.6955234255325711],[-1.2008062553292007,0.8252910543661071]]}')
+        code, out, err = run_cli(
+            capsys, "verify", "--poly", f, "--poly", g, "--p", "1.0",
+            "--c", "0.10659979976020419", "--weight", CONST1,
+        )
+        assert (code, err) == (0, "")
+        assert out == (
+            "{\n"
+            '  "dominates": true,\n'
+            '  "norm_f": 1.2619959959325389,\n'
+            '  "norm_g": 1.7439044504265542,\n'
+            '  "principle_holds": true\n'
+            "}\n"
+        )
+
 
 class TestSweep:
     def test_csv_shape(self, capsys):
@@ -400,19 +422,22 @@ class TestDeterminismAndErrors:
              "p = 1030.0 is too large: Gamma(1 + p)/Gamma(1 + p/2)^2"),
             (("means", "--poly", "1,2", "--p", "1000", "--grid", "4"),
              "p = 1000.0 is too large: the circle mean M_p^p"),
+            (("norm", "--poly", "1e10", "--p", "1", "--weight", '{"kind":"constant","level":1e300}'),
+             "p = 1.0: the scale (sum |a_k|)^p m(0) of the radial tolerance overflows a float"),
             (("norm", "--poly", "1", "--p", "0.5", "--weight", '{"kind":"constant","level":1e300}'),
              "p = 0.5: the norm (int 2 r w M_p^p dr)^(1/p) overflows a float"),
             (("bound", "--p", "2", "--weight", '{"kind":"standard","alpha":1e308}'),
              "B(s/2 + 1, alpha + 1) overflows a float in log-Gamma at s = 2.0"),
         ],
-        ids=["p-th-power", "binomial-series", "gamma-ratio", "circle-mean", "norm-root",
-             "beta-moment"],
+        ids=["p-th-power", "binomial-series", "gamma-ratio", "circle-mean", "coarse-scale",
+             "norm-root", "beta-moment"],
     )
     def test_large_p_overflow_exit_2(self, capsys, argv, message):
         # 3^1000, the series coefficients C(550, k)^2, at r = 0.5 where
         # x = 1, Gamma(1031)/Gamma(516)^2, M_p^p of 1 + 2z at r = 0.6
-        # (about 2.2^1000), the square of ||1||^p = 1e300, and
-        # lgamma(1e308) overflow a float: bad input, not a traceback
+        # (about 2.2^1000), 1e10 times the weight's mass 1e300 (which used
+        # to be refused as an infinite tol), the square of ||1||^p = 1e300,
+        # and lgamma(1e308) overflow a float: bad input, not a traceback
         # and not Infinity in the report
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
