@@ -457,11 +457,13 @@ def weighted_norms(
         )
     coarse_tols = _above_floor(fs, p, [1e-3 * scale for scale in scales])
     phi = _mean_pows(fs, p, 0.25 * tol)
-    coarse = w.integrate_against(phi, 0.0, 1.0, coarse_tols)
-    fine_tols = _above_floor(
-        fs, p, [min(0.25 * tol * p * v, ct) for (v, _), ct in zip(coarse, coarse_tols)]
-    )
-    fine = w.integrate_against(phi, 0.0, 1.0, fine_tols)
+    # an overflowing integrand is reported by the walk's non-finite panel check
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = w.integrate_against(phi, 0.0, 1.0, coarse_tols)
+        fine_tols = _above_floor(
+            fs, p, [min(0.25 * tol * p * v, ct) for (v, _), ct in zip(coarse, coarse_tols)]
+        )
+        fine = w.integrate_against(phi, 0.0, 1.0, fine_tols)
     try:
         return [max(v, 0.0) ** (1.0 / p) for v, _ in fine]
     except OverflowError:

@@ -145,7 +145,7 @@ def check_domination(f: Polynomial, g: Polynomial, c: float) -> DominationReport
     if not 0.0 < c < 1.0:
         raise DomainError(f"check_domination needs c in (0,1), got {c}")
     n_r, n_a = DOMINATION_GRID
-    radii = np.linspace(c, 1.0 - 1e-6, n_r)
+    radii = np.linspace(c, max(c, 1.0 - 1e-6), n_r)
     # midpoint-offset angles keep equality rays (e.g. phase 0 of a monomial
     # pair) off the grid, where the sampled gap would be rounding noise
     angles = np.exp(2j * np.pi * (np.arange(n_a) + 0.5) / n_a)

@@ -19,7 +19,7 @@ import numpy as np
 from .analytic import Polynomial, weighted_norms
 from .certifier import check_domination
 from .errors import DomainError, KorenblumError, NoWitnessFound, positive
-from .quadrature import DEFAULT_TOL, integrate
+from .quadrature import DEFAULT_TOL
 from .weights import RadialWeight, moment
 
 EPSILON_SCAN_STEPS = 48
@@ -162,8 +162,9 @@ def check_final_inequality(
         int_0^1 (1 - r^{np}) 2 r w(epsilon r) dr
             >  (p / c^n) epsilon^{n(1-p)-2} int_0^1 2 r w(r) r^{np} dr.
 
-    The left side samples the dilated weight near the origin; the right
-    side vanishes as epsilon -> 0 because n(1-p) > 2.
+    The left side, epsilon^-2 int_0^epsilon (1 - (rho/epsilon)^{np}) 2 rho
+    w(rho) drho, samples the weight near the origin; the right side
+    vanishes as epsilon -> 0 because n(1-p) > 2.
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"check_final_inequality needs p in (0,1), got {p}")
@@ -174,12 +175,15 @@ def check_final_inequality(
     positive("quad_tol", quad_tol)
 
     np_exp = n * p
+    lhs_tol = quad_tol * epsilon**2
+    if lhs_tol < 1e-300:
+        raise DomainError(f"epsilon = {epsilon}: quad_tol epsilon^2 falls below 1e-300")
 
-    def lhs_integrand(r):
-        return (1.0 - r**np_exp) * 2.0 * r * w.eval(epsilon * r)
+    def phi(rho, comp):
+        return 1.0 - (rho / epsilon) ** np_exp
 
-    cuts = [b / epsilon for b in w.breakpoints() if 0.0 < b / epsilon < 1.0]
-    lhs, _ = integrate(lhs_integrand, 0.0, 1.0, quad_tol, breakpoints=cuts)
+    [(lhs, _)] = w.integrate_against(phi, 0.0, epsilon, [lhs_tol])
+    lhs /= epsilon**2
     rhs = (p / c**n) * epsilon ** (n * (1.0 - p) - 2.0) * moment(w, np_exp)
     return FinalInequalityCheck(lhs=lhs, rhs=rhs, holds=lhs > rhs + 2.0 * quad_tol)
 

@@ -1,4 +1,4 @@
-"""Radial weights on [0, 1): evaluation, moments, partial masses.
+"""Radial weights on [0, 1): moments, partial masses and integrals.
 
 All radial integrals use the kernel 2 r w(r) dr, normalized so the
 constant weight 1 has total mass exactly 1. Moments
@@ -15,9 +15,9 @@ with the partial masses of s = 0 from the primitive -(1-r^2)^{alpha+1};
 its other partial power masses have no closed form here and are refused.
 Integrals against general integrands phi(r, k), k = 0..K-1, use one
 adaptive quadrature walk for all K and return one (value, err_est) per
-component; for the standard kind with alpha < 0 the walk runs in the
-substituted variable v = (1-r^2)^{alpha+1}, which absorbs the integrable
-singularity at r = 1 into a bounded integrand.
+component; for the standard kind with alpha < 0 a walk up to r = 1 runs
+in the substituted variable v = (1-r^2)^{alpha+1}, which absorbs the
+integrable singularity there into a bounded integrand.
 """
 from __future__ import annotations
 
@@ -48,14 +48,6 @@ def _power_primitive(s: float, alpha: float, beta: float, r: float) -> float:
 class RadialWeight:
     """Base class for radial weights; all kinds are immutable and pure."""
 
-    def eval(self, r):
-        """Pointwise w(r); accepts scalars or arrays with entries in [0, 1)."""
-        raise NotImplementedError
-
-    def breakpoints(self) -> tuple[float, ...]:
-        """Interior radii where w is non-smooth (jumps or slope changes)."""
-        return ()
-
     def liminf_at_origin(self) -> OriginLiminf:
         raise NotImplementedError
 
@@ -83,14 +75,11 @@ class _PiecewiseLinear(RadialWeight):
     """w = alpha + beta r on each piece (lo, hi, alpha, beta) of ``_pieces()``.
 
     The pieces are in increasing order and cover [lo of the first, 1];
-    w vanishes below the first piece.
+    w vanishes below the first piece. Each kind gives w pointwise as ``eval``.
     """
 
     def _pieces(self) -> tuple[tuple[float, float, float, float], ...]:
         raise NotImplementedError
-
-    def breakpoints(self):
-        return tuple(lo for lo, _, _, _ in self._pieces() if 0.0 < lo < 1.0)
 
     def liminf_at_origin(self) -> OriginLiminf:
         lo, _, alpha, _ = self._pieces()[0]
@@ -99,14 +88,15 @@ class _PiecewiseLinear(RadialWeight):
         return OriginLiminf.ZERO_NEAR_ORIGIN
 
     def integrate_against(self, phi, a, b, tols):
-        lo = max(a, self._pieces()[0][0])
+        starts = [start for start, _, _, _ in self._pieces()]
+        lo = max(a, starts[0])
         if b <= lo:
             return [(0.0, 0.0)] * len(tols)
 
         def kernel(r, comp):
             return 2.0 * r * self.eval(r) * phi(r, comp)
 
-        return integrate_many(kernel, lo, b, tols, breakpoints=self.breakpoints())
+        return integrate_many(kernel, lo, b, tols, breakpoints=starts)
 
     def power_mass(self, s, a, b):
         total = 0.0
@@ -146,17 +136,13 @@ class StandardWeight(RadialWeight):
     def __post_init__(self):
         positive("standard weight alpha", self.alpha, least=-1.0)
 
-    def eval(self, r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(divide="ignore"):
-            return (self.alpha + 1.0) * (1.0 - r * r) ** self.alpha
-
     def liminf_at_origin(self) -> OriginLiminf:
         return OriginLiminf.POSITIVE_LIMINF
 
     def integrate_against(self, phi, a, b, tols):
         al = self.alpha
-        if al >= 0.0:
+        # walks short of r = 1 stay in r: v below cannot resolve r^2 under rounding
+        if al >= 0.0 or b < 1.0:
             def direct(r, comp):
                 return 2.0 * (al + 1.0) * r * (1.0 - r * r) ** al * phi(r, comp)
 

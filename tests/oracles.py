@@ -66,6 +66,15 @@ def binomial_mean(p, a0, a1, r, d: int = 1, dps: int = 30):
         return float(hi**p * mp.hyp2f1(-mp.mpf(p) / 2, -mp.mpf(p) / 2, 1, (lo / hi) ** 2))
 
 
+def std_final_lhs(alpha, np_exp, eps, dps: int = 30) -> float:
+    """int_0^1 (1 - r^{np}) 2 r w(eps r) dr for w(r) = (alpha+1)(1-r^2)^alpha,
+    the left side of the refuter's final inequality, by mpmath quadrature."""
+    with mp.workdps(dps):
+        al, e, s = mp.mpf(alpha), mp.mpf(eps), mp.mpf(np_exp)
+        return float(mp.quad(lambda r: (1 - r**s) * 2 * r * (al + 1) * (1 - (e * r) ** 2) ** al,
+                             [0, 1]))
+
+
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 

@@ -146,6 +146,15 @@ class TestCheckDomination:
         assert report.min_gap < 0.0
         assert not report.conclusive
 
+    def test_radius_above_one_minus_1e_6(self):
+        # every sampled radius must lie in the annulus, where |z|/c >= 1,
+        # also for c above 1 - 1e-6; the annulus starts a relative 1e-12
+        # off c, as in the moment-ratio bound, since on |z| = c the two
+        # moduli are equal and the sampled gap is rounding noise
+        c = 1.0 - 1e-9
+        report = check_domination(Polynomial((1.0,)), Polynomial((0.0, 1.0 / c)), c * (1.0 + 1e-12))
+        assert report.conclusive and report.min_gap >= 0.0
+
     def test_bad_inputs(self):
         f, g = Polynomial((1,)), Polynomial((0, 1))
         with pytest.raises(DomainError):

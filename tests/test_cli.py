@@ -8,10 +8,12 @@ import pytest
 from korenblum import (
     CounterexampleWitness,
     InstanceReport,
+    QuadratureDivergence,
     RadiusCertificate,
     RadiusUpperBound,
     certifier,
     certify,
+    cli,
     find_counterexample,
     weight_from_spec,
 )
@@ -19,6 +21,8 @@ from korenblum.cli import SWEEP_HEADER, main
 
 CONST1 = '{"kind":"constant","level":1}'
 STEP05 = '{"kind":"step","R":0.5}'
+#: a step so close to 1 that c_star lies above 1 - 1e-6
+STEP_NEAR_1 = '{"kind":"step","R":0.9995}'
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +57,43 @@ class TestNorm:
         )
         assert code == 0
         assert abs(json.loads(out)["norm"] - np.sqrt(0.5)) <= 1e-9
+
+    def test_divergence_exit_3(self, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise QuadratureDivergence("quadrature on [0.0, 1.0] met a non-finite panel sum")
+
+        monkeypatch.setattr(cli, "weighted_norm", diverge)
+        code, out, err = run_cli(capsys, "norm", "--poly", "0,1", "--p", "2", "--weight", CONST1)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "korenblum norm: quadrature on [0.0, 1.0] met a non-finite panel sum"
+        ]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_integrand_warns_nothing(self, capsys):
+        # 1e300 times |30000|^2 overflows the radial integrand: the walk's
+        # non-finite panel check reports it, with no numpy RuntimeWarning
+        # before the one diagnostic line. The norm (about 2.1e153) is
+        # representable, so this exit 3 may later become a success.
+        code, out, err = run_cli(
+            capsys, "norm", "--poly", "30000", "--p", "2",
+            "--weight", '{"kind":"table","r":[0,0.5,0.51],"w":[0,1e300,0]}',
+        )
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "korenblum norm: quadrature on [0.0, 1.0] met a non-finite panel sum"
+        ]
+
+    @pytest.mark.parametrize(
+        "command", [("norm", "--weight", CONST1), ("means",)], ids=["norm", "means"]
+    )
+    def test_two_polys_rejected(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--poly", "0,1", "--poly", "1", "--p", "2")
+        assert code == 2
+        assert out == ""
+        assert f"korenblum {command[0]}: {command[0]} requires exactly one --poly" in err
 
 
 class TestMeans:
@@ -159,6 +200,15 @@ class TestBound:
         assert payload["detail"].startswith("monomial bound verification failed at p=1.0")
         assert payload["detail"] in err
 
+    def test_c_star_above_one_minus_1e_6(self, capsys):
+        # ||z/c|| = 0.031611 < ||1|| = 0.031619 at witness_c = 1 - 1e-9,
+        # and every sampled radius of the domination check is >= c
+        code, out, err = run_cli(capsys, "bound", "--p", "2", "--weight", STEP_NEAR_1)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["c_star"] == 0.9997500312578435
+        assert payload["witness_c"] == 1.0 - 1e-9
+
 
 class TestVerify:
     def test_two_polys(self, capsys):
@@ -250,6 +300,24 @@ class TestSweep:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert rows[0]["c_star_upper"] == pytest.approx(np.sqrt(0.5), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "p, weight, statuses",
+        [
+            ("0.5,2", STEP_NEAR_1, ["ok", "ok"]),
+            # all mass within 2e-7 of the origin: no grid radius certifies
+            ("0.5,2", '{"kind":"table","r":[0,1e-7,2e-7],"w":[1,1,0]}', ["ok", "no_certificate"]),
+            # the walk of ||1||^p at p = 1e6 would need a tolerance below 1e-300
+            ("0.5,1e6", '{"kind":"standard","alpha":3}', ["ok", "DomainError"]),
+        ],
+        ids=["step-near-1", "no-certificate", "domain-error"],
+    )
+    def test_row_statuses(self, capsys, p, weight, statuses):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--p", p, "--weight", weight, "--output", "json"
+        )
+        assert [row["status"] for row in json.loads(out)["rows"]] == statuses
+        assert code == (0 if statuses == ["ok", "ok"] else 1)
 
 
 CSV_CASES = {

@@ -24,6 +24,8 @@ from korenblum import (
     revalidate_witness,
 )
 
+from oracles import std_final_lhs
+
 QUAD_TOL = 1e-9
 
 # pinned by the pre-build quadrature sweep at (p, c, w) = (0.5, 0.9, constant 1)
@@ -153,6 +155,29 @@ class TestFinalInequality:
         chk = check_final_inequality(0.5, 0.4, w, 5, 0.2, QUAD_TOL)
         # w(0.2 r) is linear 1 -> 0.6 on [0,1]; lhs must be positive
         assert chk.lhs > 0.3
+
+    @pytest.mark.parametrize(
+        "alpha, c, eps, reference",
+        [
+            (1.0, 0.5, 0.3, 1.076495726495726497),
+            (-0.5, 0.5, 0.3, 0.28226075911910217255),
+            (-0.9, 0.999, 0.998, 0.10258456248927534047),
+            # the family's smallest epsilon, where 1 - eps^2 rounds to 1
+            (-0.5, 0.5, 0.5 * 2.0**-48, 5.0 / 18.0),
+            (-0.9, 0.5, 1e-9, 1.0 / 18.0),
+        ],
+    )
+    def test_standard_weight_lhs_against_mpmath(self, alpha, c, eps, reference):
+        oracle = std_final_lhs(alpha, 2.5, eps)
+        assert oracle == pytest.approx(reference, rel=1e-14)
+        chk = check_final_inequality(0.5, c, StandardWeight(alpha), 5, eps, QUAD_TOL)
+        assert chk.lhs == pytest.approx(oracle, abs=1e-8)
+
+    def test_epsilon_below_tolerance_floor(self):
+        # quad_tol epsilon^2 = 1e-409 is below the walk's tolerance floor,
+        # where a walk would settle at once on a lost integral
+        with pytest.raises(DomainError, match=r"epsilon = 1e-200: .* below 1e-300"):
+            check_final_inequality(0.5, 0.5, ConstantWeight(1.0), 5, 1e-200, QUAD_TOL)
 
     def test_domain_checks(self):
         w = ConstantWeight(1.0)

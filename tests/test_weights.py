@@ -167,6 +167,15 @@ class TestStandardClosedForms:
         expected = full * (betainc(h, alpha + 1.0, b * b) - betainc(h, alpha + 1.0, a * a))
         assert partial == pytest.approx(expected, abs=2 * TOL)
 
+    @pytest.mark.parametrize("alpha", [-0.9, -0.5])
+    @pytest.mark.parametrize("b", [1e-3, 1e-6, 1e-9])
+    def test_walk_near_the_origin(self, alpha, b):
+        # a walk short of r = 1 must stay in r: in v = (1-r^2)^{alpha+1}
+        # the interval [0, 1e-9] has no width
+        w = StandardWeight(alpha)
+        [(quad, _)] = w.integrate_against(lambda r, comp: np.ones_like(r), 0.0, b, [TOL * b * b])
+        assert quad == pytest.approx(w.power_mass(0.0, 0.0, b), rel=1e-6, abs=0.0)
+
     def test_c_star_of_arcsine_weight_is_quarter_pi(self):
         # m(1)/m(0) = (1/2) B(3/2, 1/2) = pi/4 for alpha = -1/2
         c_star = monomial_upper_bound(1.0, StandardWeight(-0.5)).c_star
