@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,6 +148,11 @@ def _circle_grid(n: int, degree: int) -> np.ndarray:
     return circle
 
 
+#: per-thread buffers of _abs_pow_means (one complex, two real), grown on
+#: demand and reused by every later call of that thread
+_workspace = threading.local()
+
+
 def _abs_pow_means(
     f: Polynomial, radii: np.ndarray, p: float, n: int, offset: float = 0.0
 ) -> np.ndarray:
@@ -161,7 +167,13 @@ def _abs_pow_means(
     Such an n must be m times a power of two, as every n of the doubling
     in _mean_pow_batch is (256 or 8 (degree + 1), times 2^k).
     Radii are taken in blocks of at most _BLOCK_NODES nodes, which bounds
-    the memory of a large batch at a fine grid.
+    the memory of a large batch at a fine grid. The product, |f|^2, its
+    p/2 power and the row sums of a block are written into this thread's
+    workspace (_workspace, at most max(_BLOCK_NODES, n) entries per
+    buffer), which persists across calls, so a call faults in no fresh
+    pages; the values are bit for bit those of the allocating formula
+    mean((f.real**2 + f.imag**2) ** (p/2)), whose `**` fast paths the
+    power mirrors. The returned array is fresh.
     """
     degree = f.degree
     js = np.arange(degree + 1)
@@ -170,18 +182,35 @@ def _abs_pow_means(
         m //= 2
     circle = _circle_grid(m, degree)
     coeffs = np.asarray(f.coeffs)[None, :]
+    phase = np.exp(1j * offset * js)[None, :] if offset else None
+    turns = np.exp(2j * np.pi / n * np.outer(np.arange(n // m), js)) if m < n else None
+    exponent = 0.5 * p
     out = np.empty(len(radii))
     rows = max(1, _BLOCK_NODES // n)
+    size = min(rows, len(radii)) * n
+    buffers = getattr(_workspace, "buffers", None)
+    if buffers is None or buffers[0].size < size:
+        buffers = (np.empty(size, dtype=complex), np.empty(size), np.empty(size))
+        _workspace.buffers = buffers
+    fz_buf, mod2_buf, square_buf = buffers
     for start in range(0, len(radii), rows):
         amps = coeffs * radii[start : start + rows, None] ** js[None, :]
-        if offset:
-            amps = amps * np.exp(1j * offset * js)[None, :]
-        if m < n:
-            turns = np.exp(2j * np.pi / n * np.outer(np.arange(n // m), js))
+        if phase is not None:
+            amps = amps * phase
+        if turns is not None:
             amps = (amps[:, None, :] * turns).reshape(-1, degree + 1)
-        fz = amps @ circle
-        mod2 = fz.real**2 + fz.imag**2
-        out[start : start + rows] = np.mean((mod2 ** (0.5 * p)).reshape(-1, n), axis=1)
+        nodes = amps.shape[0] * m
+        fz = np.matmul(amps, circle, out=fz_buf[:nodes].reshape(-1, m))
+        mod2 = np.square(fz.real, out=mod2_buf[:nodes].reshape(-1, m))
+        np.add(mod2, np.square(fz.imag, out=square_buf[:nodes].reshape(-1, m)), out=mod2)
+        if exponent == 0.5:
+            np.sqrt(mod2, out=mod2)
+        elif exponent == 2.0:
+            np.square(mod2, out=mod2)
+        elif exponent != 1.0:
+            np.power(mod2, exponent, out=mod2)
+        np.add.reduce(mod2.reshape(-1, n), axis=1, out=out[start : start + rows])
+    out /= n
     return out
 
 

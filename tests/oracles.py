@@ -1,6 +1,7 @@
 """Independent oracles: closed-form moments, Parseval norms, a
-high-precision evaluation of the Schuster product, and a depth-first
-walk of the adaptive quadrature's panel tree.
+high-precision evaluation of the Schuster product, a depth-first
+walk of the adaptive quadrature's panel tree, and the allocating
+formula of the angular circle means.
 
 Nothing here goes through the package's quadrature paths.
 """
@@ -73,6 +74,38 @@ def std_final_lhs(alpha, np_exp, eps, dps: int = 30) -> float:
         al, e, s = mp.mpf(alpha), mp.mpf(eps), mp.mpf(np_exp)
         return float(mp.quad(lambda r: (1 - r**s) * 2 * r * (al + 1) * (1 - (e * r) ** 2) ** al,
                              [0, 1]))
+
+
+def allocating_abs_pow_means(coeffs, radii, p, n, offset=0.0):
+    """Mean over n equispaced angles (from offset) of |f|^p per radius,
+    f = sum_j coeffs[j] z^j: the separable formula of
+    ``korenblum.analytic._abs_pow_means`` with a fresh temporary for every
+    step, on its own grid of m = n/2^k <= 8192 angles turned n/m times,
+    radii in blocks of at most 65536 nodes."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    degree = coeffs.size - 1
+    js = np.arange(degree + 1)
+    m = n
+    while m > 8192:
+        m //= 2
+    base = np.exp(2j * np.pi / m * np.arange(m))
+    circle = np.empty((degree + 1, m), dtype=complex)
+    circle[0] = 1.0
+    for j in range(1, degree + 1):
+        circle[j] = circle[j - 1] * base
+    out = np.empty(len(radii))
+    rows = max(1, (1 << 16) // n)
+    for start in range(0, len(radii), rows):
+        amps = coeffs[None, :] * radii[start : start + rows, None] ** js[None, :]
+        if offset:
+            amps = amps * np.exp(1j * offset * js)[None, :]
+        if m < n:
+            turns = np.exp(2j * np.pi / n * np.outer(np.arange(n // m), js))
+            amps = (amps[:, None, :] * turns).reshape(-1, degree + 1)
+        fz = amps @ circle
+        mod2 = fz.real**2 + fz.imag**2
+        out[start : start + rows] = np.mean((mod2 ** (0.5 * p)).reshape(-1, n), axis=1)
+    return out
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,14 @@ from korenblum.analytic import _mean_pow_batch
 from korenblum.quadrature import integrate, integrate_many
 from korenblum.refuter import EPSILON_SCAN_STEPS
 
-from oracles import binomial_mean, const_moment, parseval_norm, std_moment, step_moment
+from oracles import (
+    allocating_abs_pow_means,
+    binomial_mean,
+    const_moment,
+    parseval_norm,
+    std_moment,
+    step_moment,
+)
 
 TOL = 1e-9
 
@@ -296,6 +304,23 @@ class TestTurnedGrids:
         # a 10 x 65536 grid alone takes 10 MB
         assert peak < 4 * 2**20
 
+    def test_warm_full_block_allocates_no_temporaries(self):
+        # 256 radii at n = 256 fill one block of _BLOCK_NODES nodes; the
+        # allocating formula peaks at 2 MB there
+        f = Polynomial(tuple(np.linspace(1.0, 0.1, 10)))
+        radii, n = np.linspace(0.05, 0.95, 256), 256
+        first = analytic._abs_pow_means(f, radii, 1.5, n)  # warm the workspace
+        kept = first.copy()
+        tracemalloc.start()
+        try:
+            analytic._abs_pow_means(f, radii[::-1], 3.0, n, offset=np.pi / n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 2**20
+        # no result is a view of the workspace the next call overwrites
+        assert np.array_equal(first, kept)
+
     def test_one_call_per_doubling_step(self, monkeypatch):
         # |f| has a kink on the circle through its root 0.5, so the row
         # doubles to the angular cap
@@ -310,6 +335,46 @@ class TestTurnedGrids:
         f = Polynomial((-0.5, 1.0)) * Polynomial((0.3, 1.0))
         _mean_pow_batch(f, np.array([0.5]), 1.0, 2.5e-10)
         assert calls == [256] + [256 << k for k in range(9)]
+
+
+class TestWorkspace:
+    """_abs_pow_means in its per-thread workspace against the allocating formula."""
+
+    @pytest.mark.parametrize("n", [256, 8192, 16384, 65536])
+    @pytest.mark.parametrize("degree", [2, 40])
+    @pytest.mark.parametrize("half_step", [False, True])
+    def test_bit_identical_to_allocating_formula(self, rng, degree, n, half_step):
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        f = Polynomial(tuple(coeffs))
+        # at n = 256 a block holds 256 radii, so 300 radii span two blocks
+        radii = rng.uniform(0.0, 0.99, 300 if n == 256 else 3)
+        offset = np.pi / n if half_step else 0.0
+        # p/2 = 0.5, 1 and 2 take the sqrt, identity and square paths of **
+        for p in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+            vals = analytic._abs_pow_means(f, radii, p, n, offset)
+            reference = allocating_abs_pow_means(coeffs, radii, p, n, offset)
+            assert np.array_equal(vals, reference), p
+
+    def test_concurrent_threads_match_sequential_norms(self):
+        fs = [Polynomial((0.3, -1.1, 0.0, 0.8j)), Polynomial((1.0, 0.5j, -0.7, 0.2, 0.9))]
+        w = ConstantWeight(1.0)
+        sequential = [weighted_norms([f], w, 1.0) for f in fs]
+        concurrent = [[], []]
+        start = threading.Barrier(2, timeout=60)
+
+        def run(k):
+            start.wait()
+            for _ in range(3):
+                concurrent[k].append(weighted_norms([fs[k]], w, 1.0))
+
+        # daemon threads: a shared workspace can send a walk astray for minutes
+        threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert concurrent == [[value] * 3 for value in sequential]
 
 
 class TestWeightedNorm:
