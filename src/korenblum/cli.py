@@ -126,7 +126,7 @@ def _cmd_refute(args):
 
 
 def _cmd_bound(args):
-    bound = refuter.monomial_upper_bound(args.p, args.weight, quad_tol=args.tol)
+    bound = refuter.monomial_upper_bound(args.p, args.weight)
     return EXIT_OK, asdict(bound), [asdict(bound)]
 
 
@@ -173,7 +173,7 @@ def _cmd_sweep(args):
         row = dict.fromkeys(SWEEP_HEADER.split(","))
         row.update(p=p, status="ok")
         try:
-            row["c_star_upper"] = refuter.monomial_upper_bound(p, w, quad_tol=args.tol).c_star
+            row["c_star_upper"] = refuter.monomial_upper_bound(p, w).c_star
             if p >= 1.0:
                 row["c_certified"] = cert_c
                 if cert_c is None:
@@ -258,10 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     poly = _argument(parse_poly)
     real, count = _number(float), _number(int)
 
-    def common(sp, weight=True):
+    def common(sp, weight=True, tol=True):
         if weight:
             sp.add_argument("--weight", type=_argument(parse_weight), required=True,
                             help="weight spec JSON or a path to one")
+        if tol:
             sp.add_argument("--tol", type=real, default=1e-9,
                             help="quadrature tolerance (default 1e-9)")
         sp.add_argument("--output", choices=("json", "csv", "human"), default="json")
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--poly", type=poly, action="append", required=True)
     sp.add_argument("--p", type=real, required=True)
     sp.add_argument("--grid", type=count, default=32, help="number of radii (default 32)")
-    common(sp, weight=False)
+    common(sp, weight=False, tol=False)
 
     sp = sub.add_parser("certify", help="certify an admissible radius for a weight")
     sp.add_argument("--grid", type=count, default=64, help="radius scan points (default 64)")
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bound", help="moment-ratio upper bound on the admissible radius")
     sp.add_argument("--p", type=real, required=True)
-    common(sp)
+    common(sp, tol=False)
 
     sp = sub.add_parser("verify", help="check one dominating pair, or a random sweep")
     sp.add_argument("--poly", type=poly, action="append", default=None, help="give twice: f then g")

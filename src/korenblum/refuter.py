@@ -12,12 +12,12 @@ which bounds the largest admissible radius strictly below 1.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytic import Polynomial, weighted_norms
-from .certifier import check_domination
 from .errors import DomainError, KorenblumError, NoWitnessFound, positive
 from .quadrature import DEFAULT_TOL
 from .weights import RadialWeight, moment
@@ -90,6 +90,11 @@ def find_counterexample(
     n(1-p) > 2. An explicit n may be forced for any p > 0, which is how
     the p >= 1 immunity sweeps are run. Raises :class:`NoWitnessFound`
     when no scanned epsilon clears the gap threshold 2*quad_tol.
+
+    Only the norms are computed. Domination needs no check: on |z| = rho
+    the least value of |g| - |f| is (rho^n - c^n) e^n / (c^n + e^n),
+    which is >= 0 exactly for rho >= c, and :func:`family_pair` enforces
+    0 < e < c < 1.
     """
     positive("p", p)
     if not 0.0 < c < 1.0:
@@ -113,19 +118,11 @@ def find_counterexample(
             f"no epsilon in the scan reversed the norms at p={p}, c={c}, n={n} "
             f"(best gap {best_gap:.3e}; weight liminf hint: {hint})"
         )
-    epsilon = c * 2.0**-best_j
-    f, g = family_pair(c, n, epsilon)
-    report = check_domination(f, g, c)
-    if not report.conclusive:
-        raise NoWitnessFound(
-            f"norm reversal found at epsilon={epsilon} but domination sampling "
-            f"failed (min gap {report.min_gap:.3e}); rejecting the witness"
-        )
     return CounterexampleWitness(
         p=p,
         c=c,
         n=n,
-        epsilon=epsilon,
+        epsilon=c * 2.0**-best_j,
         norm_f=best_norm_f,
         norm_g=norm_g,
         gap=best_gap,
@@ -135,7 +132,8 @@ def find_counterexample(
 def revalidate_witness(
     witness: CounterexampleWitness, w: RadialWeight, quad_tol: float
 ) -> CounterexampleWitness:
-    """Recompute a witness's norms and domination at a fresh tolerance."""
+    """Recompute a witness's norms at a fresh tolerance; its domination is
+    exact (see :func:`find_counterexample`)."""
     f, g = family_pair(witness.c, witness.n, witness.epsilon)
     norm_f, norm_g = weighted_norms([f, g], w, witness.p, tol=quad_tol)
     gap = norm_f - norm_g
@@ -143,9 +141,6 @@ def revalidate_witness(
         raise NoWitnessFound(
             f"witness gap {gap:.3e} fell below 2*{quad_tol} on revalidation"
         )
-    report = check_domination(f, g, witness.c)
-    if not report.conclusive:
-        raise NoWitnessFound("witness failed domination sampling on revalidation")
     return replace(witness, norm_f=norm_f, norm_g=norm_g, gap=gap)
 
 
@@ -188,30 +183,29 @@ def check_final_inequality(
     return FinalInequalityCheck(lhs=lhs, rhs=rhs, holds=lhs > rhs + 2.0 * quad_tol)
 
 
-def monomial_upper_bound(
-    p: float, w: RadialWeight, quad_tol: float = DEFAULT_TOL
-) -> RadiusUpperBound:
-    """c_star = (m(p)/m(0))^{1/p}, verified by the explicit pair (1, z/c).
+def monomial_upper_bound(p: float, w: RadialWeight) -> RadiusUpperBound:
+    """c_star = (m(p)/m(0))^{1/p}, decided by the explicit pair (1, z/c).
 
-    At witness_c slightly above c_star, |1| <= |z|/witness_c on the
-    annulus while ||z/witness_c|| < ||1||, so no radius above c_star is
-    admissible. Both facts are re-verified numerically before returning.
-    The domination sampling starts a relative 1e-12 above witness_c, off
-    the inner boundary where the two moduli are exactly equal and the
-    sampled gap would be rounding noise.
+    Two exact facts make the pair a witness at c = witness_c, slightly
+    above c_star: |1| <= |z/c| holds exactly on c <= |z| < 1, and
+    ||z/c||^p = m(p)/c^p while ||1||^p = m(0). So no radius above c_star
+    is admissible once witness_c > c_star and m(p)/witness_c^p < m(0);
+    both are checked in closed form, with no quadrature and no sampling.
+    A moment ratio m(p)/m(0) below the smallest normal float is refused.
     """
     positive("p", p)
-    positive("quad_tol", quad_tol)
-    c_star = (moment(w, p) / moment(w, 0.0)) ** (1.0 / p)
-    witness_c = min(1.0 - 1e-9, c_star * (1.0 + 1e-3))
-
-    unit = Polynomial((1.0,))
-    g = Polynomial((0.0, 1.0 / witness_c))
-    norm_unit, norm_g = weighted_norms([unit, g], w, p, tol=quad_tol)
-    report = check_domination(unit, g, witness_c * (1.0 + 1e-12))
-    if not report.conclusive or not norm_g < norm_unit:
-        raise KorenblumError(
-            f"monomial bound verification failed at p={p}: "
-            f"min_gap={report.min_gap:.3e}, ||g||={norm_g!r}, ||1||={norm_unit!r}"
+    m0, mp = moment(w, 0.0), moment(w, p)
+    if not min(mp, mp / m0) >= sys.float_info.min:
+        raise DomainError(
+            f"moment m(p) underflows at p = {p}: m(p) = {mp!r}, m(p)/m(0) = {mp / m0!r}, "
+            f"below the smallest normal float {sys.float_info.min!r}"
         )
-    return RadiusUpperBound(p=p, c_star=c_star, witness_c=witness_c)
+    c_star = (mp / m0) ** (1.0 / p)
+    witness_c = min(1.0 - 1e-9, c_star * (1.0 + 1e-3))
+    if witness_c > c_star and mp / witness_c**p < m0:
+        return RadiusUpperBound(p=p, c_star=c_star, witness_c=witness_c)
+    failed = "m(p)/witness_c^p < m(0)" if witness_c > c_star else "witness_c > c_star"
+    raise KorenblumError(
+        f"monomial bound verification failed at p={p}: {failed} does not hold "
+        f"(witness_c={witness_c!r}, c_star={c_star!r}, m(p)={mp!r}, m(0)={m0!r})"
+    )

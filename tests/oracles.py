@@ -76,6 +76,19 @@ def std_final_lhs(alpha, np_exp, eps, dps: int = 30) -> float:
                              [0, 1]))
 
 
+def family_min_gap(c, n, eps, rho, angles: int = 64, dps: int = 40):
+    """The minimum of |g| - |f| over theta = 2 pi k/angles on |z| = rho,
+    and its closed form (rho^n - c^n) eps^n/(c^n + eps^n), for the
+    refutation family g = z^n, f = K (z^n + eps^n), K = c^n/(c^n + eps^n),
+    with exact parameters at `dps` decimal digits."""
+    with mp.workdps(dps):
+        c, eps, rho = mp.mpf(c), mp.mpf(eps), mp.mpf(rho)
+        k = c**n / (c**n + eps**n)
+        gaps = [rho**n - k * abs(rho**n * mp.expjpi(2 * n * mp.mpf(j) / angles) + eps**n)
+                for j in range(angles)]
+        return min(gaps), (rho**n - c**n) * eps**n / (c**n + eps**n)
+
+
 def allocating_abs_pow_means(coeffs, radii, p, n, offset=0.0):
     """Mean over n equispaced angles (from offset) of |f|^p per radius,
     f = sum_j coeffs[j] z^j: the separable formula of

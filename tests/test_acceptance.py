@@ -151,7 +151,7 @@ def test_criterion_06_sufficiency_chain():
 
 def test_criterion_07_monomial_bound():
     start = time.monotonic()
-    bound = monomial_upper_bound(2.0, CONST1, quad_tol=QUAD_TOL)
+    bound = monomial_upper_bound(2.0, CONST1)
     g = Polynomial((0.0, 1.0 / 0.71))
     dom = check_domination(Polynomial((1.0,)), g, 0.71 * (1.0 + 1e-12))
     norm_g = weighted_norm(g, CONST1, 2.0, tol=QUAD_TOL)

@@ -588,7 +588,6 @@ NUMBER_ARGUMENTS = {
     "find_counterexample.p": lambda x: find_counterexample(x, 0.9, _W, n=5),
     "find_counterexample.quad_tol": lambda x: find_counterexample(0.5, 0.9, _W, quad_tol=x),
     "monomial_upper_bound.p": lambda x: monomial_upper_bound(x, _W),
-    "monomial_upper_bound.quad_tol": lambda x: monomial_upper_bound(2.0, _W, quad_tol=x),
     "certification_scan.quad_tol": lambda x: certification_scan(_W, quad_tol=x),
     "moment.s": lambda x: moment(_W, x),
     "integrate.tol": lambda x: integrate(np.sin, 0.0, 1.0, x),

@@ -187,9 +187,9 @@ class TestBound:
         assert payload["witness_c"] > payload["c_star"]
 
     def test_failed_self_check_is_a_negative_result(self, capsys):
-        # at R this close to 1 the pair (1, z/c) cannot be told apart
-        # numerically, so the bound's own verification fails: a negative
-        # result record with exit 1, not a traceback
+        # at R this close to 1, c_star = 1 - 5e-11 rounds above the largest
+        # witness radius 1 - 1e-9, so the pair (1, z/c) decides nothing: a
+        # negative result record with exit 1, not a traceback
         code, out, err = run_cli(
             capsys, "bound", "--p", "1", "--weight", '{"kind":"step","R":0.9999999999}'
         )
@@ -201,13 +201,32 @@ class TestBound:
         assert payload["detail"] in err
 
     def test_c_star_above_one_minus_1e_6(self, capsys):
-        # ||z/c|| = 0.031611 < ||1|| = 0.031619 at witness_c = 1 - 1e-9,
-        # and every sampled radius of the domination check is >= c
+        # ||z/c|| = 0.031611 < ||1|| = 0.031619 at witness_c = 1 - 1e-9
         code, out, err = run_cli(capsys, "bound", "--p", "2", "--weight", STEP_NEAR_1)
         assert (code, err) == (0, "")
         payload = json.loads(out)
         assert payload["c_star"] == 0.9997500312578435
         assert payload["witness_c"] == 1.0 - 1e-9
+
+    @pytest.mark.parametrize(
+        "weight",
+        ['{"kind":"table","r":[0,1e-7,2e-7],"w":[1,1,0]}', '{"kind":"standard","alpha":1000}'],
+        ids=["table", "standard"],
+    )
+    def test_underflowed_moment_exit_2(self, capsys, weight):
+        # m(1e6) underflows to 0.0, which made c_star = 0 and ended in a
+        # ZeroDivisionError traceback at 1 / witness_c
+        code, out, err = run_cli(capsys, "bound", "--p", "1e6", "--weight", weight)
+        assert code == 2
+        assert out == ""
+        assert "moment m(p) underflows at p = 1000000.0: m(p) = 0.0" in err
+
+    def test_no_tol_flag(self, capsys):
+        # the bound is decided in closed form and takes no tolerance
+        code, out, err = run_cli(capsys, "bound", "--p", "2", "--tol", "1e-9", "--weight", CONST1)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --tol" in err
 
 
 class TestVerify:
@@ -307,10 +326,12 @@ class TestSweep:
             ("0.5,2", STEP_NEAR_1, ["ok", "ok"]),
             # all mass within 2e-7 of the origin: no grid radius certifies
             ("0.5,2", '{"kind":"table","r":[0,1e-7,2e-7],"w":[1,1,0]}', ["ok", "no_certificate"]),
-            # the walk of ||1||^p at p = 1e6 would need a tolerance below 1e-300
-            ("0.5,1e6", '{"kind":"standard","alpha":3}', ["ok", "DomainError"]),
+            # m(1e6) = 4 B(500001, 4) = 3.8e-22 in closed form, with no walk
+            ("0.5,1e6", '{"kind":"standard","alpha":3}', ["ok", "ok"]),
+            # m(1e6) = 1001 B(500001, 1001) underflows to 0.0
+            ("0.5,1e6", '{"kind":"standard","alpha":1000}', ["ok", "DomainError"]),
         ],
-        ids=["step-near-1", "no-certificate", "domain-error"],
+        ids=["step-near-1", "no-certificate", "exact-bound", "domain-error"],
     )
     def test_row_statuses(self, capsys, p, weight, statuses):
         code, out, _ = run_cli(

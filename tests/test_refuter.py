@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import korenblum
 from korenblum import (
     ConstantWeight,
     CounterexampleWitness,
     DomainError,
+    KorenblumError,
     NoWitnessFound,
+    Polynomial,
     StandardWeight,
     StepWeight,
     TableWeight,
@@ -20,11 +23,14 @@ from korenblum import (
     choose_n,
     family_pair,
     find_counterexample,
+    moment,
     monomial_upper_bound,
     revalidate_witness,
+    weight_from_spec,
+    weighted_norms,
 )
 
-from oracles import std_final_lhs
+from oracles import family_min_gap, std_final_lhs
 
 QUAD_TOL = 1e-9
 
@@ -75,6 +81,40 @@ class TestFamilyPair:
         # |f| <= |g| on the annulus across the scanned family
         f, g = family_pair(c, n, c * 2.0**-j)
         assert check_domination(f, g, c).conclusive
+
+
+class TestExactFamilyDomination:
+    """|f| <= |g| on c <= |z| < 1 is exact for the family, so a grid sample
+    of |g| - |f| that reads below 0 is rounding noise, not a violation."""
+
+    def test_sampled_inconclusive_pairs_dominate_exactly(self):
+        inconclusive = []
+        for c in (0.5, 0.6, 0.75, 0.9):
+            for n in (3, 5, 8):
+                for j in range(1, 49):
+                    f, g = family_pair(c, n, c * 2.0**-j)
+                    report = check_domination(f, g, c)
+                    if not report.conclusive:
+                        inconclusive.append((c, n, c * 2.0**-j, report.min_gap))
+        assert len(inconclusive) == 37
+        for c, n, eps, min_gap in inconclusive:
+            assert -1e-15 < min_gap < 0.0
+            for rho in (c, (1.0 + c) / 2.0, 1.0 - 1e-6):
+                sampled, exact = family_min_gap(c, n, eps, rho)
+                assert exact >= 0.0
+                assert abs(sampled - exact) <= 1e-30
+
+    def test_revalidates_a_witness_that_sampling_rejected(self):
+        # the grid sample of this pair reads below 0 by rounding noise, which
+        # used to reject it with "witness failed domination sampling"
+        w = ConstantWeight(1.0)
+        f, g = family_pair(0.9, 8, 0.9 * 2.0**-6)
+        assert not check_domination(f, g, 0.9).conclusive
+        stale = CounterexampleWitness(p=0.05, c=0.9, n=8, epsilon=0.9 * 2.0**-6,
+                                      norm_f=0.0, norm_g=0.0, gap=0.0)
+        witness = revalidate_witness(stale, w, QUAD_TOL)
+        assert witness.gap == pytest.approx(3.75e-6, rel=1e-2)
+        assert witness.gap > 2 * QUAD_TOL
 
 
 class TestFindCounterexample:
@@ -212,17 +252,17 @@ class TestFinalInequality:
 
 class TestMonomialUpperBound:
     def test_p2_constant(self):
-        bound = monomial_upper_bound(2.0, ConstantWeight(1.0), QUAD_TOL)
+        bound = monomial_upper_bound(2.0, ConstantWeight(1.0))
         assert bound.c_star == pytest.approx(np.sqrt(0.5), abs=1e-9)
         assert bound.c_star < bound.witness_c < 1.0
 
     def test_p1_constant(self):
-        bound = monomial_upper_bound(1.0, ConstantWeight(1.0), QUAD_TOL)
+        bound = monomial_upper_bound(1.0, ConstantWeight(1.0))
         assert bound.c_star == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_degrades_as_mass_concentrates_at_boundary(self):
         values = [
-            monomial_upper_bound(2.0, StepWeight(R), QUAD_TOL).c_star
+            monomial_upper_bound(2.0, StepWeight(R)).c_star
             for R in (0.5, 0.9, 0.99)
         ]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -232,12 +272,45 @@ class TestMonomialUpperBound:
     def test_upper_bound_exceeds_certified_radius(self):
         c_cert = certify(ConstantWeight(1.0), quad_tol=QUAD_TOL).c
         for p in (1.0, 2.0, 4.0):
-            bound = monomial_upper_bound(p, ConstantWeight(1.0), QUAD_TOL)
+            bound = monomial_upper_bound(p, ConstantWeight(1.0))
             assert c_cert < bound.c_star
 
     def test_domain(self):
         with pytest.raises(DomainError):
             monomial_upper_bound(0.0, ConstantWeight(1.0))
+
+    def test_names_the_failed_part(self):
+        # c_star = 1 - 5e-11 rounds to 1.0, above the largest witness radius
+        with pytest.raises(KorenblumError, match=r"at p=1.0: witness_c > c_star does not hold"):
+            monomial_upper_bound(1.0, StepWeight(0.9999999999))
+
+    # the weight kinds of the pinned CLI reports
+    @pytest.mark.parametrize("spec", [
+        '{"kind":"constant","level":1}',
+        '{"kind":"standard","alpha":-0.5}',
+        '{"kind":"step","R":0.15}',
+        '{"kind":"table","r":[0,0.3,0.7],"w":[1,0.4,1.6]}',
+    ], ids=["constant", "standard", "step", "table"])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0])
+    def test_closed_form_matches_quadrature(self, monkeypatch, spec, p):
+        # ||1||^p = m(0) and ||z/c||^p = m(p)/c^p, the two facts the bound
+        # decides in closed form, against the radial quadrature
+        w = weight_from_spec(spec)
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("monomial_upper_bound made a radial walk")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(korenblum.weights, "integrate_many", no_walk)
+            patch.setattr(korenblum.refuter, "weighted_norms", no_walk)
+            bound = monomial_upper_bound(p, w)
+        c = bound.witness_c
+        unit, g = Polynomial((1.0,)), Polynomial((0.0, 1.0 / c))
+        norm_unit, norm_g = weighted_norms([unit, g], w, p, tol=QUAD_TOL)
+        assert norm_unit == pytest.approx(moment(w, 0.0) ** (1.0 / p), rel=QUAD_TOL)
+        assert norm_g == pytest.approx((moment(w, p) / c**p) ** (1.0 / p), rel=QUAD_TOL)
+        assert norm_g < norm_unit
+        assert check_domination(unit, g, c * (1.0 + 1e-12)).conclusive
 
 
 class TestImmunityAtCertifiedRadius:
