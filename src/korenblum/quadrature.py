@@ -3,7 +3,9 @@
 A panel's estimate is compared against the sum of its two half-panel
 estimates; the panel is bisected until the difference falls below its
 share of the absolute tolerance, or below the rounding of the halves
-themselves, 8 eps (|left| + |right|), which no bisection can lower.
+themselves, which no bisection can lower: 8 eps (|left| + |right|), or
+the shift that rounding the nodes makes, 8 eps |mid| times the sum of
+the halves' rises |f(last node) - f(first node)|.
 Gauss nodes never touch panel endpoints, so integrable endpoint
 singularities are refined into rather than evaluated.
 
@@ -41,14 +43,18 @@ _ROUNDING = 8.0 * np.finfo(float).eps
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-def _panel_sums(f: Callable, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    """15-node Gauss estimates of the panels [lo[k], hi[k]] of components comp[k].
+def _panel_sums(
+    f: Callable, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """15-node Gauss estimates of the panels [lo[k], hi[k]] of components
+    comp[k], and the rise f(last node) - f(first node) of each.
 
     The integrand sees at most _BLOCK_NODES nodes per call, which bounds
     the memory of a deep bisection level.
     """
     half = 0.5 * (hi - lo)
     sums = np.empty(lo.size)
+    rise = np.empty(lo.size)
     rows = _BLOCK_NODES // _NODES.size
     for start in range(0, lo.size, rows):
         block = slice(start, start + rows)
@@ -58,7 +64,9 @@ def _panel_sums(f: Callable, lo: np.ndarray, hi: np.ndarray, comp: np.ndarray) -
         # row sums round exactly as a sum over one panel does, so every
         # settle/split decision matches a panel-by-panel walk bit for bit
         sums[block] = (_WEIGHTS * fx).sum(axis=1)
-    return half * sums
+        with np.errstate(invalid="ignore"):  # inf - inf: its panel sum is not finite
+            rise[block] = fx[:, -1] - fx[:, 0]
+    return half * sums, rise
 
 
 def integrate_many(
@@ -88,10 +96,10 @@ def integrate_many(
         return [(0.0, 0.0)] * len(tols)
 
     def finite_sums(lo, hi, comp):
-        sums = _panel_sums(f, lo, hi, comp)
+        sums, rise = _panel_sums(f, lo, hi, comp)
         if not np.isfinite(sums).all():
             raise QuadratureDivergence(f"quadrature on [{a}, {b}] met a non-finite panel sum")
-        return sums
+        return sums, rise
 
     cuts = sorted({float(x) for x in breakpoints if a < x < b})
     edges = np.array([a, *cuts, b], dtype=float)
@@ -100,20 +108,26 @@ def integrate_many(
     lo, hi = np.tile(edges[:-1], K), np.tile(edges[1:], K)
     comp = np.repeat(np.arange(K), pieces)
     panel_tol = np.repeat(np.array(tols) / pieces, pieces)
-    coarse = finite_sums(lo, hi, comp)
+    coarse, _ = finite_sums(lo, hi, comp)
 
     total, settled_err, stuck_err = np.zeros(K), np.zeros(K), np.zeros(K)
     depth = 0
     while lo.size:
         mid = 0.5 * (lo + hi)
-        halves = finite_sums(
+        halves, rise = finite_sums(
             np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((comp, comp))
         )
         left, right = halves[: lo.size], halves[lo.size :]
         fine = left + right
         err = np.abs(fine - coarse)
+        # rounding a node x by eps |x| moves a half's sum by about eps |x|
+        # times its rise: at most eps |mid| (|rise_left| + |rise_right|)
+        rise = np.abs(rise)
+        rounding = _ROUNDING * np.maximum(
+            np.abs(left) + np.abs(right), np.abs(mid) * (rise[: lo.size] + rise[lo.size :])
+        )
         settled = (
-            (err <= np.maximum(panel_tol, _ROUNDING * (np.abs(left) + np.abs(right))))
+            (err <= np.maximum(panel_tol, rounding))
             | (mid <= lo)
             | (mid >= hi)
         )

@@ -124,10 +124,16 @@ def allocating_abs_pow_means(coeffs, radii, p, n, offset=0.0):
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
 
 
-def _gl_panel(f, lo, hi):
+def _gl_panel(f, lo, hi, rise=False):
+    """The 15-node Gauss sum of f over [lo, hi]; with ``rise``, also
+    |f(last node) - f(first node)|."""
     half = 0.5 * (hi - lo)
     x = lo + half * (_GL_NODES + 1.0)
-    return half * float(np.sum(_GL_WEIGHTS * np.asarray(f(x), dtype=float)))
+    fx = np.asarray(f(x), dtype=float)
+    value = half * float(np.sum(_GL_WEIGHTS * fx))
+    if rise:
+        return value, abs(float(fx[-1] - fx[0]))
+    return value
 
 
 def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
@@ -135,7 +141,8 @@ def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
     one integrand call per panel, with the same settle / stuck / split
     rules as ``korenblum.quadrature.integrate``: a panel settles when its
     error is within its share of tol or within the rounding
-    8 eps (|left| + |right|) of its halves. Returns
+    8 eps max(|left| + |right|, |mid| (rise_left + rise_right)) of its
+    halves, a half's rise |f(last node) - f(first node)|. Returns
     ``(value, err_est, deepest)``, deepest the largest bisection level
     at which a panel was refined."""
     if a == b:
@@ -156,11 +163,13 @@ def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
         lo, hi, coarse, panel_tol, depth = stack.pop()
         deepest = max(deepest, depth)
         mid = 0.5 * (lo + hi)
-        left = _gl_panel(f, lo, mid)
-        right = _gl_panel(f, mid, hi)
+        left, left_rise = _gl_panel(f, lo, mid, rise=True)
+        right, right_rise = _gl_panel(f, mid, hi, rise=True)
         fine = left + right
         err = abs(fine - coarse)
-        rounding = 8.0 * np.finfo(float).eps * (abs(left) + abs(right))
+        rounding = 8.0 * np.finfo(float).eps * max(
+            abs(left) + abs(right), abs(mid) * (left_rise + right_rise)
+        )
         if err <= panel_tol or err <= rounding or mid <= lo or mid >= hi:
             total += fine
             settled_err += err

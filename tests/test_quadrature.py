@@ -1,6 +1,7 @@
 """The adaptive Gauss-Legendre engine: accuracy, the level-by-level walk
 of the panel tree against the depth-first reference walk, and the walk of
 many integrals at once against one walk per integral."""
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -191,8 +192,9 @@ class TestManyIntegrals:
 
 class TestRoundingFloor:
     """A tolerance below the rounding of the integral settles each panel
-    once its halves agree to 8 eps of their size, instead of splitting
-    every panel to MAX_DEPTH."""
+    once its halves agree to 8 eps of their size, or to 8 eps of the
+    shift that rounding the nodes makes, instead of splitting every panel
+    to MAX_DEPTH."""
 
     def test_tolerance_below_rounding_settles(self):
         g, calls = _recording(np.sin)
@@ -207,3 +209,31 @@ class TestRoundingFloor:
         f, w = Polynomial((1.0, 2.0, 0.5)), ConstantWeight(1.0)
         fine = weighted_norm(f, w, 1.5, tol=1e-16)
         assert fine == pytest.approx(weighted_norm(f, w, 1.5, tol=1e-12), rel=1e-12)
+
+    def test_node_rounding_settles_a_fast_chirp(self):
+        # rounding x by eps |x| moves sin(2000 x^2) by up to 4e4 eps |x|:
+        # over [0, 10] that is about 1e-10, far above tol, at every depth
+        g, calls = _recording(lambda x: np.sin(2000.0 * x**2))
+        value, _ = integrate(g, 0.0, 10.0, 1e-12)
+        with mp.workdps(30):
+            s = mp.sqrt(mp.pi / 4000)
+            exact = float(s * mp.fresnels(10 / s))
+        assert value == pytest.approx(exact, abs=1e-12)
+        assert sum(x.size for x in calls) < 2_000_000
+
+    def test_node_rounding_settles_below_reachable_tolerance(self):
+        # a draw of test_each_component_equals_its_own_walk: its noise of
+        # about 285 eps |x| per node is above tol = 1e-14 at every depth,
+        # and the frontier used to double at each level up to 15 million panels
+        amp, share, freq = 0.99, 0.5947527811844654, 285.4360666338655
+        a, width = -0.8663643175629674, 2.7389441415257982
+        b, kink = a + width, a + share * width
+        cuts = [a + s * width for s in (0.14253651812878604, 0.3482760915008587)]
+        g, calls = _recording(lambda x: amp * np.abs(x - kink) + np.sin(freq * x))
+        value, _ = integrate(g, a, b, 1e-14, breakpoints=cuts)
+        with mp.workdps(30):
+            A, B, K, F = map(mp.mpf, (a, b, kink, freq))
+            exact = amp * ((K - A) ** 2 + (B - K) ** 2) / 2 + (mp.cos(F * A) - mp.cos(F * B)) / F
+            exact = float(exact)
+        assert value == pytest.approx(exact, abs=1e-13)
+        assert sum(x.size for x in calls) < 100_000
