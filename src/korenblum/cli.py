@@ -35,6 +35,7 @@ from .errors import (
     QuadratureDivergence,
     positive,
 )
+from .quadrature import DEFAULT_TOL
 from .weights import RadialWeight, weight_from_spec
 
 EXIT_OK = 0
@@ -161,24 +162,21 @@ def _cmd_verify(args):
 def _cmd_sweep(args):
     w = args.weight
     cert_c: float | None = None
-    cert_status = "ok"
     if any(p >= 1.0 for p in args.p):
         try:
             cert_c = certifier.certify(w, quad_tol=args.tol, grid=args.grid).c
-        except NoCertificate:
-            cert_status = "no_certificate"
+        except NoCertificate as exc:
+            print(f"korenblum sweep: {exc}", file=sys.stderr)
 
     rows = []
     for p in args.p:
         row = dict.fromkeys(SWEEP_HEADER.split(","))
         row.update(p=p, status="ok")
+        if p >= 1.0:
+            row.update(c_certified=cert_c, status="ok" if cert_c is not None else "no_certificate")
         try:
             row["c_star_upper"] = refuter.monomial_upper_bound(p, w).c_star
-            if p >= 1.0:
-                row["c_certified"] = cert_c
-                if cert_c is None:
-                    row["status"] = cert_status
-            else:
+            if p < 1.0:
                 try:
                     refuter.find_counterexample(p, row["c_star_upper"], w, quad_tol=args.tol, n=args.n)
                     row["witness_found_at_c_star"] = True
@@ -186,6 +184,7 @@ def _cmd_sweep(args):
                     row["witness_found_at_c_star"] = False
         except KorenblumError as exc:
             row["status"] = type(exc).__name__
+            print(f"korenblum sweep: p = {_cell(p)}: {exc}", file=sys.stderr)
         rows.append(row)
     code = EXIT_OK if all(row["status"] == "ok" for row in rows) else EXIT_NEGATIVE
     return code, {"rows": rows}, rows
@@ -263,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--weight", type=_argument(parse_weight), required=True,
                             help="weight spec JSON or a path to one")
         if tol:
-            sp.add_argument("--tol", type=real, default=1e-9,
-                            help="quadrature tolerance (default 1e-9)")
+            sp.add_argument("--tol", type=real, default=DEFAULT_TOL,
+                            help="quadrature tolerance (default %(default)g)")
         sp.add_argument("--output", choices=("json", "csv", "human"), default="json")
 
     sp = sub.add_parser("norm", help="weighted Bergman norm of a polynomial")

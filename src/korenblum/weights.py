@@ -7,9 +7,9 @@ constant weight 1 has total mass exactly 1. Moments
 
 are computed in closed form for every kind and returned as plain floats,
 with no tolerance and no error estimate. The constant, step and table
-kinds are piecewise linear (w = alpha + beta r on each piece) and share
-one implementation: power masses by primitives, piece by piece, and
-quadrature with the piece starts as breakpoints. For the standard kind
+kinds are piecewise linear, each given once by its knots, and share one
+implementation: power masses by primitives, w by interpolation and the
+knots as quadrature breakpoints. For the standard kind
 w(r) = (alpha+1)(1-r^2)^alpha, m(s) = (alpha+1) B(s/2 + 1, alpha + 1),
 with the partial masses of s = 0 from the primitive -(1-r^2)^{alpha+1};
 its other partial power masses have no closed form here and are refused.
@@ -72,31 +72,42 @@ class RadialWeight:
 
 
 class _PiecewiseLinear(RadialWeight):
-    """w = alpha + beta r on each piece (lo, hi, alpha, beta) of ``_pieces()``.
+    """w given by ``_knots()`` = (knots, values), knots increasing below 1:
+    0 below the first knot, linear between knots, constant from the last
+    knot to 1. The pieces (lo, hi, alpha, beta), w = alpha + beta r on
+    each, and w pointwise (``eval``) are both derived from the knots."""
 
-    The pieces are in increasing order and cover [lo of the first, 1];
-    w vanishes below the first piece. Each kind gives w pointwise as ``eval``.
-    """
-
-    def _pieces(self) -> tuple[tuple[float, float, float, float], ...]:
+    def _knots(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         raise NotImplementedError
 
+    def _pieces(self) -> tuple[tuple[float, float, float, float], ...]:
+        ks, vs = self._knots()
+        pieces = []
+        for i in range(len(ks) - 1):
+            slope = (vs[i + 1] - vs[i]) / (ks[i + 1] - ks[i])
+            pieces.append((ks[i], ks[i + 1], vs[i] - slope * ks[i], slope))
+        return (*pieces, (ks[-1], 1.0, vs[-1], 0.0))
+
+    def eval(self, r):
+        ks, vs = self._knots()
+        return np.interp(r, ks, vs, left=0.0)
+
     def liminf_at_origin(self) -> OriginLiminf:
-        lo, _, alpha, _ = self._pieces()[0]
-        if lo == 0.0 and alpha > 0.0:
+        ks, vs = self._knots()
+        if ks[0] == 0.0 and vs[0] > 0.0:
             return OriginLiminf.POSITIVE_LIMINF
         return OriginLiminf.ZERO_NEAR_ORIGIN
 
     def integrate_against(self, phi, a, b, tols):
-        starts = [start for start, _, _, _ in self._pieces()]
-        lo = max(a, starts[0])
+        knots, _ = self._knots()
+        lo = max(a, knots[0])
         if b <= lo:
             return [(0.0, 0.0)] * len(tols)
 
         def kernel(r, comp):
             return 2.0 * r * self.eval(r) * phi(r, comp)
 
-        return integrate_many(kernel, lo, b, tols, breakpoints=starts)
+        return integrate_many(kernel, lo, b, tols, breakpoints=knots)
 
     def power_mass(self, s, a, b):
         total = 0.0
@@ -117,11 +128,8 @@ class ConstantWeight(_PiecewiseLinear):
         positive("constant weight level", self.level)
         positive("constant weight total mass", self.power_mass(0.0, 0.0, 1.0))
 
-    def eval(self, r):
-        return np.full_like(np.asarray(r, dtype=float), self.level)
-
-    def _pieces(self):
-        return ((0.0, 1.0, self.level, 0.0),)
+    def _knots(self):
+        return (0.0,), (self.level,)
 
     def to_spec(self) -> dict:
         return {"kind": "constant", "level": self.level}
@@ -197,11 +205,8 @@ class StepWeight(_PiecewiseLinear):
         if not (np.isfinite(self.R) and 0.0 < self.R < 1.0):
             raise DomainError(f"step weight needs R in (0,1), got {self.R}")
 
-    def eval(self, r):
-        return np.where(np.asarray(r, dtype=float) >= self.R, 1.0, 0.0)
-
-    def _pieces(self):
-        return ((self.R, 1.0, 1.0, 0.0),)
+    def _knots(self):
+        return (self.R,), (1.0,)
 
     def to_spec(self) -> dict:
         return {"kind": "step", "R": self.R}
@@ -233,16 +238,8 @@ class TableWeight(_PiecewiseLinear):
             positive("table weight value", v, closed=True)
         positive("table weight total mass", self.power_mass(0.0, 0.0, 1.0))
 
-    def _pieces(self):
-        ks, vs = self.knots, self.values
-        pieces = []
-        for i in range(len(ks) - 1):
-            slope = (vs[i + 1] - vs[i]) / (ks[i + 1] - ks[i])
-            pieces.append((ks[i], ks[i + 1], vs[i] - slope * ks[i], slope))
-        return (*pieces, (ks[-1], 1.0, vs[-1], 0.0))
-
-    def eval(self, r):
-        return np.interp(np.asarray(r, dtype=float), self.knots, self.values)
+    def _knots(self):
+        return self.knots, self.values
 
     def to_spec(self) -> dict:
         return {"kind": "table", "r": list(self.knots), "w": list(self.values)}

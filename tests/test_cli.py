@@ -340,6 +340,26 @@ class TestSweep:
         assert [row["status"] for row in json.loads(out)["rows"]] == statuses
         assert code == (0 if statuses == ["ok", "ok"] else 1)
 
+    def test_failed_row_keeps_certified_radius_and_says_why(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--p", "2,1e6", "--weight", '{"kind":"standard","alpha":1000}'
+        )
+        assert code == 1
+        assert out.splitlines()[1:] == [
+            "2,0.0149612963509,0.0315912011803,,ok",
+            "1000000,0.0149612963509,,,DomainError",
+        ]
+        [line] = err.splitlines()
+        assert line.startswith("korenblum sweep: p = 1000000: moment m(p) underflows")
+
+    def test_no_certificate_is_said_once(self, capsys):
+        weight = '{"kind":"table","r":[0,1e-7,2e-7],"w":[1,1,0]}'
+        code, out, err = run_cli(capsys, "sweep", "--p", "1,2,4", "--weight", weight)
+        assert code == 1
+        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == ["no_certificate"] * 3
+        [line] = err.splitlines()
+        assert line.startswith("korenblum sweep: no radius in")
+
 
 CSV_CASES = {
     "certify": (("certify", "--weight", CONST1), RadiusCertificate),

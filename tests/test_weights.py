@@ -133,6 +133,42 @@ class TestPiecewisePartialRanges:
         assert closed == pytest.approx(quad, abs=2 * TOL)
 
 
+class TestEqualShapesEqualNumbers:
+    """A constant and a one-knot table of the same level are one shape, so
+    every number the two give must be bit for bit the same."""
+
+    CONST, TABLE = ConstantWeight(1.3), TableWeight(knots=(0.0,), values=(1.3,))
+
+    @pytest.mark.parametrize("s,a,b", [(0.0, 0.0, 1.0), (2.5, 0.0, 1.0), (1.0, 0.2, 0.7)])
+    def test_power_mass(self, s, a, b):
+        assert self.CONST.power_mass(s, a, b) == self.TABLE.power_mass(s, a, b)
+
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            lambda r, comp: r ** (comp + 0.5),
+            lambda r, comp: np.cos(7.0 * r + comp),
+            lambda r, comp: np.abs(r - 0.3 * (comp + 1)) ** 0.5,
+        ],
+        ids=["powers", "cosines", "kinks"],
+    )
+    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.1, 0.8)])
+    def test_integrate_against(self, phi, a, b):
+        tols = [TOL, 1e-6, 1e-11]
+        assert self.CONST.integrate_against(phi, a, b, tols) == self.TABLE.integrate_against(
+            phi, a, b, tols
+        )
+
+    def test_liminf_at_origin(self):
+        assert self.CONST.liminf_at_origin() is self.TABLE.liminf_at_origin()
+        assert self.CONST.liminf_at_origin() is OriginLiminf.POSITIVE_LIMINF
+
+
+def test_step_is_one_from_its_jump_on():
+    r = np.array([0.0, 0.3, np.nextafter(0.45, 0.0), 0.45, np.nextafter(0.45, 1.0), 0.99])
+    assert StepWeight(0.45).eval(r).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+
+
 class TestStandardClosedForms:
     @pytest.mark.parametrize("alpha", [-0.95, -0.5, 0.25, 6.0])
     @pytest.mark.parametrize("s", [0.0, 0.3, 1.0, 2.0, 5.0, 17.0])
