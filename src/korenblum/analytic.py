@@ -29,6 +29,7 @@ closed-form call per integrand call.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -61,6 +62,9 @@ class Polynomial:
 
     def __post_init__(self):
         cs = [complex(c) for c in self.coeffs]
+        for k, c in enumerate(cs):
+            if not cmath.isfinite(c):
+                raise DomainError(f"coefficient a{k} = {c} is not finite")
         while cs and cs[-1] == 0:
             cs.pop()
         if len(cs) - 1 > DEGREE_CAP:
@@ -102,8 +106,8 @@ def polynomial_from_spec(spec) -> Polynomial:
             spec = json.loads(spec)
         except json.JSONDecodeError as exc:
             raise DomainError(f"invalid polynomial JSON: {exc}") from exc
-    if not isinstance(spec, dict) or "coeffs" not in spec:
-        raise DomainError("polynomial spec must be an object with a 'coeffs' field")
+    if not isinstance(spec, dict) or not isinstance(spec.get("coeffs"), (list, tuple)):
+        raise DomainError("polynomial spec must be an object with a 'coeffs' array")
     coeffs = []
     for entry in spec["coeffs"]:
         if isinstance(entry, (list, tuple)):

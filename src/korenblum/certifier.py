@@ -25,6 +25,8 @@ from .weights import RadialWeight
 
 C_GRID_LO = 1e-6
 C_GRID_HI = 0.25
+#: radii in the certification scan
+DEFAULT_GRID = 64
 #: largest degree of g in random_dominating_pair
 PAIR_MAX_DEGREE = 8
 #: (radii, angles) of the sampled domination check
@@ -105,14 +107,14 @@ def _scan_point(w: RadialWeight, c: float, quad_tol: float) -> CertificateScanPo
 
 
 def certification_scan(
-    w: RadialWeight, quad_tol: float = DEFAULT_TOL, grid: int = 64
+    w: RadialWeight, quad_tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID
 ) -> list[CertificateScanPoint]:
     """Both sides of the certification inequality on the whole radius grid."""
     return [_scan_point(w, float(c), quad_tol) for c in _checked_grid(quad_tol, grid)]
 
 
 def certify(
-    w: RadialWeight, quad_tol: float = DEFAULT_TOL, grid: int = 64
+    w: RadialWeight, quad_tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID
 ) -> RadiusCertificate:
     """Largest grid radius whose certification margin clears 2*quad_tol.
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -190,21 +191,10 @@ def _cmd_sweep(args):
     return code, {"rows": rows}, rows
 
 
-_COMMANDS = {
-    "norm": _cmd_norm,
-    "means": _cmd_means,
-    "certify": _cmd_certify,
-    "refute": _cmd_refute,
-    "bound": _cmd_bound,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
-}
-
-
 def run(args: argparse.Namespace) -> int:
     """Dispatch one parsed command; print the report; return the exit code."""
     try:
-        code, payload, table = _COMMANDS[args.command](args)
+        code, payload, table = args.handler(args)
     except DomainError as exc:
         print(f"korenblum {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -245,7 +235,9 @@ def _number(cast, closed=False, many=False):
     return convert
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command table, built once per process: each subparser binds its handler."""
     parser = argparse.ArgumentParser(
         prog="korenblum",
         description=(
@@ -256,40 +248,42 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     poly = _argument(parse_poly)
     real, count = _number(float), _number(int)
+    scan_grid = "radius scan points (default %(default)d)"
 
-    def common(sp, weight=True, tol=True):
+    def common(sp, handler, weight=True, tol=True, output="json"):
+        sp.set_defaults(handler=handler)
         if weight:
             sp.add_argument("--weight", type=_argument(parse_weight), required=True,
                             help="weight spec JSON or a path to one")
         if tol:
             sp.add_argument("--tol", type=real, default=DEFAULT_TOL,
                             help="quadrature tolerance (default %(default)g)")
-        sp.add_argument("--output", choices=("json", "csv", "human"), default="json")
+        sp.add_argument("--output", choices=("json", "csv", "human"), default=output)
 
     sp = sub.add_parser("norm", help="weighted Bergman norm of a polynomial")
     sp.add_argument("--poly", type=poly, action="append", required=True, help='coefficients "a0,a1,..." or {"coeffs": ...}')
     sp.add_argument("--p", type=real, required=True)
-    common(sp)
+    common(sp, _cmd_norm)
 
     sp = sub.add_parser("means", help="circle means along a radius grid")
     sp.add_argument("--poly", type=poly, action="append", required=True)
     sp.add_argument("--p", type=real, required=True)
     sp.add_argument("--grid", type=count, default=32, help="number of radii (default 32)")
-    common(sp, weight=False, tol=False)
+    common(sp, _cmd_means, weight=False, tol=False)
 
     sp = sub.add_parser("certify", help="certify an admissible radius for a weight")
-    sp.add_argument("--grid", type=count, default=64, help="radius scan points (default 64)")
-    common(sp)
+    sp.add_argument("--grid", type=count, default=certifier.DEFAULT_GRID, help=scan_grid)
+    common(sp, _cmd_certify)
 
     sp = sub.add_parser("refute", help="search the explicit family for a norm reversal")
     sp.add_argument("--p", type=real, required=True)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--n", type=count, default=None, help="force the family exponent")
-    common(sp)
+    common(sp, _cmd_refute)
 
     sp = sub.add_parser("bound", help="moment-ratio upper bound on the admissible radius")
     sp.add_argument("--p", type=real, required=True)
-    common(sp, tol=False)
+    common(sp, _cmd_bound, tol=False)
 
     sp = sub.add_parser("verify", help="check one dominating pair, or a random sweep")
     sp.add_argument("--poly", type=poly, action="append", default=None, help="give twice: f then g")
@@ -298,14 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--count", type=count, default=100, help="random pairs when no --poly given")
     sp.add_argument("--seed", type=_number(int, closed=True), default=0,
                     help="seed of the random sweep (default 0)")
-    common(sp)
+    common(sp, _cmd_verify)
 
     sp = sub.add_parser("sweep", help="tabulate certificates against upper bounds over p")
     sp.add_argument("--p", type=_number(float, many=True), required=True, help="comma-separated p grid")
-    sp.add_argument("--grid", type=count, default=64)
+    sp.add_argument("--grid", type=count, default=certifier.DEFAULT_GRID, help=scan_grid)
     sp.add_argument("--n", type=count, default=None)
-    common(sp)
-    sp.set_defaults(output="csv")
+    common(sp, _cmd_sweep, output="csv")
 
     return parser
 

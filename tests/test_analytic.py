@@ -86,6 +86,14 @@ class TestPolynomial:
         for entry in ('"abc"', '["1", 0]', "null"):
             with pytest.raises(DomainError):
                 polynomial_from_spec(f'{{"coeffs": [{entry}]}}')
+        # coeffs must be an array, not a string of digits or a number
+        for spec in ({"coeffs": "12"}, {"coeffs": 5}, '{"coeffs": "12"}'):
+            with pytest.raises(DomainError, match="'coeffs' array"):
+                polynomial_from_spec(spec)
+        # JSON reads 1e999 as inf; the message names the first bad coefficient
+        for spec, name in (('{"coeffs": [1e999]}', "a0"), ('{"coeffs": [[0, 1], [1, NaN], 1e999]}', "a1")):
+            with pytest.raises(DomainError, match=f"coefficient {name} = .* is not finite"):
+                polynomial_from_spec(spec)
 
 
 class TestIntegralMean:

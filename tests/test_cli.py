@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from dataclasses import fields
@@ -499,9 +500,17 @@ class TestDeterminismAndErrors:
             (("verify", "--p", "2", "--c", "0.5", "--count", "-1", "--weight", CONST1), "--count"),
             (("means", "--poly", "1,2", "--p", "nan"), "--p"),
             (("certify", "--grid", "0", "--weight", CONST1), "--grid"),
+            (("means", "--poly", "nan,1", "--p", "2"), "--poly"),
+            (("means", "--poly", "1,inf", "--p", "2"), "--poly"),
+            (("norm", "--poly", "inf,1", "--p", "2", "--weight", CONST1), "--poly"),
+            (("norm", "--poly", '{"coeffs": [1e999]}', "--p", "2", "--weight", CONST1), "--poly"),
+            (("norm", "--poly", '{"coeffs": "12"}', "--p", "2", "--weight", CONST1), "--poly"),
+            (("verify", "--poly", "0,nan", "--poly", "0,1", "--p", "2", "--c", "0.5",
+              "--weight", CONST1), "--poly"),
         ],
         ids=["p-nan", "p-inf", "tol-inf", "bound-p-nan", "sweep-p-nan", "sweep-n-0",
-             "count-negative", "means-p-nan", "grid-0"],
+             "count-negative", "means-p-nan", "grid-0", "means-poly-nan", "means-poly-inf",
+             "norm-poly-inf", "norm-poly-json-inf", "norm-poly-json-string", "verify-poly-nan"],
     )
     def test_bad_number_exit_2(self, capsys, argv, flag):
         # before the flag was checked, NaN or inf p hung the solver and a
@@ -630,3 +639,43 @@ class TestDeterminismAndErrors:
         )
         assert code == 2
         assert "not found" in err
+
+
+class TestSharedParser:
+    """``main`` parses every call with one parser built per process."""
+
+    ARGVS = {
+        "verify-pair": ("verify", "--poly", "0,0.5", "--poly", "0,1", "--p", "2", "--c", "0.5",
+                        "--weight", CONST1),
+        "verify-seeded": ("verify", "--p", "2", "--c", "0.18", "--count", "3", "--seed", "7",
+                          "--weight", CONST1),
+        "sweep-csv": ("sweep", "--p", "0.5,2", "--weight", CONST1),
+        "certify-json": ("certify", "--weight", STEP05),
+    }
+
+    def test_same_reports_as_a_fresh_parser(self, capsys):
+        shared = {name: run_cli(capsys, *argv) for name, argv in self.ARGVS.items()}
+        for name, argv in self.ARGVS.items():
+            fresh = cli.build_parser.__wrapped__().parse_args(list(argv))
+            code = cli.run(fresh)
+            captured = capsys.readouterr()
+            assert shared[name] == (code, captured.out, captured.err), name
+        assert [code for code, _, _ in shared.values()] == [0, 0, 0, 0]
+        assert json.loads(shared["verify-seeded"][1])["seed"] == 7
+        assert shared["sweep-csv"][1].startswith(SWEEP_HEADER + "\n")
+        assert json.loads(shared["certify-json"][1])["weight"] == {"kind": "step", "R": 0.5}
+
+    def test_second_call_builds_no_parser(self, capsys, monkeypatch):
+        run_cli(capsys, *self.ARGVS["verify-pair"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in self.ARGVS.values():
+            run_cli(capsys, *argv)
+        assert built == []
+        assert cli.build_parser() is cli.build_parser()
