@@ -22,10 +22,11 @@ as reference) and reported with an error of 1e-13. The weighted norm
 
 nests that angular quadrature inside the radial quadrature of the weight.
 :func:`weighted_norms` computes the norms of many polynomials in one
-radial walk per pass, each polynomial a component of the integrand
-phi(r, comp) with its own tolerance and panel tree, so every norm is bit
-for bit the one it gets alone; the binomials of all components share one
-closed-form call per integrand call.
+radial walk of two passes, the fine pass resuming the coarse one, each
+polynomial a component of the integrand phi(r, comp) with its own
+tolerances and panel tree, so every norm is bit for bit the one it gets
+alone; the binomials of all components share one closed-form call per
+integrand call.
 """
 from __future__ import annotations
 
@@ -346,7 +347,7 @@ def _lacunary(f: Polynomial) -> tuple[Polynomial, int]:
     M_p(r; f) = M_p(r^d; h) for d > 1, exactly for the trapezoid rule
     too: the N-node rule on f is the N/d-node rule on h when d divides N.
     """
-    d = int(np.gcd.reduce(np.flatnonzero(np.asarray(f.coeffs))))
+    d = math.gcd(*[k for k, c in enumerate(f.coeffs) if c])
     return (Polynomial(f.coeffs[::d]), d) if d > 1 else (f, d)
 
 
@@ -466,15 +467,15 @@ def weighted_norms(
 ) -> list[float]:
     """||f||_{p,w} of every f in fs, each with relative error about tol.
 
-    The radial quadrature runs twice, each time as one walk for all the
-    polynomials (see :func:`korenblum.quadrature.integrate_many`): a
-    coarse walk to learn the scale of each integral, then a walk whose
+    The radial quadrature is one walk for all the polynomials (see
+    :func:`korenblum.quadrature.integrate_many`) in two passes: a coarse
+    pass to learn the scale of each integral, then a fine pass whose
     absolute tolerances target the final relative accuracy of each norm,
-    or stay at the coarse ones where those are finer already (that walk
-    repeats the coarse one). Each component keeps its own tolerances and
-    panel tree, and its panels are added one by one in frontier order,
-    so each norm is bit for bit the one the polynomial gets alone,
-    ``weighted_norms([f], ...)``.
+    or stay at the coarse ones where those are finer already. The fine
+    pass resumes the coarse one, so no panel is evaluated twice. Each
+    component keeps its own tolerances and panel tree, and its panels
+    are added one by one in frontier order, so each norm is bit for bit
+    the one the polynomial gets alone, ``weighted_norms([f], ...)``.
     """
     positive("p", p)
     positive("tol", tol)
@@ -489,14 +490,16 @@ def weighted_norms(
             f"p = {p}: the scale (sum |a_k|)^p m(0) of the radial tolerance overflows a float"
         )
     coarse_tols = _above_floor(fs, p, [1e-3 * scale for scale in scales])
+
+    def fine_tols(coarse):
+        return _above_floor(
+            fs, p, [min(0.25 * tol * p * v, ct) for (v, _), ct in zip(coarse, coarse_tols)]
+        )
+
     phi = _mean_pows(fs, p, 0.25 * tol)
     # an overflowing integrand is reported by the walk's non-finite panel check
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse = w.integrate_against(phi, 0.0, 1.0, coarse_tols)
-        fine_tols = _above_floor(
-            fs, p, [min(0.25 * tol * p * v, ct) for (v, _), ct in zip(coarse, coarse_tols)]
-        )
-        fine = w.integrate_against(phi, 0.0, 1.0, fine_tols)
+        fine = w.integrate_against(phi, 0.0, 1.0, coarse_tols, refine=fine_tols)
     try:
         return [max(v, 0.0) ** (1.0 / p) for v, _ in fine]
     except OverflowError:

@@ -21,6 +21,12 @@ by one ``np.bincount`` per level, which adds each component's panels one
 by one in frontier order, the order a walk of it alone takes; so each
 component's result is bit for bit what a separate walk would give.
 :func:`integrate` is that walk for a single integrand ``f(x)``.
+
+A walk at finer tolerances splits every panel a coarser walk splits, so
+``integrate_many(..., refine=...)`` runs its second, finer walk as a
+resume of the first: panels the first walk evaluated are taken from its
+trail, and the integrand sees only the panels it never did. Decisions
+and summation order are those of a fresh walk, bit for bit.
 """
 from __future__ import annotations
 
@@ -69,54 +75,53 @@ def _panel_sums(
     return half * sums, rise
 
 
-def integrate_many(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tols: Sequence[float],
-    *,
-    breakpoints: Iterable[float] = (),
-) -> list[tuple[float, float]]:
-    """Integrate the components k of ``f(x, comp)`` over [a, b], component
-    k to absolute tolerance ``tols[k]``, in one walk (see the module notes).
+def _walk(finite_sums, edges, tols, *, keep=False, earlier=None):
+    """One level-by-level walk of every component's panel tree over the
+    pieces between ``edges``, component k at tolerance ``tols[k]``, its
+    panels evaluated by ``finite_sums(lo, hi, comp)``.
 
-    ``breakpoints`` are interior points where some integrand is known to
-    be non-smooth (jumps, kinks); panels never straddle them. Returns one
-    ``(value, err_est)`` per component. Raises
-    :class:`QuadratureDivergence` when a panel sum is not finite (such a
-    panel never settles; declare interior singularities as breakpoints,
-    since nodes never touch a panel's ends), or when the accumulated
-    error of a component's panels that hit ``MAX_DEPTH`` still exceeds
-    its tolerance.
+    Returns per-component arrays (total, settled error, stuck error) and,
+    with ``keep``, the walk's trail: its level-0 panel sums, then per
+    level the halves, rises and split mask of its frontier. ``earlier`` is
+    the trail of a walk of the same pieces at tolerances no lower than
+    ``tols``. Every panel that walk splits, this one splits too, so at
+    each level its frontier is an order-preserving subsequence of this
+    one: all level-0 panels are shared, and a child is shared when its
+    parent was and the earlier walk split it. The halves of shared panels
+    are taken from the trail, and only the others are evaluated.
     """
-    tols = [positive("tol", tol) for tol in tols]
-    if b < a:
-        raise ValueError("integration bounds must satisfy a <= b")
-    if a == b:
-        return [(0.0, 0.0)] * len(tols)
-
-    def finite_sums(lo, hi, comp):
-        sums, rise = _panel_sums(f, lo, hi, comp)
-        if not np.isfinite(sums).all():
-            raise QuadratureDivergence(f"quadrature on [{a}, {b}] met a non-finite panel sum")
-        return sums, rise
-
-    cuts = sorted({float(x) for x in breakpoints if a < x < b})
-    edges = np.array([a, *cuts, b], dtype=float)
-    pieces = edges.size - 1
     K = len(tols)
+    pieces = edges.size - 1
     lo, hi = np.tile(edges[:-1], K), np.tile(edges[1:], K)
     comp = np.repeat(np.arange(K), pieces)
     panel_tol = np.repeat(np.array(tols) / pieces, pieces)
-    coarse, _ = finite_sums(lo, hi, comp)
+    coarse = finite_sums(lo, hi, comp)[0] if earlier is None else earlier[0]
+    levels = iter(earlier[1:] if earlier else ())
+    shared = np.ones(lo.size, dtype=bool)  # the panels the earlier walk evaluated
+    trail = [coarse] if keep else None
 
     total, settled_err, stuck_err = np.zeros(K), np.zeros(K), np.zeros(K)
     depth = 0
     while lo.size:
         mid = 0.5 * (lo + hi)
-        halves, rise = finite_sums(
-            np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((comp, comp))
-        )
+        # past the earlier walk's last level no panel is shared
+        reused = next(levels, None)
+        if reused is None:
+            halves, rise = finite_sums(
+                np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((comp, comp))
+            )
+        elif shared.all():
+            halves, rise, _ = reused
+        else:
+            new = ~shared
+            both = np.concatenate((shared, shared))
+            halves, rise = np.empty(both.size), np.empty(both.size)
+            halves[both], rise[both] = reused[:2]
+            halves[~both], rise[~both] = finite_sums(
+                np.concatenate((lo[new], mid[new])),
+                np.concatenate((mid[new], hi[new])),
+                np.concatenate((comp[new], comp[new])),
+            )
         left, right = halves[: lo.size], halves[lo.size :]
         fine = left + right
         err = np.abs(fine - coarse)
@@ -139,20 +144,82 @@ def integrate_many(
         # children keep each component's panels in the order of its own walk:
         # all left halves, then all right halves
         split = ~done
+        if trail is not None:
+            trail.append((halves, rise, split))
+        if reused is not None:
+            parent = np.zeros(lo.size, dtype=bool)
+            parent[shared] = reused[2]
+            shared = np.concatenate((parent[split], parent[split]))
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
         coarse = np.concatenate((left[split], right[split]))
         comp = np.concatenate((comp[split], comp[split]))
         half_tol = 0.5 * panel_tol[split]
         panel_tol = np.concatenate((half_tol, half_tol))
         depth += 1
+    return total, settled_err, stuck_err, trail
 
-    for tol, err in zip(tols, stuck_err.tolist()):
-        if err > tol:
-            raise QuadratureDivergence(
-                f"quadrature on [{a}, {b}] left error {err:.3e} > tol {tol:.3e} "
-                f"after {MAX_DEPTH} bisection levels"
-            )
-    return list(zip(total.tolist(), (settled_err + stuck_err).tolist()))
+
+def integrate_many(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: float,
+    b: float,
+    tols: Sequence[float],
+    *,
+    breakpoints: Iterable[float] = (),
+    refine: Callable[[list[tuple[float, float]]], Sequence[float]] | None = None,
+) -> list[tuple[float, float]]:
+    """Integrate the components k of ``f(x, comp)`` over [a, b], component
+    k to absolute tolerance ``tols[k]``, in one walk (see the module notes).
+
+    ``breakpoints`` are interior points where some integrand is known to
+    be non-smooth (jumps, kinks); panels never straddle them. Returns one
+    ``(value, err_est)`` per component. Raises
+    :class:`QuadratureDivergence` when a panel sum is not finite (such a
+    panel never settles; declare interior singularities as breakpoints,
+    since nodes never touch a panel's ends), or when the accumulated
+    error of a component's panels that hit ``MAX_DEPTH`` still exceeds
+    its tolerance.
+
+    ``refine`` maps the walk's results to the tolerances of a second walk,
+    whose results are returned instead: bit for bit those of a fresh
+    walk at those tolerances, but the second walk resumes the first and
+    evaluates only the panels the first never did. A refined tolerance
+    above the first walk's raises ``ValueError``.
+    """
+    tols = [positive("tol", tol) for tol in tols]
+    if b < a:
+        raise ValueError("integration bounds must satisfy a <= b")
+
+    def finite_sums(lo, hi, comp):
+        sums, rise = _panel_sums(f, lo, hi, comp)
+        if not np.isfinite(sums).all():
+            raise QuadratureDivergence(f"quadrature on [{a}, {b}] met a non-finite panel sum")
+        return sums, rise
+
+    cuts = sorted({float(x) for x in breakpoints if a < x < b})
+    edges = np.array([a, *cuts, b], dtype=float)
+
+    def walk(tols, **kwargs):
+        if a == b:
+            return [(0.0, 0.0)] * len(tols), None
+        total, settled_err, stuck_err, trail = _walk(finite_sums, edges, tols, **kwargs)
+        for tol, err in zip(tols, stuck_err.tolist()):
+            if err > tol:
+                raise QuadratureDivergence(
+                    f"quadrature on [{a}, {b}] left error {err:.3e} > tol {tol:.3e} "
+                    f"after {MAX_DEPTH} bisection levels"
+                )
+        return list(zip(total.tolist(), (settled_err + stuck_err).tolist())), trail
+
+    results, trail = walk(tols, keep=refine is not None)
+    if refine is None:
+        return results
+    fine_tols = [positive("tol", tol) for tol in refine(results)]
+    if len(fine_tols) != len(tols) or any(t > u for t, u in zip(fine_tols, tols)):
+        raise ValueError(
+            "refine must give one tolerance per component, none above the first walk's"
+        )
+    return walk(fine_tols, earlier=trail)[0]
 
 
 def integrate(

@@ -66,15 +66,19 @@ def choose_n(p: float) -> int:
     return n
 
 
-def family_pair(c: float, n: int, epsilon: float) -> tuple[Polynomial, Polynomial]:
-    """The explicit pair (f, g) at parameters (c, n, epsilon)."""
+def _family_f(c: float, n: int, epsilon: float) -> Polynomial:
+    """The f of :func:`family_pair`, after the same parameter checks."""
     if not 0.0 < epsilon < c < 1.0:
         raise DomainError(f"need 0 < epsilon < c < 1, got epsilon={epsilon}, c={c}")
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     prefactor = c**n / (c**n + epsilon**n)
-    f = Polynomial((prefactor * epsilon**n,) + (0.0,) * (n - 1) + (prefactor,))
-    return f, Polynomial.monomial(n)
+    return Polynomial((prefactor * epsilon**n,) + (0.0,) * (n - 1) + (prefactor,))
+
+
+def family_pair(c: float, n: int, epsilon: float) -> tuple[Polynomial, Polynomial]:
+    """The explicit pair (f, g) at parameters (c, n, epsilon)."""
+    return _family_f(c, n, epsilon), Polynomial.monomial(n)
 
 
 def find_counterexample(
@@ -105,7 +109,7 @@ def find_counterexample(
     elif n < 1:
         raise DomainError(f"forced n must be a positive integer, got {n}")
 
-    family = [family_pair(c, n, c * 2.0**-j)[0] for j in range(1, EPSILON_SCAN_STEPS + 1)]
+    family = [_family_f(c, n, c * 2.0**-j) for j in range(1, EPSILON_SCAN_STEPS + 1)]
     norm_g, *norms_f = weighted_norms([Polynomial.monomial(n), *family], w, p, tol=quad_tol)
     best_j, best_gap, best_norm_f = None, -np.inf, 0.0
     for j, norm_f in enumerate(norms_f, start=1):

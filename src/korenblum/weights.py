@@ -52,13 +52,15 @@ class RadialWeight:
         raise NotImplementedError
 
     def integrate_against(
-        self, phi: Callable, a: float, b: float, tols: Sequence[float]
+        self, phi: Callable, a: float, b: float, tols: Sequence[float], *,
+        refine: Callable | None = None,
     ) -> list[tuple[float, float]]:
         """int_a^b 2 r w(r) phi(r, k) dr for k = 0..K-1, component k with
         absolute error <= tols[k], in one quadrature walk.
 
         ``phi(r, comp)`` maps arrays of radii and of their components
-        elementwise (see :func:`korenblum.quadrature.integrate_many`).
+        elementwise, and ``refine`` resumes the walk at finer tolerances
+        (see :func:`korenblum.quadrature.integrate_many`).
         Returns one (value, err_est) per tolerance.
         """
         raise NotImplementedError
@@ -98,16 +100,15 @@ class _PiecewiseLinear(RadialWeight):
             return OriginLiminf.POSITIVE_LIMINF
         return OriginLiminf.ZERO_NEAR_ORIGIN
 
-    def integrate_against(self, phi, a, b, tols):
+    def integrate_against(self, phi, a, b, tols, *, refine=None):
         knots, _ = self._knots()
-        lo = max(a, knots[0])
-        if b <= lo:
-            return [(0.0, 0.0)] * len(tols)
+        # w = 0 below the first knot; a walk of [b, b] returns zeros
+        lo = min(max(a, knots[0]), b)
 
         def kernel(r, comp):
             return 2.0 * r * self.eval(r) * phi(r, comp)
 
-        return integrate_many(kernel, lo, b, tols, breakpoints=knots)
+        return integrate_many(kernel, lo, b, tols, breakpoints=knots, refine=refine)
 
     def power_mass(self, s, a, b):
         total = 0.0
@@ -147,14 +148,14 @@ class StandardWeight(RadialWeight):
     def liminf_at_origin(self) -> OriginLiminf:
         return OriginLiminf.POSITIVE_LIMINF
 
-    def integrate_against(self, phi, a, b, tols):
+    def integrate_against(self, phi, a, b, tols, *, refine=None):
         al = self.alpha
         # walks short of r = 1 stay in r: v below cannot resolve r^2 under rounding
         if al >= 0.0 or b < 1.0:
             def direct(r, comp):
                 return 2.0 * (al + 1.0) * r * (1.0 - r * r) ** al * phi(r, comp)
 
-            return integrate_many(direct, a, b, tols)
+            return integrate_many(direct, a, b, tols, refine=refine)
 
         # v = (1-r^2)^{alpha+1} turns the kernel into plain dv and keeps the
         # transformed integrand bounded up to r = 1.
@@ -166,7 +167,7 @@ class StandardWeight(RadialWeight):
             u = np.clip(1.0 - v**q, 0.0, 1.0)
             return phi(np.sqrt(u), comp)
 
-        return integrate_many(transformed, vb, va, tols)
+        return integrate_many(transformed, vb, va, tols, refine=refine)
 
     def power_mass(self, s, a, b):
         ap1 = self.alpha + 1.0

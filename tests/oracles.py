@@ -3,14 +3,18 @@ high-precision evaluation of the Schuster product, a depth-first
 walk of the adaptive quadrature's panel tree, and the allocating
 formula of the angular circle means.
 
-Nothing here goes through the package's quadrature paths.
+Nothing here goes through the package's quadrature paths, except
+:func:`two_walk_norms`, the weighted norms as two separate walks, which
+the package's resumed walk must reproduce bit for bit.
 """
 import math
 
 import mpmath as mp
 import numpy as np
 
+from korenblum.analytic import _above_floor, _mean_pows
 from korenblum.errors import QuadratureDivergence
+from korenblum.weights import moment
 
 
 def const_moment(s: float, level: float = 1.0) -> float:
@@ -186,3 +190,20 @@ def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
             f"after {max_depth} bisection levels"
         )
     return total, settled_err + stuck_err, deepest
+
+
+def two_walk_norms(fs, w, p, tol):
+    """``weighted_norms(fs, w, p, tol)`` by two plain ``integrate_against``
+    walks: a coarse walk at tolerances 1e-3 (sum |a_k|)^p m(0), then a
+    fresh walk from the root at min(0.25 tol p v, coarse tolerance), v a
+    coarse value. Returns the norms and the fine tolerances."""
+    scales = [float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0) for f in fs]
+    coarse_tols = _above_floor(fs, p, [1e-3 * scale for scale in scales])
+    phi = _mean_pows(fs, p, 0.25 * tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = w.integrate_against(phi, 0.0, 1.0, coarse_tols)
+        fine_tols = _above_floor(
+            fs, p, [min(0.25 * tol * p * v, ct) for (v, _), ct in zip(coarse, coarse_tols)]
+        )
+        fine = w.integrate_against(phi, 0.0, 1.0, fine_tols)
+    return [max(v, 0.0) ** (1.0 / p) for v, _ in fine], fine_tols

@@ -28,6 +28,7 @@ from korenblum import (
 )
 import korenblum.analytic as analytic
 from korenblum.analytic import _mean_pow_batch
+import korenblum.quadrature as quadrature
 from korenblum.quadrature import integrate, integrate_many
 from korenblum.refuter import EPSILON_SCAN_STEPS
 
@@ -38,6 +39,7 @@ from oracles import (
     parseval_norm,
     std_moment,
     step_moment,
+    two_walk_norms,
 )
 
 TOL = 1e-9
@@ -490,6 +492,12 @@ class TestToleranceFloor:
         assert weighted_norms([Polynomial(())], ConstantWeight(1.0), 1000.0) == [0.0]
 
 
+def _family_scan(p, c):
+    n = choose_n(p)
+    family = [family_pair(c, n, c * 2.0**-j)[0] for j in range(1, EPSILON_SCAN_STEPS + 1)]
+    return [Polynomial.monomial(n), *family]
+
+
 class TestWeightedNorms:
     """weighted_norms walks all its polynomials at once; each norm must
     come out bit for bit as weighted_norm gives it alone."""
@@ -507,9 +515,7 @@ class TestWeightedNorms:
     @pytest.mark.parametrize("cell", sorted(REFUTE_CELLS))
     def test_refute_scan_equals_one_norm_at_a_time(self, cell):
         p, c, w = self.REFUTE_CELLS[cell]
-        n = choose_n(p)
-        family = [family_pair(c, n, c * 2.0**-j)[0] for j in range(1, EPSILON_SCAN_STEPS + 1)]
-        fs = [Polynomial.monomial(n), *family]
+        fs = _family_scan(p, c)
         assert weighted_norms(fs, w, p) == [weighted_norm(f, w, p) for f in fs]
 
     @pytest.mark.parametrize("p", [0.5, 1.5, 3.0])
@@ -533,7 +539,7 @@ class TestWeightedNorms:
 
     def test_fine_tolerance_not_below_coarse(self):
         # at tol = 0.5 the fine tolerance of 1, 0.25 tol p ||1||^p = 0.25,
-        # is above its coarse one, 1e-3 m(0); its second walk repeats the first
+        # is above its coarse one, 1e-3 m(0); its fine pass reuses every panel
         fs = [Polynomial((1.0,)), Polynomial.monomial(3)]
         for w in (ConstantWeight(1.0), StandardWeight(-0.5), StepWeight(0.5)):
             assert weighted_norms(fs, w, 2.0, tol=0.5) == [
@@ -544,6 +550,56 @@ class TestWeightedNorms:
         w = ConstantWeight(1.0)
         assert weighted_norms([Polynomial(()), Polynomial((0.0,))], w, 1.0) == [0.0, 0.0]
         assert weighted_norms([], w, 1.0) == []
+
+
+_G4 = Polynomial((0.3 - 0.2j, 1.0, -0.4j, 0.25, 0.6 + 0.1j))
+# a verify-style pair f = h g of degree 8, g, and binomials (one lacunary)
+_MIXED = [
+    Polynomial((0.5, -0.2j, 0.1, 0.0, 0.3)) * _G4,
+    _G4,
+    Polynomial((0.4, 0.0, 0.0, 1.0)),
+    Polynomial((2.0,)),
+]
+
+
+class TestResumedNorms:
+    """weighted_norms's fine pass resumes its coarse pass: the norms are
+    bit for bit those of two separate walks, and no more panels are
+    evaluated than the fine walk alone takes."""
+
+    # (polynomials, weight, p): the pinned refute scan, the verify-style
+    # pair, and each walk path of integrate_against (piecewise linear with
+    # a breakpoint, standard direct in r, standard substituted in v)
+    CASES = {
+        "refute_scan": (_family_scan(0.5, 0.9), ConstantWeight(1.0), 0.5),
+        "verify_pair": (_MIXED[:2], ConstantWeight(1.0), 1.5),
+        "step": (_MIXED, StepWeight(0.3), 0.5),
+        "standard_direct": (_MIXED, StandardWeight(1.0), 3.0),
+        "standard_alpha_below_0": (_MIXED, StandardWeight(-0.5), 0.5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_two_walks(self, case):
+        fs, w, p = self.CASES[case]
+        assert weighted_norms(fs, w, p) == two_walk_norms(fs, w, p, TOL)[0]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_no_more_panels_than_the_fine_walk(self, case, monkeypatch):
+        fs, w, p = self.CASES[case]
+        _, fine_tols = two_walk_norms(fs, w, p, TOL)
+        panels = []
+        panel_sums = quadrature._panel_sums
+
+        def counted(f, lo, hi, comp):
+            panels.append(lo.size)
+            return panel_sums(f, lo, hi, comp)
+
+        monkeypatch.setattr(quadrature, "_panel_sums", counted)
+        weighted_norms(fs, w, p)
+        resumed = sum(panels)
+        panels.clear()
+        w.integrate_against(analytic._mean_pows(fs, p, 0.25 * TOL), 0.0, 1.0, fine_tols)
+        assert 0 < resumed <= sum(panels)
 
 
 class TestMeanProfile:

@@ -1,6 +1,7 @@
 """The adaptive Gauss-Legendre engine: accuracy, the level-by-level walk
-of the panel tree against the depth-first reference walk, and the walk of
-many integrals at once against one walk per integral."""
+of the panel tree against the depth-first reference walk, the walk of
+many integrals at once against one walk per integral, and a refined walk
+resumed from a coarser one against a fresh walk."""
 import mpmath as mp
 import numpy as np
 import pytest
@@ -188,6 +189,99 @@ class TestManyIntegrals:
 
     def test_no_components(self):
         assert integrate_many(lambda x, comp: x, 0.0, 1.0, []) == []
+
+
+def _recording_many(f):
+    """f(x, comp), keeping the (x, comp) rows of every call."""
+    rows = []
+
+    def g(x, comp):
+        rows.append(np.column_stack((x, comp)))
+        return f(x, comp)
+
+    return g, rows
+
+
+class TestResume:
+    """integrate_many(..., refine=...) runs its second walk as a resume of
+    the first: bit for bit a fresh walk at the refined tolerances, with no
+    node evaluated twice."""
+
+    F = staticmethod(
+        _kinked([1.0, 2.0, 0.5, 3.0], [0.3, 0.6, 0.9, 0.45], [0.5, 1.5, 3.0, 1.0],
+                [1.0, 50.0, 9.0, 200.0])
+    )
+    CUTS = (0.25, 0.7)
+    # component 0 keeps its tolerance (full reuse), the others refine a
+    # little, a lot and down to the rounding floor
+    T1 = [1e-6, 1e-6, 1e-4, 1e-3]
+    T2 = [1e-6, 3e-7, 1e-12, 1e-300]
+
+    @pytest.mark.parametrize("cuts", [(), CUTS], ids=["no_breakpoints", "breakpoints"])
+    def test_equals_a_fresh_walk(self, cuts):
+        seen = []
+
+        def refine(results):
+            seen.append(results)
+            return self.T2
+
+        resumed = integrate_many(self.F, -0.5, 1.5, self.T1, breakpoints=cuts, refine=refine)
+        assert seen == [integrate_many(self.F, -0.5, 1.5, self.T1, breakpoints=cuts)]
+        assert resumed == integrate_many(self.F, -0.5, 1.5, self.T2, breakpoints=cuts)
+
+    def test_equals_a_fresh_walk_at_the_node_rounding_floor(self):
+        # the chirp's panels settle by node rounding, eps |mid| times the
+        # halves' rises, at both tolerances: a reused half keeps its rise
+        def chirp(x, comp):
+            return np.sin(2000.0 * x**2) * (1.0 + comp)
+
+        resumed = integrate_many(chirp, 0.0, 3.0, [1e-10, 1e-11], refine=lambda _: [1e-11, 1e-12])
+        assert resumed == integrate_many(chirp, 0.0, 3.0, [1e-11, 1e-12])
+
+    def test_each_panel_evaluated_once(self):
+        g, rows = _recording_many(self.F)
+        integrate_many(g, -0.5, 1.5, self.T1, breakpoints=self.CUTS, refine=lambda _: self.T2)
+        resumed = np.concatenate(rows)
+        assert np.unique(resumed, axis=0).shape == resumed.shape
+
+        # the nodes are exactly those of a fresh walk at the refined tolerances
+        g, rows = _recording_many(self.F)
+        integrate_many(g, -0.5, 1.5, self.T2, breakpoints=self.CUTS)
+        assert np.array_equal(np.unique(resumed, axis=0), np.unique(np.concatenate(rows), axis=0))
+
+    def test_full_reuse_evaluates_nothing_new(self):
+        g, rows = _recording_many(self.F)
+        first = integrate_many(g, -0.5, 1.5, self.T1)
+        calls = len(rows)
+        assert integrate_many(g, -0.5, 1.5, self.T1, refine=lambda _: self.T1) == first
+        assert len(rows) == 2 * calls
+
+    def test_stuck_component_raises_as_a_fresh_walk(self):
+        from korenblum import QuadratureDivergence
+
+        # an undeclared jump hits MAX_DEPTH with an error of about 2.3e-14,
+        # within the first walk's tolerance but not the refined one's
+        def f(x, comp):
+            return np.where(comp == 1, (x >= 1.0 / 3.0).astype(float), np.cos(x))
+
+        with pytest.raises(QuadratureDivergence) as fresh:
+            integrate_many(f, 0.0, 1.0, [1e-10, 1e-14])
+        with pytest.raises(QuadratureDivergence) as resumed:
+            integrate_many(f, 0.0, 1.0, [1e-9, 1e-9], refine=lambda _: [1e-10, 1e-14])
+        assert str(resumed.value) == str(fresh.value)
+        assert "> tol 1.000e-14 after 40 bisection levels" in str(fresh.value)
+
+    @pytest.mark.parametrize(
+        "refined", [[1e-6, 2e-6, 1e-6, 1e-3], [1e-6, 1e-6, 1e-4]], ids=["above", "too_few"]
+    )
+    def test_refused_tolerances(self, refined):
+        with pytest.raises(ValueError, match="refine must give one tolerance per component"):
+            integrate_many(self.F, -0.5, 1.5, self.T1, refine=lambda _: refined)
+
+    def test_zero_width_interval(self):
+        assert integrate_many(self.F, 0.5, 0.5, [1e-3], refine=lambda _: [1e-9]) == [(0.0, 0.0)]
+        with pytest.raises(ValueError):
+            integrate_many(self.F, 0.5, 0.5, [1e-9], refine=lambda _: [1e-3])
 
 
 class TestRoundingFloor:
