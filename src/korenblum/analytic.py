@@ -16,7 +16,10 @@ mean has a closed form: with A = |a|, B = |b| r^d and x = min/max,
           = sum_k C(p/2, k)^2 x^{2k} = 2F1(-p/2, -p/2; 1; x^2),
 
 evaluated without angular nodes to a few 1e-15 relative (mpmath's hyp2f1
-as reference) and reported with an error of 1e-13. The weighted norm
+as reference) and reported with an error of 1e-13. Its moduli and d are
+read off the coefficients, and each row's work is sized to its own x: a
+series row whose tail cannot move 1.0 is 1.0, and an integral row takes
+the fewest Gauss panels that resolve it. The weighted norm
 
     ||f||_{p,w} = ( int_0^1 2 r w(r) M_p^p(r; f) dr )^{1/p}
 
@@ -47,10 +50,18 @@ DEGREE_CAP = 64
 
 #: angle count at which the doubling of a circle mean stops
 _THETA_CAP = 1 << 17
-#: equal 15-node Gauss panels of S_p's integral form (x^2 > 1/2), on the
-#: sinh-substituted v in [0, 1/2] and on v in [1/2, pi/2]
-_BINOMIAL_INNER_PANELS = 16
-_BINOMIAL_OUTER_PANELS = 4
+#: counts of equal 15-node Gauss panels of S_p's integral form (x^2 > 1/2)
+#: on the sinh-substituted v in [0, 1/2]: a row takes the fewest whose
+#: tau panels are no wider than 1, else the most
+_TAU_PANELS = (4, 8, 16)
+#: the p up to which 4 equal 15-node Gauss panels take v in [1/2, pi/2],
+#: and 16 above: the integrand peaks like exp(-p (v - pi/2)^2 / 2), and
+#: against mpmath 4 panels lose 4e-13 relative at p = 500 and 4e-10 at
+#: p = 1000, where 16 stay within 4e-14
+_V_FEW_PANELS_P = 100.0
+#: a series row whose whole tail x^2 sum_k C(p/2, k)^2 is at most this
+#: rounds to 1.0: 1 + t is 1.0 for every t below half an ulp of 1, 2^-53
+_SERIES_ONE = 2.0**-54
 #: relative error reported for a closed-form binomial mean
 _BINOMIAL_REL_ERROR = 1e-13
 
@@ -227,10 +238,16 @@ def _gauss_panels(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.nda
     return x.ravel(), (half[:, None] * _WEIGHTS).ravel()
 
 
-# the tau rule on [0, 1] is scaled to each row's [0, asinh(1/(2b))]
-_TAU_NODES, _TAU_WEIGHTS = _gauss_panels(0.0, 1.0, _BINOMIAL_INNER_PANELS)
-_V_NODES, _V_WEIGHTS = _gauss_panels(0.5, 0.5 * np.pi, _BINOMIAL_OUTER_PANELS)
-_SIN2_V = np.sin(_V_NODES) ** 2
+def _v_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights of `panels` equal Gauss panels on v in [1/2, pi/2], and sin^2 v
+    at their nodes."""
+    nodes, weights = _gauss_panels(0.5, 0.5 * np.pi, panels)
+    return weights, np.sin(nodes) ** 2
+
+
+# each tau rule on [0, 1] is scaled to a row's [0, asinh(1/(2b))]
+_TAU_RULES = {n: _gauss_panels(0.0, 1.0, n) for n in _TAU_PANELS}
+_V_RULES = {n: _v_rule(n) for n in (4, 16)}
 
 
 def _p_overflow(p: float, quantity: str) -> DomainError:
@@ -261,12 +278,17 @@ def _finite_mean_pows(f: Polynomial, radii: np.ndarray, p: float, tol: float):
 
 
 @functools.lru_cache(maxsize=32)
-def _binomial_series(p: float) -> np.ndarray:
-    """C(p/2, k)^2 for k = 1..K: past k = p/2, until C(p/2, K)^2 2^-K <= 1e-17.
+def _binomial_series(p: float) -> tuple[np.ndarray, float]:
+    """C(p/2, k)^2 for k = 1..K, past k = p/2 until C(p/2, K)^2 2^-K <= 1e-17,
+    and the x^2 at or below which the series rounds to exactly 1.0.
 
     For x^2 <= 1/2 the terms after K shrink by at least half each, so the
     dropped tail is below 2e-17 of the sum, which is at least 1. Above
-    p = 1033.6 the largest coefficient overflows a float.
+    p = 1033.6 the largest coefficient overflows a float. The terms of
+    1 + sum_k C(p/2, k)^2 x^{2k} add up to at most x^2 sum_k C(p/2, k)^2,
+    so at x^2 <= _SERIES_ONE / sum_k C(p/2, k)^2 their float sum, at most
+    2^-54 plus a few ulps of it, leaves 1.0 as it is; where that sum
+    overflows (p above about 1025) only x = 0 takes the shortcut.
     """
     coeffs, c, k = [], 1.0, 0
     while k <= 0.5 * p or c * 0.5**k > 1e-17:
@@ -277,12 +299,12 @@ def _binomial_series(p: float) -> np.ndarray:
         coeffs.append(c)
     coeffs = np.array(coeffs)
     coeffs.flags.writeable = False  # shared by every caller through the cache
-    return coeffs
+    with np.errstate(over="ignore"):
+        return coeffs, _SERIES_ONE / np.sum(coeffs)
 
 
-def _row_blocks(mask: np.ndarray, size: int):
-    """The indices of mask's true rows, in blocks of at most size."""
-    rows = np.flatnonzero(mask)
+def _row_blocks(rows: np.ndarray, size: int):
+    """The row indices `rows` in blocks of at most `size`."""
     return (rows[i : i + size] for i in range(0, rows.size, size))
 
 
@@ -290,28 +312,38 @@ def _unit_binomial_means(x: np.ndarray, p: float) -> np.ndarray:
     """S_p(x) = mean_t |1 + x e^{it}|^p for 0 <= x <= 1, per row.
 
     x^2 <= 1/2: the series 1 + sum_k C(p/2, k)^2 x^{2k} (binomial series
-    and Parseval), about 60 terms. x^2 > 1/2: the integral
+    and Parseval), about 60 terms, or exactly 1.0 where its whole tail is
+    at most 2^-54, to which the series rounds anyway (most rows of the
+    refutation family, whose x is (eps/r)^n or (r/eps)^n). x^2 > 1/2: the
+    integral
 
         S_p = (2/pi) int_0^{pi/2} ((1 - x)^2 + 4 x sin^2 v)^{p/2} dv,
 
     whose integrand nearly vanishes at v = +-i b, b = (1 - x)/(2 sqrt x).
     On [0, 1/2] the substitution v = b sinh(tau) moves that pair to
-    tau = +-i pi/2, so equal Gauss panels in tau converge at a rate that
-    does not depend on x; [1/2, pi/2] is smooth. x = 1 is
-    Gamma(1 + p)/Gamma(1 + p/2)^2. At large p the series coefficients and
-    the Gamma ratio overflow, so neither is formed unless a row needs it:
-    a batch of x = 0 rows (a constant or a monomial) is exactly 1.
+    tau = +-i pi/2, so equal Gauss panels in tau no wider than 1 converge
+    at a rate that does not depend on x: each row takes the fewest of 4,
+    8 or 16 such panels on its own [0, top], top = asinh(1/(2b)), and 16
+    where top > 16 (1 - x below about 2.3e-7). [1/2, pi/2] is smooth,
+    and 4 panels resolve its peak at pi/2 up to p = 100, 16 above.
+    x = 1 is Gamma(1 + p)/Gamma(1 + p/2)^2. At large p the series
+    coefficients and the Gamma ratio overflow, so neither is formed
+    unless a row needs it: a batch of x = 0 rows (a constant or a
+    monomial) is exactly 1. Every row's value depends on its own x only,
+    not on the rows that share its call.
     """
     if not x.any():
         return np.ones_like(x)
     out = np.empty_like(x)
     x2 = x * x
     series = x2 <= 0.5
-    coeffs = _binomial_series(p)
+    coeffs, one = _binomial_series(p)
+    tiny = series & (x2 <= one)
+    out[tiny] = 1.0
     # rows in blocks of at most _BLOCK_NODES terms (in place, one temporary
     # of a block), so a batch of many polynomials' radii stays as small in
     # memory as one polynomial's
-    for rows in _row_blocks(series, _BLOCK_NODES // coeffs.size):
+    for rows in _row_blocks(np.flatnonzero(series & ~tiny), _BLOCK_NODES // coeffs.size):
         powers = np.repeat(x2[rows, None], coeffs.size, axis=1)
         np.cumprod(powers, axis=1, out=powers)
         powers *= coeffs
@@ -327,17 +359,24 @@ def _unit_binomial_means(x: np.ndarray, p: float) -> np.ndarray:
             except OverflowError:
                 raise _p_overflow(p, "Gamma(1 + p)/Gamma(1 + p/2)^2") from None
 
-    # the integral holds about four temporaries of its block at once
-    for rows in _row_blocks(~series & ~edge, _BLOCK_NODES // (4 * _TAU_NODES.size)):
-        xi = x[rows, None]
-        gap2 = (1.0 - xi) ** 2
-        b = (1.0 - xi) / (2.0 * np.sqrt(xi))
-        top = np.arcsinh(0.5 / b)
-        tau = top * _TAU_NODES
-        inner = gap2 + 4.0 * xi * np.sin(b * np.sinh(tau)) ** 2
-        inner_sum = np.sum((top * _TAU_WEIGHTS) * inner ** (0.5 * p) * (b * np.cosh(tau)), axis=1)
-        outer_sum = np.sum(_V_WEIGHTS * (gap2 + 4.0 * xi * _SIN2_V) ** (0.5 * p), axis=1)
-        out[rows] = (2.0 / np.pi) * (inner_sum + outer_sum)
+    rows = np.flatnonzero(~series & ~edge)
+    if not rows.size:
+        return out
+    v_weights, sin2_v = _V_RULES[4 if p <= _V_FEW_PANELS_P else 16]
+    b_rows = (1.0 - x[rows]) / (2.0 * np.sqrt(x[rows]))
+    top_rows = np.arcsinh(0.5 / b_rows)
+    tau_panels = np.select([top_rows <= 4.0, top_rows <= 8.0], [4, 8], 16)
+    for n, (tau_nodes, tau_weights) in _TAU_RULES.items():
+        # the integral holds about four temporaries of its block at once
+        size = _BLOCK_NODES // (4 * max(tau_nodes.size, v_weights.size))
+        for sel in _row_blocks(np.flatnonzero(tau_panels == n), size):
+            xi, b, top = x[rows[sel], None], b_rows[sel, None], top_rows[sel, None]
+            gap2 = (1.0 - xi) ** 2
+            tau = top * tau_nodes
+            inner = gap2 + 4.0 * xi * np.sin(b * np.sinh(tau)) ** 2
+            inner_sum = np.sum((top * tau_weights) * inner ** (0.5 * p) * (b * np.cosh(tau)), axis=1)
+            outer_sum = np.sum(v_weights * (gap2 + 4.0 * xi * sin2_v) ** (0.5 * p), axis=1)
+            out[rows[sel]] = (2.0 / np.pi) * (inner_sum + outer_sum)
     return out
 
 
@@ -351,10 +390,17 @@ def _lacunary(f: Polynomial) -> tuple[Polynomial, int]:
     return (Polynomial(f.coeffs[::d]), d) if d > 1 else (f, d)
 
 
-def _binomial_moduli(h: Polynomial) -> tuple[float, float]:
-    """(|a_0|, |a_1|) of a polynomial of degree <= 1."""
-    a = np.abs(np.asarray(h.coeffs, dtype=complex))
-    return (a[0] if a.size else 0.0), (a[1] if a.size > 1 else 0.0)
+def _binomial_form(f: Polynomial) -> tuple[float, float, int] | None:
+    """(|a_0|, |a_d|, d) of a binomial f(z) = a_0 + a_d z^d, d = deg f (0,
+    with |a_d| = 0, for a constant), else None: the moduli and exponent of
+    f's lacunary reduction a_0 + a_d w, read off f's coefficients without
+    building it.
+    """
+    d = f.degree
+    if any(f.coeffs[1:d]):
+        return None
+    a = np.abs(np.asarray(f.coeffs[:: max(d, 1)], dtype=complex))
+    return (a[0] if a.size else 0.0), (a[1] if a.size > 1 else 0.0), d
 
 
 def _binomial_means(a0, a1, radii: np.ndarray, p: float) -> np.ndarray:
@@ -378,9 +424,10 @@ def _mean_pow_batch(
 
     f(z) = h(z^d), d the gcd of f's exponents, is first reduced to h at
     radii r^d, since M_p(r; f) = M_p(r^d; h); the family K (z^n + e^n)
-    becomes a degree-1 polynomial and a monomial z^n becomes w. An h of
-    degree <= 1 takes the closed form of _binomial_means and no angular
-    nodes; its `diff` is _BINOMIAL_REL_ERROR relative to the mean M.
+    becomes a degree-1 polynomial and a monomial z^n becomes w. Such a
+    binomial a_0 + a_d z^d takes the closed form of _binomial_means, with
+    the moduli and d of _binomial_form, and no angular nodes; its `diff`
+    is _BINOMIAL_REL_ERROR relative to the mean M.
     Otherwise the doubled grid is the current grid plus its
     half-spacing offset, so each refinement reuses every node already
     evaluated. Convergence is measured on the means M themselves
@@ -390,11 +437,12 @@ def _mean_pow_batch(
     at once. Rows still open when the grid reaches _THETA_CAP stop there;
     `diff` holds each row's last change.
     """
-    f, d = _lacunary(f)
+    binomial = _binomial_form(f)
+    f, d = (f, binomial[2]) if binomial else _lacunary(f)
     if d > 1:
         radii = np.asarray(radii, dtype=float) ** d
-    if f.degree <= 1:
-        vals = _binomial_means(*_binomial_moduli(f), radii, p)
+    if binomial:
+        vals = _binomial_means(*binomial[:2], radii, p)
         return vals, _BINOMIAL_REL_ERROR * vals ** (1.0 / p)
     n = max(256, 8 * (f.degree + 1))
     vals = _abs_pow_means(f, radii, p, n)
@@ -431,16 +479,16 @@ def integral_mean(f: Polynomial, r: float, p: float, tol: float = DEFAULT_TOL) -
 def _mean_pows(fs: list[Polynomial], p: float, tol: float):
     """The integrand phi(r, comp) = M_p^p(r; fs[comp]) of the norms of fs.
 
-    After the lacunary reduction every binomial (degree <= 1) component
-    takes one closed-form _binomial_means call per integrand call, with
-    its own moduli and exponent d on each row; every other component runs
+    Every binomial component a_0 + a_d z^d takes one closed-form
+    _binomial_means call per integrand call, with its own moduli and
+    exponent d (_binomial_form) on each row; every other component runs
     its own _mean_pow_batch at relative angular tolerance tol.
     """
-    reduced = [_lacunary(f) for f in fs]
-    binomial = np.array([h.degree <= 1 for h, _ in reduced], dtype=bool)
-    moduli = np.array([_binomial_moduli(h) if h.degree <= 1 else (0.0, 0.0) for h, _ in reduced])
-    powers = np.array([d for _, d in reduced])
-    lacunary = sorted({d for (h, d) in reduced if h.degree <= 1 and d > 1})
+    forms = [_binomial_form(f) for f in fs]
+    binomial = np.array([form is not None for form in forms], dtype=bool)
+    moduli = np.array([form[:2] if form else (0.0, 0.0) for form in forms])
+    powers = np.array([form[2] if form else 0 for form in forms])
+    lacunary = sorted({form[2] for form in forms if form and form[2] > 1})
     others = np.flatnonzero(~binomial).tolist()
 
     def phi(r, comp):

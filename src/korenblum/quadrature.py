@@ -138,7 +138,8 @@ def _walk(finite_sums, edges, tols, *, keep=False, earlier=None):
         )
         done = settled | (depth >= MAX_DEPTH)
         total += np.bincount(comp[done], fine[done], K)
-        settled_err += np.bincount(comp[settled], err[settled], K)
+        # a panel settled at the rounding floor may be off by that much
+        settled_err += np.bincount(comp[settled], np.maximum(err, rounding)[settled], K)
         if depth >= MAX_DEPTH:  # the panels still open are stuck
             stuck_err += np.bincount(comp[~settled], err[~settled], K)
         # children keep each component's panels in the order of its own walk:
@@ -173,7 +174,9 @@ def integrate_many(
 
     ``breakpoints`` are interior points where some integrand is known to
     be non-smooth (jumps, kinks); panels never straddle them. Returns one
-    ``(value, err_est)`` per component. Raises
+    ``(value, err_est)`` per component; ``err_est`` adds up, over the
+    settled panels, the larger of each one's error and its rounding
+    floor, and over the stuck ones their error. Raises
     :class:`QuadratureDivergence` when a panel sum is not finite (such a
     panel never settles; declare interior singularities as breakpoints,
     since nodes never touch a panel's ends), or when the accumulated

@@ -1,7 +1,7 @@
 """Independent oracles: closed-form moments, Parseval norms, a
 high-precision evaluation of the Schuster product, a depth-first
-walk of the adaptive quadrature's panel tree, and the allocating
-formula of the angular circle means.
+walk of the adaptive quadrature's panel tree, the allocating
+formula of the angular circle means and the full binomial series.
 
 Nothing here goes through the package's quadrature paths, except
 :func:`two_walk_norms`, the weighted norms as two separate walks, which
@@ -69,6 +69,25 @@ def binomial_mean(p, a0, a1, r, d: int = 1, dps: int = 30):
         if hi == 0:
             return 0.0
         return float(hi**p * mp.hyp2f1(-mp.mpf(p) / 2, -mp.mpf(p) / 2, 1, (lo / hi) ** 2))
+
+
+def full_series_binomial_means(x, p):
+    """1 + sum_k C(p/2, k)^2 x^{2k} per row of x (x^2 <= 1/2), every row
+    through every term: the series of
+    ``korenblum.analytic._unit_binomial_means`` with no row taking 1.0
+    directly. Terms k = 1..K run past k = p/2 until
+    C(p/2, K)^2 2^-K <= 1e-17, and are added up as a row-wise cumprod of
+    x^2 times the coefficients."""
+    coeffs, c, k = [], 1.0, 0
+    while k <= 0.5 * p or c * 0.5**k > 1e-17:
+        c *= ((k - 0.5 * p) / (k + 1)) ** 2
+        k += 1
+        coeffs.append(c)
+    coeffs = np.array(coeffs)
+    powers = np.repeat((x * x)[:, None], coeffs.size, axis=1)
+    np.cumprod(powers, axis=1, out=powers)
+    powers *= coeffs
+    return 1.0 + np.sum(powers, axis=1)
 
 
 def std_final_lhs(alpha, np_exp, eps, dps: int = 30) -> float:
@@ -146,7 +165,8 @@ def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
     rules as ``korenblum.quadrature.integrate``: a panel settles when its
     error is within its share of tol or within the rounding
     8 eps max(|left| + |right|, |mid| (rise_left + rise_right)) of its
-    halves, a half's rise |f(last node) - f(first node)|. Returns
+    halves, a half's rise |f(last node) - f(first node)|, and adds the
+    larger of its error and that rounding to err_est. Returns
     ``(value, err_est, deepest)``, deepest the largest bisection level
     at which a panel was refined."""
     if a == b:
@@ -176,7 +196,7 @@ def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
         )
         if err <= panel_tol or err <= rounding or mid <= lo or mid >= hi:
             total += fine
-            settled_err += err
+            settled_err += max(err, rounding)
         elif depth >= max_depth:
             total += fine
             stuck_err += err

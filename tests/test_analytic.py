@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 
@@ -36,6 +37,7 @@ from oracles import (
     allocating_abs_pow_means,
     binomial_mean,
     const_moment,
+    full_series_binomial_means,
     parseval_norm,
     std_moment,
     step_moment,
@@ -198,6 +200,25 @@ BINOMIAL_PS = (0.05, 0.45, 0.5, 0.74, 1.0, 1.5, 2.0, 3.0, 4.0, 7.3, 20.0)
 BINOMIAL_XS = (0.0, 0.3, 0.7071, 0.7072, 0.9, 0.999, 1 - 1e-8, 1 - 2.0**-52, 1.0)
 
 
+def _x_at_top(top):
+    """The x whose tau interval [0, asinh(1/(2b))], b = (1 - x)/(2 sqrt x),
+    ends at top: sqrt(x) solves s^2 + s/sinh(top) - 1 = 0."""
+    k = 1.0 / math.sinh(top)
+    return (0.5 * (math.sqrt(k * k + 4.0) - k)) ** 2
+
+
+def _binomial_path(x, one):
+    """The way _unit_binomial_means takes a row x: "one" (a series whose
+    tail cannot move 1.0; one is the x^2 bound of _binomial_series),
+    "series", its count of tau panels, or "edge" (x = 1)."""
+    if x * x <= 0.5:
+        return "one" if x * x <= one else "series"
+    if x == 1.0:
+        return "edge"
+    top = math.asinh(math.sqrt(x) / (1.0 - x))
+    return 4 if top <= 4.0 else 8 if top <= 8.0 else 16
+
+
 class TestBinomialMeans:
     @pytest.mark.parametrize("p", BINOMIAL_PS)
     def test_against_hypergeometric(self, p):
@@ -219,6 +240,47 @@ class TestBinomialMeans:
             trapezoid = analytic._abs_pow_means(h, radii, p, 1024)
             np.testing.assert_allclose(vals, trapezoid, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("p", BINOMIAL_PS + (1000.0,))
+    def test_each_row_path_against_hypergeometric(self, p):
+        # either side of the series/integral switch x^2 = 1/2, of the 4/8
+        # and the 8/16 tau panel switches top = 4 and top = 8, and the
+        # last x below 1, whose top is about 36.7
+        xs = [0.7071, 0.7072, 1.0 - 2.0**-52]
+        for top in (4.0, 8.0):
+            xs += [_x_at_top(top) * (1.0 - 1e-9), _x_at_top(top) * (1.0 + 1e-9)]
+        paths = [_binomial_path(x, 0.0) for x in xs]
+        assert paths == ["series", 4, 16, 4, 8, 8, 16]
+        vals = analytic._unit_binomial_means(np.array(xs), p)
+        for x, v in zip(xs, vals):
+            assert v == pytest.approx(binomial_mean(p, 1.0, 1.0, x), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("p", BINOMIAL_PS + (1000.0,))
+    def test_rows_that_round_to_one_match_the_full_series(self, p):
+        # at and just below the largest x^2 that takes 1.0 directly, and on
+        # the series rows just above it, bit for bit the full series
+        _, one = analytic._binomial_series(p)
+        x = math.sqrt(one)
+        while x * x > one:
+            x = math.nextafter(x, 0.0)
+        above = math.nextafter(x, 1.0)
+        while above * above <= one:  # at p = 1000, x^2 is subnormal
+            above = math.nextafter(above, 1.0)
+        xs = np.array([0.0, 0.5 * x, math.nextafter(x, 0.0), x,
+                       above, 1.5 * x, 2.0 * x, 4.0 * x, 0.3])
+        paths = [_binomial_path(v, one) for v in xs]
+        assert paths == ["one"] * 4 + ["series"] * 5
+        vals = analytic._unit_binomial_means(xs, p)
+        assert np.array_equal(vals, full_series_binomial_means(xs, p))
+        assert np.all(vals[:4] == 1.0)
+
+    @pytest.mark.parametrize("p", [1000.0, 1030.0])
+    def test_zero_row_at_large_p(self, p):
+        # sum_k C(p/2, k)^2 overflows a float at p = 1030, and 0 times it
+        # would raise a RuntimeWarning under the test suite's warning gate
+        vals = analytic._unit_binomial_means(np.array([0.0, 0.5]), p)
+        assert vals[0] == 1.0
+        assert vals[1] == pytest.approx(binomial_mean(p, 1.0, 1.0, 0.5), rel=1e-13, abs=0.0)
+
     def test_refutation_family_takes_no_angular_nodes(self, monkeypatch):
         calls = []
         inner = analytic._abs_pow_means
@@ -231,6 +293,24 @@ class TestBinomialMeans:
         witness = find_counterexample(0.5, 0.9, ConstantWeight(1.0))
         assert (witness.n, witness.epsilon) == (5, 0.45)
         assert calls == []
+
+    def test_binomial_form_reads_the_lacunary_reduction(self):
+        for coeffs in [(), (2 - 1j,), (0, 3), (1, 2), (0, 0, 0.5j), (1, 0, 0, -2j),
+                       (1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 0, 1)]:
+            f = Polynomial(coeffs)
+            h, d = analytic._lacunary(f)
+            a = np.abs(np.asarray(h.coeffs, dtype=complex))
+            expected = (a[0] if a.size else 0.0, a[1] if a.size > 1 else 0.0, d)
+            assert analytic._binomial_form(f) == (expected if h.degree <= 1 else None)
+
+    def test_binomials_build_no_reduced_polynomial(self, monkeypatch):
+        def refuse(f):
+            raise AssertionError(f"reduced {f}")
+
+        monkeypatch.setattr(analytic, "_lacunary", refuse)
+        f, g = family_pair(0.9, 5, 0.45)
+        weighted_norms([f, g, Polynomial((2.0,))], ConstantWeight(1.0), 0.5)
+        _mean_pow_batch(f, np.array([0.3, 0.6]), 0.5, 1e-9)
 
     def test_profile_across_the_cusp_is_monotone(self):
         eps = 0.45
@@ -261,9 +341,10 @@ class TestAngularBlocks:
 
 
     def test_large_binomial_batch_memory_is_bounded(self):
-        # a batch of many polynomials' radii: both branches of S_p are taken
-        # in row blocks, and a row's value does not depend on its block
-        x = np.linspace(0.0, 1.0, 20001)
+        # a batch of many polynomials' radii: every path of S_p is taken in
+        # row blocks, and a row's value does not depend on its block or on
+        # the paths of the other rows
+        x = np.concatenate((np.linspace(0.0, 1.0, 20001), np.logspace(-30, -6, 1001)))
         tracemalloc.start()
         try:
             vals = analytic._unit_binomial_means(x, 0.5)
@@ -271,8 +352,13 @@ class TestAngularBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        for i in (0, 7000, 7072, 15000, 20000):
-            assert vals[i] == analytic._unit_binomial_means(x[i : i + 1], 0.5)[0]
+        _, one = analytic._binomial_series(0.5)
+        paths = np.array([str(_binomial_path(v, one)) for v in x])
+        for path in ("one", "series", "4", "8", "16", "edge"):
+            rows = np.flatnonzero(paths == path)
+            assert rows.size
+            for i in (rows[0], rows[rows.size // 2], rows[-1]):
+                assert vals[i] == analytic._unit_binomial_means(x[i : i + 1], 0.5)[0]
 
 
 class TestTurnedGrids:

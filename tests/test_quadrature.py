@@ -82,6 +82,18 @@ class TestQuadratureEngine:
         value, _ = integrate(lambda x: (1.0 - x) ** -0.5, 0.0, 1.0, 1e-6)
         assert value == pytest.approx(2.0, abs=1e-4)
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-14])
+    def test_err_est_covers_the_rounding_floor(self, tol):
+        # below tol 1e-12 panels settle at the node-rounding floor, and each
+        # counts that floor in err_est, which once read 7.7e-12 for an
+        # error of 1.2e-11
+        value, err = integrate(lambda x: np.exp(x) * np.sin(7.0 * x), 0.0, 10.0, tol)
+        with mp.workdps(40):
+            exact = mp.e**10 * (mp.sin(70) - 7 * mp.cos(70)) / 50 + mp.mpf(7) / 50
+            actual = float(abs(mp.mpf(value) - exact))
+        assert actual > 1e-12  # the value is no better than rounding allows
+        assert err >= actual
+
     # a NaN or inf panel never settles, so the frontier used to double at
     # every level until memory ran out; nodes never touch 0 or 1, so
     # 1/(x - 1/4) first fails at the level whose middle node is 1/4
