@@ -1,7 +1,8 @@
 """Independent oracles: closed-form moments, Parseval norms, a
 high-precision evaluation of the Schuster product, a depth-first
 walk of the adaptive quadrature's panel tree, the allocating
-formula of the angular circle means and the full binomial series.
+formula of the angular circle means, circle means by mpmath quadrature
+and the full binomial series.
 
 Nothing here goes through the package's quadrature paths, except
 :func:`two_walk_norms`, the weighted norms as two separate walks, which
@@ -69,6 +70,19 @@ def binomial_mean(p, a0, a1, r, d: int = 1, dps: int = 30):
         if hi == 0:
             return 0.0
         return float(hi**p * mp.hyp2f1(-mp.mpf(p) / 2, -mp.mpf(p) / 2, 1, (lo / hi) ** 2))
+
+
+def circle_mean(coeffs, r, p, dps: int = 20):
+    """M_p^p(r; f) for f = sum_j coeffs[j] z^j by mpmath's tanh-sinh
+    quadrature in the angle, split at the argument of every nonzero root,
+    where |f|^p has its cusps."""
+    with mp.workdps(dps):
+        cs = [mp.mpc(c) for c in coeffs][::-1]
+        roots = mp.polyroots(cs, maxsteps=200, extraprec=2 * dps)
+        cuts = sorted({float(mp.arg(z)) % (2 * math.pi) for z in roots if z != 0})
+        points = [0, *cuts, 2 * mp.pi]
+        mean = mp.quad(lambda t: abs(mp.polyval(cs, r * mp.expj(t))) ** p, points)
+        return float(mean / (2 * mp.pi))
 
 
 def full_series_binomial_means(x, p):

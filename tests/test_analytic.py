@@ -1,4 +1,6 @@
+import cmath
 import math
+import struct
 import threading
 import tracemalloc
 
@@ -36,6 +38,7 @@ from korenblum.refuter import EPSILON_SCAN_STEPS
 from oracles import (
     allocating_abs_pow_means,
     binomial_mean,
+    circle_mean,
     const_moment,
     full_series_binomial_means,
     parseval_norm,
@@ -196,6 +199,112 @@ class TestAngularDoubling:
                     )
 
 
+def _counting_means(monkeypatch):
+    """Record (polynomial, radii, n) of every _abs_pow_means call."""
+    calls = []
+    inner = analytic._abs_pow_means
+
+    def counting(f, radii, p, n, offset=0.0):
+        calls.append((f, np.array(radii), n))
+        return inner(f, radii, p, n, offset)
+
+    monkeypatch.setattr(analytic, "_abs_pow_means", counting)
+    return calls
+
+
+# a root z_k at modulus 0.6, and two others away from it
+CUSP_ROOT = 0.6 * cmath.exp(0.7j)
+CUSP_F = (Polynomial((0.8 + 0.3j,)) * Polynomial((-CUSP_ROOT, 1.0))
+          * Polynomial((0.3 - 0.4j, 1.0)) * Polynomial((-1.5j, 1.0)))
+CUSP_LOG_GAPS = (1e-2, -1e-3, 1e-5, -1e-7, 1e-9)
+
+
+class TestCuspVariate:
+    """Rows near a root modulus switch to the control variate z - z_k."""
+
+    # tol fine enough that every row but the farthest is still open at 1024
+    # angles, so it switches
+    @pytest.mark.parametrize("p, tol", [(0.5, 1e-12), (1.0, 1e-12), (1.5, 1e-12), (3.0, 1e-13)])
+    def test_against_mpmath(self, monkeypatch, p, tol):
+        calls = _counting_means(monkeypatch)
+        radii = abs(CUSP_ROOT) * np.exp(np.array(CUSP_LOG_GAPS))
+        vals, diff = _mean_pow_batch(CUSP_F, radii, p, tol)
+        for r, v in zip(radii, vals):
+            assert v == pytest.approx(circle_mean(CUSP_F.coeffs, r, p), rel=1e-10, abs=0.0)
+        switched = np.concatenate([rows for b, rows, _ in calls if b.degree == 1])
+        assert set(radii[1:]) <= set(switched)
+        assert np.all(diff <= tol * vals ** (1.0 / p))
+
+    def test_near_root_batch_nodes(self, monkeypatch):
+        # the pinned near-root verify pair's f = z g at p = 1, radii within
+        # log-distance 1e-7 to 1e-2 of its root modulus 0.45: without the
+        # variate the batch took 477,184 angular nodes and stopped at the cap
+        calls = _counting_means(monkeypatch)
+        g = Polynomial((1.038897546081614 + 0.14586410298052038j,
+                        -1.7682983986165577 - 0.6955234255325711j,
+                        -1.2008062553292007 + 0.8252910543661071j))
+        f = Polynomial((0.0, 1.0)) * g
+        radii = 0.45 * np.exp(np.array([-1e-3, -1e-5, -1e-7, 1e-6, 1e-4, 1e-2]))
+        vals, diff = _mean_pow_batch(f, radii, 1.0, 2.5e-10)
+        assert sum(rows.size * n for _, rows, n in calls) <= 12288
+        assert max(n for _, _, n in calls) <= 512
+        assert np.all(diff <= 2.5e-10 * vals)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+    def test_row_alone_equals_row_in_batch(self, monkeypatch, p):
+        # the matrix product of _abs_pow_means may round a row by an ulp
+        # differently with the rows around it, so it runs row by row here:
+        # what is left to differ is the switch, G_k, S_k and the grouping
+        inner = analytic._abs_pow_means
+
+        def row_by_row(f, radii, p, n, offset=0.0):
+            return np.concatenate([inner(f, radii[i : i + 1], p, n, offset)
+                                   for i in range(len(radii))])
+
+        monkeypatch.setattr(analytic, "_abs_pow_means", row_by_row)
+        calls = _counting_means(monkeypatch)
+        # two root moduli (0.6 and 0.8), a far row and one next to no root
+        f = CUSP_F * Polynomial((-0.8 * cmath.exp(-2.0j), 1.0))
+        radii = np.array([0.2, 0.6 * math.exp(1e-6), 0.8 * math.exp(-1e-4), 0.95,
+                          0.6 * math.exp(-1e-3), 0.8])
+        vals, diff = _mean_pow_batch(f, radii, p, 2.5e-13)
+        assert len({b.coeffs for b, _, _ in calls if b.degree == 1}) == 2
+        for i in range(len(radii)):
+            alone, alone_diff = _mean_pow_batch(f, radii[i : i + 1], p, 2.5e-13)
+            assert (alone[0], alone_diff[0]) == (vals[i], diff[i])
+
+    def test_radius_at_the_root_modulus_stays_plain(self, monkeypatch):
+        roots, _ = analytic._root_factors(CUSP_F)
+        r = float(abs(roots[np.argmin(np.abs(np.abs(roots) - 0.6))]))
+        assert analytic._cusp_variates(CUSP_F, np.array([r]), 1.0)[0].size == 0
+        calls = _counting_means(monkeypatch)
+        vals, _ = _mean_pow_batch(CUSP_F, np.array([r]), 1.0, 2.5e-10)
+        assert all(g.degree == 3 for g, _, _ in calls)
+        assert vals[0] == pytest.approx(circle_mean(CUSP_F.coeffs, r, 1.0), rel=1e-10)
+        # beside a row that switches and settles while this one still doubles
+        near = r * math.exp(1e-6)
+        both, _ = _mean_pow_batch(CUSP_F, np.array([r, near]), 1.0, 2.5e-10)
+        alone, _ = _mean_pow_batch(CUSP_F, np.array([near]), 1.0, 2.5e-10)
+        np.testing.assert_allclose(both, [vals[0], alone[0]], rtol=1e-14)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_double_root(self, p):
+        f = Polynomial((-CUSP_ROOT, 1.0)) * Polynomial((-CUSP_ROOT, 1.0)) * Polynomial((0.3, 1.0))
+        radii = 0.6 * np.exp(np.array([-1e-3, 1e-6, 1e-9]))
+        vals, diff = _mean_pow_batch(f, radii, p, 2.5e-10)
+        assert np.all(np.isfinite(diff))
+        for r, v in zip(radii, vals):
+            assert v == pytest.approx(circle_mean(f.coeffs, r, p), rel=1e-9, abs=0.0)
+
+    def test_large_p_with_interior_roots(self):
+        # G_k and S_k are huge or tiny at p = 500; no NaN, no error
+        radii = np.array([0.3, 0.5, 0.6 * math.exp(1e-6), 0.9])
+        vals, diff = _mean_pow_batch(CUSP_F, radii, 500.0, 2.5e-10)
+        assert np.all(np.isfinite(diff))
+        for r, v in zip(radii, vals):
+            assert v == pytest.approx(circle_mean(CUSP_F.coeffs, r, 500.0), rel=1e-9, abs=0.0)
+
+
 BINOMIAL_PS = (0.05, 0.45, 0.5, 0.74, 1.0, 1.5, 2.0, 3.0, 4.0, 7.3, 20.0)
 BINOMIAL_XS = (0.0, 0.3, 0.7071, 0.7072, 0.9, 0.999, 1 - 1e-8, 1 - 2.0**-52, 1.0)
 
@@ -217,6 +326,27 @@ def _binomial_path(x, one):
         return "edge"
     top = math.asinh(math.sqrt(x) / (1.0 - x))
     return 4 if top <= 4.0 else 8 if top <= 8.0 else 16
+
+
+def _first_float(pred, lo, hi):
+    """The smallest float in (lo, hi] at which pred holds, for 0 <= lo < hi
+    and a pred that is false at lo, true at hi and monotone between: a
+    bisection on the bit patterns, which order non-negative floats."""
+    def bits(v):
+        return struct.unpack("<q", struct.pack("<d", v))[0]
+
+    def value(b):
+        return struct.unpack("<d", struct.pack("<q", b))[0]
+
+    lo_bits, hi_bits = bits(lo), bits(hi)
+    assert not pred(lo) and pred(hi)
+    while hi_bits - lo_bits > 1:
+        mid = (lo_bits + hi_bits) // 2
+        if pred(value(mid)):
+            hi_bits = mid
+        else:
+            lo_bits = mid
+    return value(hi_bits)
 
 
 class TestBinomialMeans:
@@ -259,12 +389,13 @@ class TestBinomialMeans:
         # at and just below the largest x^2 that takes 1.0 directly, and on
         # the series rows just above it, bit for bit the full series
         _, one = analytic._binomial_series(p)
+        # x: the largest float at or below sqrt(one) with x^2 <= one; above:
+        # the next float whose square is above one, many floats up at
+        # p = 1000, where x^2 is subnormal
         x = math.sqrt(one)
-        while x * x > one:
-            x = math.nextafter(x, 0.0)
-        above = math.nextafter(x, 1.0)
-        while above * above <= one:  # at p = 1000, x^2 is subnormal
-            above = math.nextafter(above, 1.0)
+        above = _first_float(lambda v: v * v > one, 0.0, 2.0 * x)
+        if x * x > one:
+            x = math.nextafter(above, 0.0)
         xs = np.array([0.0, 0.5 * x, math.nextafter(x, 0.0), x,
                        above, 1.5 * x, 2.0 * x, 4.0 * x, 0.3])
         paths = [_binomial_path(v, one) for v in xs]
@@ -418,19 +549,26 @@ class TestTurnedGrids:
         assert np.array_equal(first, kept)
 
     def test_one_call_per_doubling_step(self, monkeypatch):
-        # |f| has a kink on the circle through its root 0.5, so the row
-        # doubles to the angular cap
+        # |f| has a kink on the circle through its root 0.5. At exactly the
+        # root's modulus (as np.roots finds it) the row stays plain and
+        # doubles to the angular cap; one float above it, the row switches
+        # to the control variate at 1024 angles, with one call of z - z_k
+        # on each half of that grid, and settles there
         calls = []
         inner = analytic._abs_pow_means
 
         def counting(f, radii, p, n, offset=0.0):
-            calls.append(n)
+            calls.append((f.degree, n))
             return inner(f, radii, p, n, offset)
 
         monkeypatch.setattr(analytic, "_abs_pow_means", counting)
         f = Polynomial((-0.5, 1.0)) * Polynomial((0.3, 1.0))
-        _mean_pow_batch(f, np.array([0.5]), 1.0, 2.5e-10)
-        assert calls == [256] + [256 << k for k in range(9)]
+        at_root = float(np.max(np.abs(analytic._root_factors(f)[0])))
+        _mean_pow_batch(f, np.array([at_root]), 1.0, 2.5e-10)
+        assert calls == [(2, 256)] + [(2, 256 << k) for k in range(9)]
+        calls.clear()
+        _mean_pow_batch(f, np.array([math.nextafter(at_root, 1.0)]), 1.0, 2.5e-10)
+        assert calls == [(2, 256), (2, 256), (2, 512), (1, 512), (1, 512)]
 
 
 class TestWorkspace:
@@ -622,6 +760,15 @@ class TestWeightedNorms:
             assert weighted_norms(fs, w, p, tol=1e-10) == [
                 weighted_norm(f, w, p, tol=1e-10) for f in fs
             ]
+
+    def test_near_root_pair_equals_one_norm_at_a_time(self, monkeypatch):
+        # both walks have radial nodes next to the root modulus 0.6, whose
+        # rows switch to the control variate
+        calls = _counting_means(monkeypatch)
+        fs = [Polynomial((0.5, 0.5)) * CUSP_F, CUSP_F]
+        w = ConstantWeight(1.0)
+        assert weighted_norms(fs, w, 1.0) == [weighted_norm(f, w, 1.0) for f in fs]
+        assert any(b.degree == 1 for b, _, _ in calls)
 
     def test_fine_tolerance_not_below_coarse(self):
         # at tol = 0.5 the fine tolerance of 1, 0.25 tol p ||1||^p = 0.25,

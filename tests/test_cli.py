@@ -87,6 +87,30 @@ class TestNorm:
             "korenblum norm: quadrature on [0.0, 1.0] met a non-finite panel sum"
         ]
 
+    def test_unresolved_weight_mass_exit_2(self, capsys):
+        # the mass of a standard weight with alpha = 1e20 lies within about
+        # 1e-10 of r = 0, where the coarse walk finds 0 for a nonzero f
+        code, out, err = run_cli(
+            capsys, "norm", "--poly", "1,2", "--p", "2",
+            "--weight", '{"kind":"standard","alpha":1e20}',
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "korenblum norm: the weight's mass m(0) = 1 was not resolved: the radial "
+            "quadrature of ||f||^p at tolerance 9.000e-03 found 0 for a nonzero f"
+        ]
+
+    def test_tolerance_underflow_exit_2(self, capsys):
+        # (sum |a_k|)^p = 0.5^1000 puts the coarse tolerance under 1e-300
+        code, out, err = run_cli(
+            capsys, "norm", "--poly", "0,0.5", "--p", "1000", "--weight", CONST1
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "korenblum norm: p = 1000.0 is out of range: the radial quadrature "
+            "tolerance of ||f||^p, 9.333e-305, falls below 1e-300"
+        ]
+
     @pytest.mark.parametrize(
         "command", [("norm", "--weight", CONST1), ("means",)], ids=["norm", "means"]
     )
@@ -277,8 +301,10 @@ class TestVerify:
 
     def test_near_root_report_is_pinned(self, capsys):
         # f = z g at p = 1, with g's roots at moduli 0.45 and 1.6: the
-        # radial nodes next to |z| = 0.45 double their angle grid up to
-        # 65536, above the largest cached circle grid
+        # radial nodes next to |z| = 0.45 switch to the control variate of
+        # that root. Reference: QUADPACK in r, with 0.45 as a breakpoint,
+        # over mpmath circle means split at the roots' arguments
+        # (estimated error 1.3e-13 and 2.9e-15)
         f = ('{"coeffs":[[0.0,0.0],[1.038897546081614,0.14586410298052038],'
              '[-1.7682983986165577,-0.6955234255325711],[-1.2008062553292007,0.8252910543661071]]}')
         g = ('{"coeffs":[[1.038897546081614,0.14586410298052038],'
@@ -291,11 +317,14 @@ class TestVerify:
         assert out == (
             "{\n"
             '  "dominates": true,\n'
-            '  "norm_f": 1.2619959959325389,\n'
-            '  "norm_g": 1.7439044504265542,\n'
+            '  "norm_f": 1.261995995932543,\n'
+            '  "norm_g": 1.7439044504265633,\n'
             '  "principle_holds": true\n'
             "}\n"
         )
+        payload = json.loads(out)
+        assert payload["norm_f"] == pytest.approx(1.2619959959327256, rel=1e-12)
+        assert payload["norm_g"] == pytest.approx(1.7439044504269687, rel=1e-12)
 
 
 class TestSweep:
