@@ -1,8 +1,8 @@
 """Independent oracles: closed-form moments, Parseval norms, a
 high-precision evaluation of the Schuster product, a depth-first
 walk of the adaptive quadrature's panel tree, the allocating
-formula of the angular circle means, circle means by mpmath quadrature
-and the full binomial series.
+formula of the angular circle means, circle means by mpmath quadrature,
+weighted norms by a tanh-sinh product rule and the full binomial series.
 
 Nothing here goes through the package's quadrature paths, except
 :func:`two_walk_norms`, the weighted norms as two separate walks, which
@@ -13,7 +13,13 @@ import math
 import mpmath as mp
 import numpy as np
 
-from korenblum.analytic import _above_floor, _mean_pows
+from korenblum.analytic import (
+    _KINK_SHARE,
+    _above_floor,
+    _closed_form_parts,
+    _kink_models,
+    _mean_pows,
+)
 from korenblum.errors import QuadratureDivergence
 from korenblum.weights import moment
 
@@ -83,6 +89,45 @@ def circle_mean(coeffs, r, p, dps: int = 20):
         points = [0, *cuts, 2 * mp.pi]
         mean = mp.quad(lambda t: abs(mp.polyval(cs, r * mp.expj(t))) ** p, points)
         return float(mean / (2 * mp.pi))
+
+
+def _tanh_sinh(edges, h):
+    """Nodes and weights of the tanh-sinh rule of step h, |t| <= 3, on
+    each piece between consecutive ``edges``; a node's distance to the
+    nearer end of its piece is computed directly, so nodes next to an end
+    keep their accuracy."""
+    t = h * np.arange(-round(3.0 / h), round(3.0 / h) + 1)
+    u = 0.5 * np.pi * np.sinh(t)
+    scale = h * 0.25 * np.pi * np.cosh(t) / np.cosh(u) ** 2
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        nodes.append(np.where(u < 0, a + (b - a) / (1.0 + np.exp(-2.0 * u)),
+                              b - (b - a) / (1.0 + np.exp(2.0 * u))))
+        weights.append((b - a) * scale)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def tanh_sinh_norm_p(coeffs, p, w, knots=(), h=1.0 / 64):
+    """||f||_{p,w}^p = int_0^1 2 r w(r) M_p^p(r; f) dr for f = sum_j coeffs[j] z^j
+    and a bounded weight given pointwise by w(r) with non-smooth points
+    ``knots``: the tanh-sinh rule (mpmath's default quadrature) in double
+    precision, in r on the pieces between 0, the knots, the moduli of f's
+    roots inside the disk and 1, and in the angle on the pieces between
+    the roots' arguments, so every kink and cusp of the integrand is at
+    the end of a piece. On the near-root pair of the CLI's pinned verify
+    report it is within 6.4e-14 of that test's QUADPACK/mpmath reference."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    roots = np.roots(coeffs[::-1])
+    moduli = {float(abs(z)) for z in roots if 0.0 < abs(z) < 1.0}
+    r, r_weights = _tanh_sinh(sorted({0.0, 1.0, *knots, *moduli}), h)
+    args = {float(np.angle(z)) % (2.0 * math.pi) for z in roots if z != 0}
+    t, t_weights = _tanh_sinh(sorted({0.0, 2.0 * math.pi, *args}), h)
+    circle = np.exp(1j * t)
+    means = np.empty(r.size)
+    for i in range(0, r.size, 64):
+        values = np.polynomial.polynomial.polyval(r[i : i + 64, None] * circle, coeffs)
+        means[i : i + 64] = np.abs(values) ** p @ t_weights / (2.0 * math.pi)
+    return float(np.sum(r_weights * 2.0 * r * w(r) * means))
 
 
 def full_series_binomial_means(x, p):
@@ -226,18 +271,26 @@ def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
     return total, settled_err + stuck_err, deepest
 
 
-def two_walk_norms(fs, w, p, tol):
+def two_walk_norms(fs, w, p, tol, subtract=True):
     """``weighted_norms(fs, w, p, tol)`` by two plain ``integrate_against``
-    walks: a coarse walk at tolerances 1e-3 (sum |a_k|)^p m(0), then a
-    fresh walk from the root at min(0.25 tol p v, coarse tolerance), v a
-    coarse value. Returns the norms and the fine tolerances."""
+    walks of D = M_p^p - sum_k G_k S_k (M_p^p itself for a polynomial with
+    no kink model, or for all with ``subtract=False``) plus the
+    closed-form part C: a coarse walk at tolerances 1e-3 (sum |a_k|)^p
+    m(0), then a fresh walk from the root at min(share tol p (v + C),
+    coarse tolerance), v a coarse value and share 0.25, or
+    _KINK_SHARE with a model. Returns the norms and the fine
+    tolerances."""
     scales = [float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0) for f in fs]
     coarse_tols = _above_floor(fs, p, [1e-3 * scale for scale in scales])
-    phi = _mean_pows(fs, p, 0.25 * tol)
+    models = [_kink_models(f, p) if subtract and w.bounded else None for f in fs]
+    closed = _closed_form_parts(models, w, p, tol, coarse_tols)
+    shares = [0.25 if m is None else _KINK_SHARE for m in models]
+    phi = _mean_pows(fs, p, 0.25 * tol, models)
     with np.errstate(over="ignore", invalid="ignore"):
         coarse = w.integrate_against(phi, 0.0, 1.0, coarse_tols)
-        fine_tols = _above_floor(
-            fs, p, [min(0.25 * tol * p * v, ct) for (v, _), ct in zip(coarse, coarse_tols)]
-        )
+        fine_tols = _above_floor(fs, p, [
+            min(share * tol * p * (v + c), ct)
+            for share, (v, _), c, ct in zip(shares, coarse, closed, coarse_tols)
+        ])
         fine = w.integrate_against(phi, 0.0, 1.0, fine_tols)
-    return [max(v, 0.0) ** (1.0 / p) for v, _ in fine], fine_tols
+    return [max(v + c, 0.0) ** (1.0 / p) for (v, _), c in zip(fine, closed)], fine_tols

@@ -44,6 +44,7 @@ from oracles import (
     parseval_norm,
     std_moment,
     step_moment,
+    tanh_sinh_norm_p,
     two_walk_norms,
 )
 
@@ -295,6 +296,31 @@ class TestCuspVariate:
         assert np.all(np.isfinite(diff))
         for r, v in zip(radii, vals):
             assert v == pytest.approx(circle_mean(f.coeffs, r, p), rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_several_roots_on_one_circle(self, monkeypatch, p):
+        # five cusps on |z| = 0.45: with the variate of the nearest root
+        # alone the row at 0.45 + 5e-6 stopped at the angle cap, its change
+        # 7.8e-10 against a tolerance of 5.2e-12 at p = 0.5
+        calls = _counting_means(monkeypatch)
+        f = family_pair(0.9, 5, 0.45)[0] * Polynomial((1.0, 0.5))
+        radii = np.array([0.45 + 5e-6, 0.45 * math.exp(-1e-4)])
+        vals, diff = _mean_pow_batch(f, radii, p, 2.5e-10)
+        assert np.all(diff <= 2.5e-10 * vals ** (1.0 / p))
+        assert max(n for _, _, n in calls) <= 8192
+        assert len({b.coeffs for b, _, _ in calls if b.degree == 1}) == 5
+        for r, v in zip(radii, vals):
+            assert v == pytest.approx(circle_mean(f.coeffs, r, p), rel=1e-10, abs=0.0)
+
+    def test_double_root_takes_one_variate(self):
+        # np.roots splits the double root into two about 1e-8 apart, whose
+        # cusps merge on circles farther away than that
+        f = Polynomial((-CUSP_ROOT, 1.0)) * Polynomial((-CUSP_ROOT, 1.0)) * Polynomial((0.3, 1.0))
+        roots, _ = analytic._root_factors(f)
+        assert 0.0 < abs(roots[0] - roots[1]) < 1e-7
+        radii = 0.6 * np.exp(np.array([-1e-3, 1e-5, -1e-6]))
+        rows, _, _, _ = analytic._cusp_variates(f, radii, 1.0)
+        assert rows.tolist() == [0, 1, 2]
 
     def test_large_p_with_interior_roots(self):
         # G_k and S_k are huge or tiny at p = 500; no NaN, no error
@@ -833,6 +859,123 @@ class TestResumedNorms:
         panels.clear()
         w.integrate_against(analytic._mean_pows(fs, p, 0.25 * TOL), 0.0, 1.0, fine_tols)
         assert 0 < resumed <= sum(panels)
+
+
+# polynomials whose radial kinks are subtracted, each with a hazard
+KINK_POLYS = {
+    "two_roots_on_one_ray": Polynomial((-0.3, 1.0)) * Polynomial((-0.6, 1.0)),
+    "double_root": Polynomial((-0.5, 1.0)) * Polynomial((-0.5, 1.0)) * Polynomial((0.2, 1.0)),
+    "five_roots_on_one_circle": family_pair(0.9, 5, 0.45)[0] * Polynomial((1.0, 0.5)),
+    "root_at_zero": Polynomial((0.0, 1.0)) * Polynomial((-0.5j, 1.0)) * Polynomial((0.3 - 0.4j, 1.0)),
+    "root_next_to_the_circle": (Polynomial((-0.999 * cmath.exp(0.7j), 1.0))
+                                * Polynomial((0.4j, 1.0)) * Polynomial((2.0, 1.0))),
+    "lacunary": Polynomial((-0.3, 0.0, 0.0, 1.0)) * Polynomial((0.5j, 0.0, 0.0, 1.0)),
+}
+# (weight, w pointwise, its knots) for the reference
+KINK_WEIGHTS = {
+    "constant": (ConstantWeight(1.0), np.ones_like, ()),
+    "step": (StepWeight(0.5), lambda r: (r >= 0.5).astype(float), (0.5,)),
+    "table": (TableWeight(knots=(0.0, 0.35, 0.6), values=(0.0, 1.2, 0.6)),
+              lambda r: np.interp(r, (0.0, 0.35, 0.6), (0.0, 1.2, 0.6)), (0.35, 0.6)),
+    "standard": (StandardWeight(1.0), lambda r: 2.0 * (1.0 - r * r), ()),
+}
+_GOLDEN = (1 + 5**0.5) / 2
+
+
+def _affine_pair():
+    """The 8-root affine pair of the perfbench verify deck (rotation 0,
+    leading coefficient 1): g with roots of moduli 0.35 .. 3.5 at
+    arguments 2 pi k / golden ratio, and f = (z + a)/2 g, |a| = 0.85."""
+    moduli = (0.35, 0.6, 0.8, 1.12, 1.35, 1.75, 2.5, 3.5)
+    roots = [m * cmath.exp(2j * math.pi * k / _GOLDEN) for k, m in enumerate(moduli)]
+    g = Polynomial(tuple(np.poly(roots)[::-1]))
+    a = -0.85 * cmath.exp(2j * math.pi * len(moduli) / _GOLDEN)
+    return Polynomial((a / 2.0, 0.5)) * g, g
+
+
+class TestKinkSubtraction:
+    """At p < 2 the radial walk takes D = M_p^p - sum_k G_k S_k over the
+    roots 0 < |z_k| < 1 of f, and the closed-form parts of G_k S_k are
+    added on top."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("name", sorted(KINK_POLYS))
+    def test_against_reference(self, name, p):
+        f = KINK_POLYS[name]
+        for w, w_of_r, knots in KINK_WEIGHTS.values():
+            reference = tanh_sinh_norm_p(f.coeffs, p, w_of_r, knots) ** (1.0 / p)
+            assert weighted_norm(f, w, p) == pytest.approx(reference, rel=1e-11, abs=0.0)
+
+    def test_which_roots_are_subtracted(self):
+        def moduli(name, p=1.0):
+            model = analytic._kink_models(KINK_POLYS[name], p)
+            return None if model is None else sorted(np.round(model[0], 6).tolist())
+
+        assert moduli("two_roots_on_one_ray") == [0.3, 0.6]
+        # the double root, split by np.roots, has no finite narrow model
+        assert moduli("double_root") == [0.2]
+        assert moduli("five_roots_on_one_circle") == [0.45] * 5
+        assert moduli("root_at_zero") == [0.5, 0.5]
+        assert moduli("root_next_to_the_circle") == [0.4, 0.999]
+        assert moduli("lacunary") == [round(0.3 ** (1 / 3), 6)] * 3 + [round(0.5 ** (1 / 3), 6)] * 3
+        # no model at p >= 2, for a binomial, or for a zero polynomial
+        assert moduli("two_roots_on_one_ray", 2.0) is None
+        assert analytic._kink_models(Polynomial((0.3, 0.0, 1.0)), 1.0) is None
+        assert analytic._kink_models(Polynomial(()), 1.0) is None
+
+    @pytest.mark.parametrize("weight", sorted(KINK_WEIGHTS))
+    def test_norm_alone_equals_norm_in_batch(self, weight):
+        w = KINK_WEIGHTS[weight][0]
+        fs = [*KINK_POLYS.values(), Polynomial((0.3, 1.0)), Polynomial(())]
+        assert weighted_norms(fs, w, 1.0) == [weighted_norm(f, w, 1.0) for f in fs]
+
+    # (polynomials, weight, p) that take no subtraction: binomials, p >= 2,
+    # and a standard weight with alpha < 0, which is unbounded at r = 1
+    PLAIN = {
+        "binomials": ([Polynomial((0.3, 1.0)), Polynomial((1.0, 0.0, 0.0, -0.7j)), Polynomial(())],
+                      ConstantWeight(1.0), 1.0),
+        "p_2": (list(KINK_POLYS.values()), StepWeight(0.5), 2.0),
+        "p_3": (list(KINK_POLYS.values()), ConstantWeight(1.0), 3.0),
+        "standard_alpha_below_0": (list(KINK_POLYS.values()), StandardWeight(-0.5), 1.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PLAIN))
+    def test_unsubtracted_norms_are_the_plain_walks(self, case):
+        fs, w, p = self.PLAIN[case]
+        assert weighted_norms(fs, w, p) == two_walk_norms(fs, w, p, TOL, subtract=False)[0]
+
+    def test_affine_pair_work(self, monkeypatch):
+        # the plain walk of this pair took 178 radial panels and 5,860,864
+        # angular nodes; D takes 54 panels and the closed-form parts 42
+        # (3 per piece, 2 pieces for each of the 7 roots)
+        counts = {"walk": 0, "graded": 0, "nodes": 0}
+        graded = [False]
+        panel_sums, integrate_graded = quadrature._panel_sums, ConstantWeight.integrate_graded
+
+        def counted_panels(f, lo, hi, comp):
+            counts["graded" if graded[0] else "walk"] += lo.size
+            return panel_sums(f, lo, hi, comp)
+
+        def counted_graded(self, *args, **kwargs):
+            graded[0] = True
+            try:
+                return integrate_graded(self, *args, **kwargs)
+            finally:
+                graded[0] = False
+
+        inner = analytic._abs_pow_means
+
+        def counted_means(f, radii, p, n, offset=0.0):
+            counts["nodes"] += len(radii) * n
+            return inner(f, radii, p, n, offset)
+
+        monkeypatch.setattr(quadrature, "_panel_sums", counted_panels)
+        monkeypatch.setattr(ConstantWeight, "integrate_graded", counted_graded)
+        monkeypatch.setattr(analytic, "_abs_pow_means", counted_means)
+        weighted_norms(list(_affine_pair()), ConstantWeight(1.0), 1.0)
+        assert counts["walk"] <= 178 // 2
+        assert counts["nodes"] <= 5_860_864 // 2
+        assert counts["graded"] <= 48
 
 
 class TestMeanProfile:

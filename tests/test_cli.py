@@ -301,10 +301,11 @@ class TestVerify:
 
     def test_near_root_report_is_pinned(self, capsys):
         # f = z g at p = 1, with g's roots at moduli 0.45 and 1.6: the
-        # radial nodes next to |z| = 0.45 switch to the control variate of
-        # that root. Reference: QUADPACK in r, with 0.45 as a breakpoint,
-        # over mpmath circle means split at the roots' arguments
-        # (estimated error 1.3e-13 and 2.9e-15)
+        # radial walk takes D = M_1 - G S, S the closed-form mean of
+        # z - z_k at |z_k| = 0.45, and its radial nodes next to 0.45 switch
+        # to the control variate of that root. Reference: QUADPACK in r,
+        # with 0.45 as a breakpoint, over mpmath circle means split at the
+        # roots' arguments (estimated error 1.3e-13 and 2.9e-15)
         f = ('{"coeffs":[[0.0,0.0],[1.038897546081614,0.14586410298052038],'
              '[-1.7682983986165577,-0.6955234255325711],[-1.2008062553292007,0.8252910543661071]]}')
         g = ('{"coeffs":[[1.038897546081614,0.14586410298052038],'
@@ -317,8 +318,8 @@ class TestVerify:
         assert out == (
             "{\n"
             '  "dominates": true,\n'
-            '  "norm_f": 1.261995995932543,\n'
-            '  "norm_g": 1.7439044504265633,\n'
+            '  "norm_f": 1.2619959959329232,\n'
+            '  "norm_g": 1.7439044504273828,\n'
             '  "principle_holds": true\n'
             "}\n"
         )

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +226,61 @@ class TestStandardClosedForms:
 )
 def test_integrate_against_no_components(w):
     assert w.integrate_against(lambda r, comp: r, 0.0, 1.0, []) == []
+
+
+class TestIntegrateGraded:
+    """int_0^1 2 r w(r) phi(r, k) dr for a phi(., k) with a kink at
+    centres[k], walked graded toward it and split at the weight's knots."""
+
+    # (weight, w for mpmath, its knots)
+    WEIGHTS = {
+        "constant": (ConstantWeight(2.0), lambda r: 2, ()),
+        "step": (StepWeight(0.45), lambda r: 1 if r >= 0.45 else 0, (0.45,)),
+        "table": (TableWeight(knots=(0.0, 0.35, 0.6), values=(0.0, 1.2, 0.6)),
+                  lambda r: (1.2 * r / 0.35 if r < 0.35
+                             else 1.2 - 2.4 * (r - 0.35) if r < 0.6 else 0.6),
+                  (0.35, 0.6)),
+        "standard": (StandardWeight(1.5), lambda r: 2.5 * (1 - r * r) ** 1.5, ()),
+    }
+    # the step's knot, a centre below it and one on a table knot
+    CENTRES = (0.3, 0.45, 0.6, 0.93)
+
+    @staticmethod
+    def _kinked(r, comp):
+        centre = np.array(TestIntegrateGraded.CENTRES)[comp]
+        return np.abs(r - centre) ** 1.5 * np.exp(r)
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_against_mpmath(self, name):
+        w, w_mp, knots = self.WEIGHTS[name]
+        results = w.integrate_graded(self._kinked, self.CENTRES, [1e-13] * len(self.CENTRES))
+        for c, (value, err) in zip(self.CENTRES, results):
+            with mp.workdps(30):
+                reference = mp.quad(lambda r: 2 * r * w_mp(r) * abs(r - c) ** 1.5 * mp.exp(r),
+                                    sorted({0, 1, c, *knots}))
+            assert value == pytest.approx(float(reference), rel=1e-12, abs=1e-13)
+            assert err <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_each_centre_alone_equals_the_batch(self, name):
+        w = self.WEIGHTS[name][0]
+        tols = [1e-10] * len(self.CENTRES)
+
+        def refine(results):
+            return [min(1e-12 * v, 1e-10) for v, _ in results]
+
+        batch = w.integrate_graded(self._kinked, self.CENTRES, tols, refine=refine)
+        for k, c in enumerate(self.CENTRES):
+            [alone] = w.integrate_graded(lambda r, comp: self._kinked(r, comp + k), [c],
+                                         [1e-10], refine=refine)
+            assert alone == batch[k]
+
+    def test_no_centres(self):
+        assert ConstantWeight(1.0).integrate_graded(self._kinked, [], []) == []
+
+    def test_unbounded_weight_is_refused(self):
+        with pytest.raises(DomainError, match="bounded"):
+            StandardWeight(-0.5).integrate_graded(self._kinked, [0.5], [1e-9])
 
 
 class TestInvariants:
