@@ -47,12 +47,13 @@ of every root 0 < |z_k| < 1, toward which the radial walk bisects. So
 for a non-binomial f the walk takes D(r) = M_p^p(r; f) - sum_k G_k S_k,
 S_k(r) = M_p^p(r; z - z_k) in closed form and G_k a smooth model of
 |f(r u_k)/(r u_k - z_k)|^p, u_k = z_k/|z_k| (_kink_models), and the
-closed-form parts int 2 r w G_k S_k dr are added on top, each by a walk
-graded toward |z_k| (RadialWeight.integrate_graded) that evaluates no
-circle mean. The split is an identity for any G_k, and D has each kink
-cancelled to leading order: on a seed-1 verify deck pass the p = 1 walks
-went from 1,412 to 456 radial panels and from 35.5 M to 5.3 M angular
-nodes, and verify's jobs/s rose by 67% (CHANGES.md).
+closed-form part C = int 2 r w sum_k G_k S_k dr is added on top, by a
+walk graded toward each |z_k| (RadialWeight.integrate_graded) that
+evaluates no circle mean, to an error on the scale of ||f||^p. The split
+is an identity for any G_k, and D has each kink cancelled to leading
+order: on a seed-1 verify deck pass the p = 1 norms went from 1,412 to
+456 radial panels of D plus 180 of C, and from 35.5 M to 5.4 M angular
+nodes (CHANGES.md).
 """
 from __future__ import annotations
 
@@ -62,6 +63,7 @@ import json
 import math
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,9 +101,10 @@ _CUSP_NEAR = 0.05
 #: pass took 89 ms instead of 57)
 _KINK_P = 2.0
 #: share of tol p ||f||^p that the fine walk of D = M_p^p - sum_k G_k S_k
-#: takes, a tenth of the plain walk's 0.25 (at 0.25 the pinned near-root
-#: verify pair read a norm 1.2e-12 from its reference, at 0.025 1.6e-13),
-#: and each root's closed-form part int 2 r w G_k S_k dr of its own value
+#: takes when every root 0 < |z_k| < 1 has a model, a tenth of the plain
+#: walk's 0.25 (at 0.25 the pinned near-root verify pair read a norm
+#: 1.2e-12 from its reference, at 0.025 1.6e-13), and the closed-form part
+#: C = int 2 r w sum_k G_k S_k dr always
 _KINK_SHARE = 0.025
 #: a root's model G_k = |f'(z_k)|^p exp(gamma t + kappa t^2/2) is used when
 #: its exponent stays at most _MODEL_RISE on [0, 1] (D loses to rounding
@@ -111,6 +114,16 @@ _KINK_SHARE = 0.025
 #: and 9001 reach at most 2.3 and 48
 _MODEL_RISE = 4.0
 _MODEL_BEND = 1e3
+#: a polynomial's kinks are subtracted only where sum_k G_k S_k stays at
+#: most this many times M_p^p(r_j; f) at each root modulus r_j: D rounds
+#: to about 1.1e-16 sum_k G_k S_k, here at most 1.1e-13 M_p^p, a hundredth
+#: of its fine tolerance share 0.025 tol p at tol = 1e-9 and p >= 0.5. The
+#: verify decks of seeds 1 and 9001 reach 16.2; twenty roots on one circle,
+#: (z^20 - 0.9^20)(1 + z/2), reach 90 at p = 0.5, 400 at p = 1 and 1,592
+#: at p = 1.5. Below it the subtraction stayed accurate and mostly faster:
+#: twelve roots, (z^12 - 0.9^12)(1 + 0.9 z), reach 499 at p = 1.5, where
+#: it took the norm at tol 1e-12 from 828 to 98 ms
+_MODEL_EXCESS = 1e3
 
 
 @dataclass(frozen=True)
@@ -663,10 +676,24 @@ def integral_mean(f: Polynomial, r: float, p: float, tol: float = DEFAULT_TOL) -
     return float(vals[0] ** (1.0 / p))
 
 
+class _KinkModel(NamedTuple):
+    """The roots of f whose radial kinks weighted_norms subtracts, as
+    arrays over them (see _kink_models), and D's share of the fine
+    tolerance: _KINK_SHARE when every root 0 < |z_k| < 1 of f is among
+    them, else the plain walk's 0.25, since a kink left in D would make
+    the tighter tolerance cost more than the subtraction saves."""
+
+    moduli: np.ndarray
+    g: np.ndarray
+    gamma: np.ndarray
+    kappa: np.ndarray
+    share: float
+
+
 @functools.lru_cache(maxsize=64)
-def _kink_models(f: Polynomial, p: float):
-    """(r_k, g_k, gamma_k, kappa_k): arrays over the roots z_k of f with
-    0 < r_k = |z_k| < 1 whose radial kink weighted_norms subtracts, or None.
+def _kink_models(f: Polynomial, p: float) -> _KinkModel | None:
+    """The roots z_k of f with 0 < r_k = |z_k| < 1 whose radial kink
+    weighted_norms subtracts, or None.
 
     The model of |f(r u_k)/(r u_k - z_k)|^p, u_k = z_k/r_k, is its
     log-Taylor polynomial at r = r_k, G_k(r) = g_k exp(gamma t + kappa t^2/2)
@@ -675,15 +702,19 @@ def _kink_models(f: Polynomial, p: float):
     kappa = -p sum_{j != k} Re(u_k^2/(z_k - z_j)^2): smooth on [0, 1], where
     the exact product has a kink at every other root on z_k's ray. A root
     is used or left out once, by its model: finite, its exponent at most
-    _MODEL_RISE on [0, 1] and |kappa| <= _MODEL_BEND. Binomials (closed
-    form), zero polynomials and p >= _KINK_P take no model.
+    _MODEL_RISE on [0, 1] and |kappa| <= _MODEL_BEND. The whole polynomial
+    is left out once, when sum_k G_k S_k exceeds M_p^p(r_j; f) by more than
+    _MODEL_EXCESS at a modulus r_j, M_p^p taken on max(256, 8 (n + 1))
+    angles, n the degree. Binomials (closed form), zero polynomials and
+    p >= _KINK_P take no model.
     """
     if p >= _KINK_P or f.is_zero or _binomial_form(f) is not None:
         return None
     roots, _ = _root_factors(f)
     moduli = np.abs(roots)
+    interior = np.flatnonzero((moduli > 0.0) & (moduli < 1.0))
     models = []
-    for k in np.flatnonzero((moduli > 0.0) & (moduli < 1.0)):
+    for k in interior:
         u, gaps = roots[k] / moduli[k], np.delete(roots[k] - roots, k)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             g = (abs(f.coeffs[-1]) * np.prod(np.abs(gaps))) ** p
@@ -700,7 +731,13 @@ def _kink_models(f: Polynomial, p: float):
     arrays = tuple(np.array(column) for column in zip(*models))
     for a in arrays:
         a.flags.writeable = False  # shared by every caller through the cache
-    return arrays
+    share = _KINK_SHARE if len(models) == interior.size else 0.25
+    model = _KinkModel(*arrays, share)
+    means = _abs_pow_means(f, model.moduli, p, max(256, 8 * (f.degree + 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(_kink_sums(model, model.moduli, p) <= _MODEL_EXCESS * means):
+            return None
+    return model
 
 
 def _kink_terms(r_k, g, gamma, kappa, r, p):
@@ -710,50 +747,53 @@ def _kink_terms(r_k, g, gamma, kappa, r, p):
     return g * np.exp(gamma * t + 0.5 * kappa * t * t) * _binomial_means(r_k, 1.0, r, p)
 
 
-def _kink_sums(model, r: np.ndarray, p: float) -> np.ndarray:
+def _kink_sums(model: _KinkModel, r: np.ndarray, p: float) -> np.ndarray:
     """sum_k G_k(r) S_k(r) per radius, over the roots of one model."""
-    roots = model[0].size
-    terms = _kink_terms(*(np.tile(a, r.size) for a in model), np.repeat(r, roots), p)
+    roots = model.moduli.size
+    terms = _kink_terms(*(np.tile(a, r.size) for a in model[:4]), np.repeat(r, roots), p)
     return np.sum(terms.reshape(r.size, roots), axis=1)
 
 
-def _closed_form_parts(models, w: RadialWeight, p: float, tol: float, coarse_tols):
-    """sum_k int_0^1 2 r w(r) G_k(r) S_k(r) dr per polynomial (0.0 without
-    a model), every root a component of one graded walk
-    (``w.integrate_graded``) at a coarse tolerance of its polynomial's
-    coarse one over its roots, refined to _KINK_SHARE tol p times its
-    own value."""
+def _closed_form_parts(models, w: RadialWeight, p: float, tol: float, coarse_tols, values):
+    """C = sum_k int_0^1 2 r w(r) G_k(r) S_k(r) dr per polynomial (0.0
+    without a model), each polynomial a component of one graded walk
+    (``w.integrate_graded``, a term per root) at its coarse tolerance,
+    refined to _KINK_SHARE tol p (v + C), v its value of D (``values``) and
+    C its coarse one: an error on the scale of ||f||^p, however far
+    sum_k G_k S_k exceeds M_p^p."""
+    owners = [i for i, m in enumerate(models) if m is not None]
     parts = [0.0] * len(models)
-    owners = [i for i, m in enumerate(models) if m is not None for _ in range(m[0].size)]
     if not owners:
         return parts
-    columns = [np.concatenate([m[j] for m in models if m is not None]) for j in range(4)]
+    columns = [np.concatenate([models[i][j] for i in owners]) for j in range(4)]
 
-    def phi(r, comp):
-        return _kink_terms(*(c[comp] for c in columns), r, p)
-
-    tols = [coarse_tols[i] / models[i][0].size for i in owners]
+    def phi(r, term):
+        return _kink_terms(*(c[term] for c in columns), r, p)
 
     def fine(results):
-        return [min(max(_KINK_SHARE * tol * p * v, 1e-300), t)
-                for (v, _), t in zip(results, tols)]
+        tols = []
+        for i, (c, _) in zip(owners, results):
+            t = _KINK_SHARE * tol * p * (values[i] + c)
+            tols.append(min(t, coarse_tols[i]) if t > 0.0 else coarse_tols[i])
+        return tols
 
-    results = w.integrate_graded(phi, columns[0].tolist(), tols, refine=fine)
-    for i, (v, _) in zip(owners, results):
-        parts[i] += v
+    centres = [models[i].moduli.tolist() for i in owners]
+    results = w.integrate_graded(phi, centres, [coarse_tols[i] for i in owners], refine=fine)
+    for i, (c, _) in zip(owners, results):
+        parts[i] = c
     return parts
 
 
-def _mean_pows(fs: list[Polynomial], p: float, tol: float, models=None):
+def _mean_pows(fs: list[Polynomial], p: float, tol: float, models):
     """The integrand phi(r, comp) = M_p^p(r; fs[comp]) of the norms of fs,
-    less sum_k G_k S_k for a component with a model (_kink_models).
+    less sum_k G_k S_k for a component with a model (models[comp], see
+    _kink_models).
 
     Every binomial component a_0 + a_d z^d takes one closed-form
     _binomial_means call per integrand call, with its own moduli and
     exponent d (_binomial_form) on each row; every other component runs
     its own _mean_pow_batch at relative angular tolerance tol.
     """
-    models = models or [None] * len(fs)
     forms = [_binomial_form(f) for f in fs]
     binomial = np.array([form is not None for form in forms], dtype=bool)
     moduli = np.array([form[:2] if form else (0.0, 0.0) for form in forms])
@@ -800,7 +840,7 @@ def weighted_norms(
     At p < _KINK_P, on a bounded weight, a non-binomial f with roots
     0 < |z_k| < 1 that have a model (_kink_models) is split as
 
-        ||f||^p = int 2 r w D dr + sum_k int 2 r w G_k S_k dr,
+        ||f||^p = int 2 r w D dr + C,  C = int 2 r w sum_k G_k S_k dr,
         D = M_p^p(r; f) - sum_k G_k(r) S_k(r),
 
     with S_k(r) = M_p^p(r; z - z_k) = _binomial_means(|z_k|, 1, r, p) and
@@ -809,19 +849,20 @@ def weighted_norms(
     of z_k. The split is an identity for any G_k, since both parts use the
     same functions, so each part need only meet its own tolerance. G_k S_k
     carries the |r - |z_k||^{p+1} kink of M_p^p, so D has it cancelled to
-    leading order and its walk needs far fewer panels near |z_k|; the
-    closed-form parts evaluate no circle mean (_closed_form_parts). They
-    are computed first, at _KINK_SHARE tol p of their own values, and D's
-    fine tolerance is _KINK_SHARE tol p (v + C), a tenth of the plain
-    0.25, v D's coarse value and C the closed-form parts. At even p there
-    is no kink, and at p >= 2 the subtraction costs more than it saves. On
-    one seed-1 verify deck pass the p = 1 norms went from 1,412 to 456
-    radial panels of D (plus 372 of the closed-form parts) and from 35.5 M
-    to 5.3 M angular nodes, the p = 1.5 norms from 900 to 320 (plus 372);
-    the largest verify report move, 1.4e-11 relative, went toward an
-    independent reference. A standard weight with alpha < 0 takes no
-    subtraction: the graded walks would have to resolve its singularity
-    at r = 1.
+    leading order and its walk needs far fewer panels near |z_k|; C
+    evaluates no circle mean (_closed_form_parts). Once D's coarse pass
+    has given v, C is walked to _KINK_SHARE tol p (v + C), and D's fine
+    tolerance is share tol p (v + C): _KINK_SHARE, a tenth of the plain
+    0.25, when every root 0 < |z_k| < 1 has a model, else 0.25. Both
+    errors are then on the scale of ||f||^p, however far sum_k G_k S_k
+    exceeds M_p^p. At even p there is no kink, and at p >= 2 the
+    subtraction costs more than it saves. On one seed-1 verify deck pass
+    the p = 1 norms went from 1,412 to 456 radial panels of D (plus 180
+    of C for 24 polynomials with 60 roots) and from 35.5 M to 5.4 M angular
+    nodes, the p = 1.5 norms from 900 to 320 (plus 180); the largest
+    verify report move, 1.4e-11 relative, went toward an independent
+    reference. A standard weight with alpha < 0 takes no subtraction: the
+    graded walk would have to resolve its singularity at r = 1.
     """
     positive("p", p)
     positive("tol", tol)
@@ -837,11 +878,13 @@ def weighted_norms(
         )
     coarse_tols = _above_floor(fs, p, [1e-3 * scale for scale in scales])
     models = [_kink_models(f, p) if w.bounded else None for f in fs]
-    closed = _closed_form_parts(models, w, p, tol, coarse_tols)
-    shares = [0.25 if m is None else _KINK_SHARE for m in models]
+    shares = [0.25 if m is None else m.share for m in models]
+    closed = [0.0] * len(fs)
 
     def fine_tols(coarse):
-        totals = [v + c for (v, _), c in zip(coarse, closed)]
+        values = [v for v, _ in coarse]
+        closed[:] = _closed_form_parts(models, w, p, tol, coarse_tols, values)
+        totals = [v + c for v, c in zip(values, closed)]
         for f, v, ct in zip(fs, totals, coarse_tols):
             if v <= 0.0 and not f.is_zero:
                 raise DomainError(

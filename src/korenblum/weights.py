@@ -18,8 +18,9 @@ adaptive quadrature walk for all K and return one (value, err_est) per
 component; for the standard kind with alpha < 0 a walk up to r = 1 runs
 in the substituted variable v = (1-r^2)^{alpha+1}, which absorbs the
 integrable singularity there into a bounded integrand. A bounded weight
-also integrates integrands with one kink each (:meth:`integrate_graded`)
-in one walk graded toward the kinks, split at the weight's knots.
+also integrates sums of terms with one kink each (:meth:`integrate_graded`)
+in one walk, each term graded toward its kink and all split at the
+weight's knots.
 """
 from __future__ import annotations
 
@@ -56,8 +57,8 @@ class RadialWeight:
     def liminf_at_origin(self) -> OriginLiminf:
         raise NotImplementedError
 
-    def eval(self, r):
-        """w at the radii r."""
+    def _kernel(self, r):
+        """2 r w(r) at the radii r, the kernel of every radial integral."""
         raise NotImplementedError
 
     def _support_knots(self) -> tuple[float, ...]:
@@ -80,64 +81,73 @@ class RadialWeight:
         raise NotImplementedError
 
     def integrate_graded(
-        self, phi: Callable, centres: Sequence[float], tols: Sequence[float], *,
+        self, phi: Callable, centres: Sequence[Sequence[float]], tols: Sequence[float], *,
         refine: Callable | None = None,
     ) -> list[tuple[float, float]]:
-        """int_0^1 2 r w(r) phi(r, k) dr for k = 0..K-1, for a phi(., k)
-        that is smooth but for a kink |r - c|^q at c = centres[k] in (0, 1),
-        component k with absolute error <= tols[k], in one quadrature walk.
+        """int_0^1 2 r w(r) sum_j phi(r, j) dr for each component k, the sum
+        over its terms j, which have the centres centres[k] and are numbered
+        on from the terms of component k - 1; term j is smooth but for a
+        kink |r - c_j|^q at its centre c_j in (0, 1). Component k has
+        absolute error <= tols[k], and all are taken in one quadrature walk.
 
-        [0, 1] is cut at c and at the weight's knots, and each piece
-        [a, b] on the side of c is walked in s with r = c + h s^3, h = -c
-        below c and 1 - c above: the Jacobian 3 |h| s^2 and the kink make
-        the integrand vanish like s^{3q + 2} at s = 0, so a few Gauss
-        panels resolve what a walk in r would bisect toward c. Each piece
-        is a component of one :func:`korenblum.quadrature.integrate_many`
-        walk, on the s of its own piece mapped to [0, 1], with its share
-        tols[k]/(pieces of k) of the tolerance; ``refine`` maps the summed
+        [0, 1] is cut at the weight's knots only. On each piece [a, b]
+        every term is taken in its own s, r = c_j + s^3, with
+        s = cbrt(a - c_j) + (cbrt(b - c_j) - cbrt(a - c_j)) x for x in
+        [0, 1]: the Jacobian 3 s^2 and the kink make the term vanish like
+        |s|^{3q + 2} at s = 0, so a few Gauss panels in x resolve what a
+        walk in r would bisect toward c_j. The terms are added at each x in
+        order, and each (component, piece) is a component of one
+        :func:`korenblum.quadrature.integrate_many` walk in x, with its
+        share tols[k]/(pieces) of the tolerance; ``refine`` maps the summed
         results of a first walk to the tolerances of a resumed second one,
-        as there. Returns one (value, err_est) per centre, each bit for bit
-        what it gets alone. The weight must be bounded.
+        as there. Returns one (value, err_est) per component, each bit for
+        bit what it gets alone. The weight must be bounded.
         """
         if not self.bounded:
             raise DomainError(f"integrate_graded needs a bounded weight, got {self.to_spec()}")
         knots = self._support_knots()
-        owner, centre, span, lo, width = [], [], [], [], []
-        for k, c in enumerate(centres):
-            edges = sorted({*knots, c, 1.0})
-            for a, b in zip(edges, edges[1:]):
-                if a < knots[0]:  # w = 0 there
-                    continue
-                h = -c if b <= c else 1.0 - c
-                s_a, s_b = np.cbrt((a - c) / h), np.cbrt((b - c) / h)
+        pieces = list(zip(knots, (*knots[1:], 1.0)))
+        term, centre, lo, width, owner, counts = [], [], [], [], [], []
+        first = 0
+        for k, cs in enumerate(centres):
+            for a, b in pieces:
                 owner.append(k)
-                centre.append(c)
-                span.append(h)
-                lo.append(min(s_a, s_b))
-                width.append(abs(s_b - s_a))
-        owner = np.array(owner, dtype=int)
-        centre, span, lo, width = map(np.array, (centre, span, lo, width))
-        shares = np.bincount(owner, minlength=len(centres))
+                counts.append(len(cs))
+                for j, c in enumerate(cs, start=first):
+                    s_a, s_b = np.cbrt(a - c), np.cbrt(b - c)
+                    term.append(j)
+                    centre.append(c)
+                    lo.append(s_a)
+                    width.append(s_b - s_a)
+            first += len(cs)
+        term = np.array(term, dtype=int)
+        centre, lo, width = map(np.array, (centre, lo, width))
+        counts = np.array(counts, dtype=int)
+        starts = np.cumsum(counts) - counts
 
         def kernel(x, comp):
-            s = lo[comp] + width[comp] * x
-            r = centre[comp] + span[comp] * s**3
-            jacobian = 3.0 * np.abs(span[comp]) * width[comp] * s * s
-            return 2.0 * r * self.eval(r) * phi(r, owner[comp]) * jacobian
+            # one row per (node, term of the node's piece), summed per node
+            n = counts[comp]
+            node = np.repeat(np.arange(x.size), n)
+            row = np.arange(node.size) + np.repeat(starts[comp] - (np.cumsum(n) - n), n)
+            s = lo[row] + width[row] * x[node]
+            r = centre[row] + s**3
+            terms = self._kernel(r) * phi(r, term[row]) * (3.0 * width[row] * s * s)
+            return np.bincount(node, terms, x.size)
 
-        def per_centre(results):
-            # each centre's pieces added in order, as alone
+        def per_component(results):
+            # each component's pieces added in order, as alone
             sums = [[0.0, 0.0] for _ in centres]
-            for k, (value, err) in zip(owner.tolist(), results):
+            for k, (value, err) in zip(owner, results):
                 sums[k][0] += value
                 sums[k][1] += err
             return [tuple(pair) for pair in sums]
 
-        def split(centre_tols):
-            return [centre_tols[k] / shares[k] for k in owner.tolist()]
+        def split(component_tols):
+            return [component_tols[k] / len(pieces) for k in owner]
 
-        fine = None if refine is None else (lambda results: split(refine(per_centre(results))))
-        return per_centre(integrate_many(kernel, 0.0, 1.0, split(tols), refine=fine))
+        fine = None if refine is None else (lambda results: split(refine(per_component(results))))
+        return per_component(integrate_many(kernel, 0.0, 1.0, split(tols), refine=fine))
 
     def power_mass(self, s: float, a: float, b: float) -> float:
         """int_a^b 2 r^{s+1} w(r) dr in closed form."""
@@ -168,6 +178,9 @@ class _PiecewiseLinear(RadialWeight):
         ks, vs = self._knots()
         return np.interp(r, ks, vs, left=0.0)
 
+    def _kernel(self, r):
+        return 2.0 * r * self.eval(r)
+
     def _support_knots(self):
         return self._knots()[0]
 
@@ -183,7 +196,7 @@ class _PiecewiseLinear(RadialWeight):
         lo = min(max(a, knots[0]), b)
 
         def kernel(r, comp):
-            return 2.0 * r * self.eval(r) * phi(r, comp)
+            return self._kernel(r) * phi(r, comp)
 
         return integrate_many(kernel, lo, b, tols, breakpoints=knots, refine=refine)
 
@@ -229,8 +242,8 @@ class StandardWeight(RadialWeight):
     def liminf_at_origin(self) -> OriginLiminf:
         return OriginLiminf.POSITIVE_LIMINF
 
-    def eval(self, r):
-        return (self.alpha + 1.0) * (1.0 - r * r) ** self.alpha
+    def _kernel(self, r):
+        return 2.0 * (self.alpha + 1.0) * r * (1.0 - r * r) ** self.alpha
 
     def _support_knots(self):
         return (0.0,)
@@ -240,7 +253,7 @@ class StandardWeight(RadialWeight):
         # walks short of r = 1 stay in r: v below cannot resolve r^2 under rounding
         if al >= 0.0 or b < 1.0:
             def direct(r, comp):
-                return 2.0 * (al + 1.0) * r * (1.0 - r * r) ** al * phi(r, comp)
+                return self._kernel(r) * phi(r, comp)
 
             return integrate_many(direct, a, b, tols, refine=refine)
 

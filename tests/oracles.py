@@ -14,7 +14,6 @@ import mpmath as mp
 import numpy as np
 
 from korenblum.analytic import (
-    _KINK_SHARE,
     _above_floor,
     _closed_form_parts,
     _kink_models,
@@ -276,21 +275,21 @@ def two_walk_norms(fs, w, p, tol, subtract=True):
     walks of D = M_p^p - sum_k G_k S_k (M_p^p itself for a polynomial with
     no kink model, or for all with ``subtract=False``) plus the
     closed-form part C: a coarse walk at tolerances 1e-3 (sum |a_k|)^p
-    m(0), then a fresh walk from the root at min(share tol p (v + C),
-    coarse tolerance), v a coarse value and share 0.25, or
-    _KINK_SHARE with a model. Returns the norms and the fine
-    tolerances."""
+    m(0), C refined against its values v, then a fresh walk from the root
+    at min(share tol p (v + C), coarse tolerance), share 0.25 or the
+    model's. Returns the norms and the fine tolerances."""
     scales = [float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0) for f in fs]
     coarse_tols = _above_floor(fs, p, [1e-3 * scale for scale in scales])
     models = [_kink_models(f, p) if subtract and w.bounded else None for f in fs]
-    closed = _closed_form_parts(models, w, p, tol, coarse_tols)
-    shares = [0.25 if m is None else _KINK_SHARE for m in models]
+    shares = [0.25 if m is None else m.share for m in models]
     phi = _mean_pows(fs, p, 0.25 * tol, models)
     with np.errstate(over="ignore", invalid="ignore"):
         coarse = w.integrate_against(phi, 0.0, 1.0, coarse_tols)
+        values = [v for v, _ in coarse]
+        closed = _closed_form_parts(models, w, p, tol, coarse_tols, values)
         fine_tols = _above_floor(fs, p, [
             min(share * tol * p * (v + c), ct)
-            for share, (v, _), c, ct in zip(shares, coarse, closed, coarse_tols)
+            for share, v, c, ct in zip(shares, values, closed, coarse_tols)
         ])
         fine = w.integrate_against(phi, 0.0, 1.0, fine_tols)
     return [max(v + c, 0.0) ** (1.0 / p) for (v, _), c in zip(fine, closed)], fine_tols

@@ -844,21 +844,46 @@ class TestResumedNorms:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_no_more_panels_than_the_fine_walk(self, case, monkeypatch):
+        # the walk of D and the graded walk of the closed-form parts each
+        # take no more panels than a fresh walk of the same integrand at
+        # the final tolerances
         fs, w, p = self.CASES[case]
         _, fine_tols = two_walk_norms(fs, w, p, TOL)
-        panels = []
-        panel_sums = quadrature._panel_sums
+        counts = {"walk": 0, "graded": 0}
+        graded, calls = [False], []
+        panel_sums, integrate_graded = quadrature._panel_sums, type(w).integrate_graded
 
         def counted(f, lo, hi, comp):
-            panels.append(lo.size)
+            counts["graded" if graded[0] else "walk"] += lo.size
             return panel_sums(f, lo, hi, comp)
 
+        def counted_graded(self, phi, centres, tols, *, refine=None):
+            # the last walk's final tolerances
+            def kept(results):
+                calls[:] = [(phi, centres, refine(results))]
+                return calls[0][2]
+
+            calls[:] = [(phi, centres, tols)]
+            graded[0] = True
+            try:
+                return integrate_graded(self, phi, centres, tols,
+                                        refine=None if refine is None else kept)
+            finally:
+                graded[0] = False
+
         monkeypatch.setattr(quadrature, "_panel_sums", counted)
+        monkeypatch.setattr(type(w), "integrate_graded", counted_graded)
         weighted_norms(fs, w, p)
-        resumed = sum(panels)
-        panels.clear()
-        w.integrate_against(analytic._mean_pows(fs, p, 0.25 * TOL), 0.0, 1.0, fine_tols)
-        assert 0 < resumed <= sum(panels)
+        resumed = dict(counts)
+        models = [analytic._kink_models(f, p) if w.bounded else None for f in fs]
+        assert (resumed["graded"] > 0) == any(m is not None for m in models) == bool(calls)
+        counts.update(walk=0, graded=0)
+        w.integrate_against(analytic._mean_pows(fs, p, 0.25 * TOL, models), 0.0, 1.0, fine_tols)
+        graded[0] = True
+        for phi, centres, tols in calls:
+            integrate_graded(w, phi, centres, tols)
+        assert 0 < resumed["walk"] <= counts["walk"]
+        assert resumed["graded"] <= counts["graded"]
 
 
 # polynomials whose radial kinks are subtracted, each with a hazard
@@ -912,8 +937,11 @@ class TestKinkSubtraction:
             return None if model is None else sorted(np.round(model[0], 6).tolist())
 
         assert moduli("two_roots_on_one_ray") == [0.3, 0.6]
-        # the double root, split by np.roots, has no finite narrow model
+        # the double root, split by np.roots, has no finite narrow model,
+        # and its kink, left in D, keeps D's share of the tolerance at 0.25
         assert moduli("double_root") == [0.2]
+        assert analytic._kink_models(KINK_POLYS["double_root"], 1.0).share == 0.25
+        assert analytic._kink_models(KINK_POLYS["two_roots_on_one_ray"], 1.0).share == 0.025
         assert moduli("five_roots_on_one_circle") == [0.45] * 5
         assert moduli("root_at_zero") == [0.5, 0.5]
         assert moduli("root_next_to_the_circle") == [0.4, 0.999]
@@ -922,6 +950,40 @@ class TestKinkSubtraction:
         assert moduli("two_roots_on_one_ray", 2.0) is None
         assert analytic._kink_models(Polynomial((0.3, 0.0, 1.0)), 1.0) is None
         assert analytic._kink_models(Polynomial(()), 1.0) is None
+
+    def test_many_roots_on_one_circle(self):
+        # twenty roots on |z| = 0.9: sum_k G_k S_k reaches 90, 400 and 1,592
+        # times M_p^p at a root modulus at p = 0.5, 1 and 1.5, the last above
+        # _MODEL_EXCESS, so that norm takes the plain walk. The reference's
+        # h = 1/16 is within 5e-14 of its h = 1/64 here
+        f = Polynomial((-0.9**20,) + (0.0,) * 19 + (1.0,)) * Polynomial((1.0, 0.5))
+        for p, subtracted in ((0.5, True), (1.0, True), (1.5, False)):
+            assert (analytic._kink_models(f, p) is not None) == subtracted
+            reference = tanh_sinh_norm_p(f.coeffs, p, np.ones_like, h=1.0 / 16) ** (1.0 / p)
+            assert weighted_norm(f, ConstantWeight(1.0), p) == pytest.approx(
+                reference, rel=1e-11, abs=0.0
+            )
+
+    def test_a_root_left_out_costs_no_angular_nodes(self, monkeypatch):
+        # the double root's kink stays in D, whose share stays the plain
+        # walk's, so the subtraction of the simple root takes no more
+        # angular nodes than the plain walk (170,496 for both on the step
+        # weight; with a tenth of the share it took 475,136)
+        f, w = KINK_POLYS["double_root"], StepWeight(0.5)
+        nodes = [0]
+        inner = analytic._abs_pow_means
+
+        def counted(f, radii, p, n, offset=0.0):
+            nodes[0] += len(radii) * n
+            return inner(f, radii, p, n, offset)
+
+        analytic._kink_models(f, 0.5)  # its check's circle means, once
+        monkeypatch.setattr(analytic, "_abs_pow_means", counted)
+        weighted_norm(f, w, 0.5)
+        subtracted, nodes[0] = nodes[0], 0
+        monkeypatch.setattr(analytic, "_kink_models", lambda f, p: None)
+        weighted_norm(f, w, 0.5)
+        assert 0 < subtracted <= nodes[0]
 
     @pytest.mark.parametrize("weight", sorted(KINK_WEIGHTS))
     def test_norm_alone_equals_norm_in_batch(self, weight):
@@ -946,8 +1008,8 @@ class TestKinkSubtraction:
 
     def test_affine_pair_work(self, monkeypatch):
         # the plain walk of this pair took 178 radial panels and 5,860,864
-        # angular nodes; D takes 54 panels and the closed-form parts 42
-        # (3 per piece, 2 pieces for each of the 7 roots)
+        # angular nodes; D takes 54 panels and the closed-form parts 14
+        # (one component per polynomial, at least 3 panels each)
         counts = {"walk": 0, "graded": 0, "nodes": 0}
         graded = [False]
         panel_sums, integrate_graded = quadrature._panel_sums, ConstantWeight.integrate_graded
@@ -975,7 +1037,7 @@ class TestKinkSubtraction:
         weighted_norms(list(_affine_pair()), ConstantWeight(1.0), 1.0)
         assert counts["walk"] <= 178 // 2
         assert counts["nodes"] <= 5_860_864 // 2
-        assert counts["graded"] <= 48
+        assert counts["graded"] <= 18
 
 
 class TestMeanProfile:

@@ -318,8 +318,8 @@ class TestVerify:
         assert out == (
             "{\n"
             '  "dominates": true,\n'
-            '  "norm_f": 1.2619959959329232,\n'
-            '  "norm_g": 1.7439044504273828,\n'
+            '  "norm_f": 1.261995995932923,\n'
+            '  "norm_g": 1.7439044504273824,\n'
             '  "principle_holds": true\n'
             "}\n"
         )

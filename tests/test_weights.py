@@ -229,8 +229,9 @@ def test_integrate_against_no_components(w):
 
 
 class TestIntegrateGraded:
-    """int_0^1 2 r w(r) phi(r, k) dr for a phi(., k) with a kink at
-    centres[k], walked graded toward it and split at the weight's knots."""
+    """int_0^1 2 r w(r) sum_j phi(r, j) dr over the terms j of each
+    component, term j with a kink at its centre, each term walked graded
+    toward its centre and the walk split at the weight's knots."""
 
     # (weight, w for mpmath, its knots)
     WEIGHTS = {
@@ -242,27 +243,32 @@ class TestIntegrateGraded:
                   (0.35, 0.6)),
         "standard": (StandardWeight(1.5), lambda r: 2.5 * (1 - r * r) ** 1.5, ()),
     }
-    # the step's knot, a centre below it and one on a table knot
-    CENTRES = (0.3, 0.45, 0.6, 0.93)
+    # the centres of each component's terms: the step's knot, a centre
+    # below it and one on a table knot, two terms in one component
+    CENTRES = ((0.3,), (0.45, 0.93), (0.6,))
+    TERMS = (0.3, 0.45, 0.93, 0.6)
 
     @staticmethod
-    def _kinked(r, comp):
-        centre = np.array(TestIntegrateGraded.CENTRES)[comp]
+    def _kinked(r, term):
+        centre = np.array(TestIntegrateGraded.TERMS)[term]
         return np.abs(r - centre) ** 1.5 * np.exp(r)
 
     @pytest.mark.parametrize("name", sorted(WEIGHTS))
     def test_against_mpmath(self, name):
         w, w_mp, knots = self.WEIGHTS[name]
         results = w.integrate_graded(self._kinked, self.CENTRES, [1e-13] * len(self.CENTRES))
-        for c, (value, err) in zip(self.CENTRES, results):
+        for cs, (value, err) in zip(self.CENTRES, results):
             with mp.workdps(30):
-                reference = mp.quad(lambda r: 2 * r * w_mp(r) * abs(r - c) ** 1.5 * mp.exp(r),
-                                    sorted({0, 1, c, *knots}))
+                reference = sum(
+                    mp.quad(lambda r: 2 * r * w_mp(r) * abs(r - c) ** 1.5 * mp.exp(r),
+                            sorted({0, 1, c, *knots}))
+                    for c in cs
+                )
             assert value == pytest.approx(float(reference), rel=1e-12, abs=1e-13)
             assert err <= 1e-13
 
     @pytest.mark.parametrize("name", sorted(WEIGHTS))
-    def test_each_centre_alone_equals_the_batch(self, name):
+    def test_each_component_alone_equals_the_batch(self, name):
         w = self.WEIGHTS[name][0]
         tols = [1e-10] * len(self.CENTRES)
 
@@ -270,17 +276,21 @@ class TestIntegrateGraded:
             return [min(1e-12 * v, 1e-10) for v, _ in results]
 
         batch = w.integrate_graded(self._kinked, self.CENTRES, tols, refine=refine)
-        for k, c in enumerate(self.CENTRES):
-            [alone] = w.integrate_graded(lambda r, comp: self._kinked(r, comp + k), [c],
-                                         [1e-10], refine=refine)
+        first = 0
+        for k, cs in enumerate(self.CENTRES):
+            [alone] = w.integrate_graded(lambda r, term, first=first: self._kinked(r, term + first),
+                                         [cs], [1e-10], refine=refine)
             assert alone == batch[k]
+            first += len(cs)
 
     def test_no_centres(self):
-        assert ConstantWeight(1.0).integrate_graded(self._kinked, [], []) == []
+        w = ConstantWeight(1.0)
+        assert w.integrate_graded(self._kinked, [], []) == []
+        assert w.integrate_graded(self._kinked, [()], [1e-9]) == [(0.0, 0.0)]
 
     def test_unbounded_weight_is_refused(self):
         with pytest.raises(DomainError, match="bounded"):
-            StandardWeight(-0.5).integrate_graded(self._kinked, [0.5], [1e-9])
+            StandardWeight(-0.5).integrate_graded(self._kinked, [[0.5]], [1e-9])
 
 
 class TestInvariants:
