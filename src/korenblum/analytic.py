@@ -13,13 +13,11 @@ switches to the control variates z - z_k of its roots within
 log-distance 0.05, whose means are exact: it estimates
 T_n(|f|^p) + sum_k G_k (S_k - T_n(|z - z_k|^p)), an identity for any
 weights G_k, with G_k chosen to cancel the cusps (see _mean_pow_batch).
-On a seed-1 verify deck the variate of the nearest root halved the
-angular nodes (101.2 M to 51.2 M), left no batch at the angle cap (5
-before) and raised verify's jobs/s by 19.4%. A lacunary
-f(z) = h(z^d) is reduced first to h on the circle of radius r^d, which
-has the same mean and needs d times fewer nodes. A binomial a + b z^d
-(constants, monomials, the refutation family) reduces to degree 1, whose
-mean has a closed form: with A = |a|, B = |b| r^d and x = min/max,
+A lacunary f(z) = h(z^d) is reduced first to h on the circle of radius
+r^d, which has the same mean and needs d times fewer nodes. A binomial
+a + b z^d (constants, monomials, the refutation family) reduces to
+degree 1, whose mean has a closed form: with A = |a|, B = |b| r^d and
+x = min/max,
 
     M_p^p = max(A, B)^p S_p(x),  S_p(x) = mean_t |1 + x e^{it}|^p
           = sum_k C(p/2, k)^2 x^{2k} = 2F1(-p/2, -p/2; 1; x^2),
@@ -51,9 +49,7 @@ closed-form part C = int 2 r w sum_k G_k S_k dr is added on top, by a
 walk graded toward each |z_k| (RadialWeight.integrate_graded) that
 evaluates no circle mean, to an error on the scale of ||f||^p. The split
 is an identity for any G_k, and D has each kink cancelled to leading
-order: on a seed-1 verify deck pass the p = 1 norms went from 1,412 to
-456 radial panels of D plus 180 of C, and from 35.5 M to 5.4 M angular
-nodes (CHANGES.md).
+order, so its walk needs far fewer panels near each |z_k|.
 """
 from __future__ import annotations
 
@@ -400,17 +396,18 @@ def _unit_binomial_means(x: np.ndarray, p: float) -> np.ndarray:
     out = np.empty_like(x)
     x2 = x * x
     series = x2 <= 0.5
-    coeffs, one = _binomial_series(p)
-    tiny = series & (x2 <= one)
-    out[tiny] = 1.0
-    # rows in blocks of at most _BLOCK_NODES terms (in place, one temporary
-    # of a block), so a batch of many polynomials' radii stays as small in
-    # memory as one polynomial's
-    for rows in _row_blocks(np.flatnonzero(series & ~tiny), _BLOCK_NODES // coeffs.size):
-        powers = np.repeat(x2[rows, None], coeffs.size, axis=1)
-        np.cumprod(powers, axis=1, out=powers)
-        powers *= coeffs
-        out[rows] = 1.0 + np.sum(powers, axis=1)
+    if series.any():
+        coeffs, one = _binomial_series(p)
+        tiny = series & (x2 <= one)
+        out[tiny] = 1.0
+        # rows in blocks of at most _BLOCK_NODES terms (in place, one
+        # temporary of a block), so a batch of many polynomials' radii stays
+        # as small in memory as one polynomial's
+        for rows in _row_blocks(np.flatnonzero(series & ~tiny), _BLOCK_NODES // coeffs.size):
+            powers = np.repeat(x2[rows, None], coeffs.size, axis=1)
+            np.cumprod(powers, axis=1, out=powers)
+            powers *= coeffs
+            out[rows] = 1.0 + np.sum(powers, axis=1)
 
     edge = x == 1.0
     if edge.any():
@@ -507,7 +504,7 @@ def _cusp_variates(f: Polynomial, radii: np.ndarray, p: float):
     a double root into, whose cusps merge, keep one variate. Each pair
     has G_k = |f(w)/(w - z_k)|^p at
     w = r e^{i arg z_k} and S_k = M_p^p(r; z - z_k) = max(r, |z_k|)^p S_p(x),
-    x = min/max, by _binomial_integral (x >= e^-_CUSP_NEAR). G_k is taken
+    x = min/max, by _binomial_means (x >= e^-_CUSP_NEAR). G_k is taken
     as |a_n|^p prod_{j != k} |w - z_j|^p, which stays accurate where f(w)
     is lost to rounding. A pair is left out when r = |z_k| or when G_k or
     S_k is not finite; a radius with no pair stays plain. Each row's pairs
@@ -530,8 +527,7 @@ def _cusp_variates(f: Polynomial, radii: np.ndarray, p: float):
         dists = np.abs(r[:, None] * (roots[k] / moduli[k])[:, None] - roots)
         dists[np.arange(rows.size), k] = 1.0
         weight = (abs(f.coeffs[-1]) * np.prod(dists, axis=1)) ** p
-        big, small = np.maximum(moduli[k], r), np.minimum(moduli[k], r)
-        exact = big**p * _binomial_integral(small / big, p)
+        exact = _binomial_means(moduli[k], 1.0, r, p)
     keep = np.isfinite(weight) & np.isfinite(exact)
     return rows[keep], k[keep], weight[keep], exact[keep]
 
@@ -590,13 +586,9 @@ def _mean_pow_batch(
     compares corrected values and the switch adds no level; after it, b_k
     doubles with f. A switched row's `diff` also carries
     sum_k G_k _BINOMIAL_REL_ERROR S_k, the closed forms' error, on the
-    scale of M. On one traced seed-1 perfbench verify deck pass the
-    variate of the nearest root took the angular nodes from 101,150,208 to
-    51,248,640 (b_k's counted), the largest grid from 131,072 angles to
-    16,384 and the batches stopped at the cap from 5 to 0; verify's jobs/s
-    rose by 19.4% (perfbench, 10 pairs of 30 s; CHANGES.md). A circle
-    through several roots, as of z^5 + e^5, needs the variate of each: with
-    only the nearest one its rows stopped at the cap, off by up to 1e-7.
+    scale of M. A circle through several roots, as of z^5 + e^5, needs the
+    variate of each: with only the nearest one its rows stopped at the
+    cap, off by up to 1e-7.
     """
     binomial = _binomial_form(f)
     f, d = (f, binomial[2]) if binomial else _lacunary(f)
@@ -757,31 +749,28 @@ def _kink_sums(model: _KinkModel, r: np.ndarray, p: float) -> np.ndarray:
 def _closed_form_parts(models, w: RadialWeight, p: float, tol: float, coarse_tols, values):
     """C = sum_k int_0^1 2 r w(r) G_k(r) S_k(r) dr per polynomial (0.0
     without a model), each polynomial a component of one graded walk
-    (``w.integrate_graded``, a term per root) at its coarse tolerance,
-    refined to _KINK_SHARE tol p (v + C), v its value of D (``values``) and
-    C its coarse one: an error on the scale of ||f||^p, however far
-    sum_k G_k S_k exceeds M_p^p."""
-    owners = [i for i, m in enumerate(models) if m is not None]
-    parts = [0.0] * len(models)
-    if not owners:
-        return parts
-    columns = [np.concatenate([models[i][j] for i in owners]) for j in range(4)]
+    (``w.integrate_graded``, a term per root, none without a model) at its
+    coarse tolerance, refined to _KINK_SHARE tol p (v + C), v its value of
+    D (``values``) and C its coarse one: an error on the scale of
+    ||f||^p, however far sum_k G_k S_k exceeds M_p^p. A batch with no
+    model walks nothing."""
+    owned = [m for m in models if m is not None]
+    if not owned:
+        return [0.0] * len(models)
+    columns = [np.concatenate([m[j] for m in owned]) for j in range(4)]
 
     def phi(r, term):
         return _kink_terms(*(c[term] for c in columns), r, p)
 
     def fine(results):
         tols = []
-        for i, (c, _) in zip(owners, results):
-            t = _KINK_SHARE * tol * p * (values[i] + c)
-            tols.append(min(t, coarse_tols[i]) if t > 0.0 else coarse_tols[i])
+        for (c, _), v, ct in zip(results, values, coarse_tols):
+            t = _KINK_SHARE * tol * p * (v + c)
+            tols.append(min(t, ct) if t > 0.0 else ct)
         return tols
 
-    centres = [models[i].moduli.tolist() for i in owners]
-    results = w.integrate_graded(phi, centres, [coarse_tols[i] for i in owners], refine=fine)
-    for i, (c, _) in zip(owners, results):
-        parts[i] = c
-    return parts
+    centres = [() if m is None else m.moduli.tolist() for m in models]
+    return [c for c, _ in w.integrate_graded(phi, centres, coarse_tols, refine=fine)]
 
 
 def _mean_pows(fs: list[Polynomial], p: float, tol: float, models):
@@ -856,13 +845,9 @@ def weighted_norms(
     0.25, when every root 0 < |z_k| < 1 has a model, else 0.25. Both
     errors are then on the scale of ||f||^p, however far sum_k G_k S_k
     exceeds M_p^p. At even p there is no kink, and at p >= 2 the
-    subtraction costs more than it saves. On one seed-1 verify deck pass
-    the p = 1 norms went from 1,412 to 456 radial panels of D (plus 180
-    of C for 24 polynomials with 60 roots) and from 35.5 M to 5.4 M angular
-    nodes, the p = 1.5 norms from 900 to 320 (plus 180); the largest
-    verify report move, 1.4e-11 relative, went toward an independent
-    reference. A standard weight with alpha < 0 takes no subtraction: the
-    graded walk would have to resolve its singularity at r = 1.
+    subtraction costs more than it saves (_KINK_P). A standard weight with
+    alpha < 0 takes no subtraction: the graded walk would have to resolve
+    its singularity at r = 1.
     """
     positive("p", p)
     positive("tol", tol)

@@ -13,14 +13,18 @@ knots as quadrature breakpoints. For the standard kind
 w(r) = (alpha+1)(1-r^2)^alpha, m(s) = (alpha+1) B(s/2 + 1, alpha + 1),
 with the partial masses of s = 0 from the primitive -(1-r^2)^{alpha+1};
 its other partial power masses have no closed form here and are refused.
-Integrals against general integrands phi(r, k), k = 0..K-1, use one
-adaptive quadrature walk for all K and return one (value, err_est) per
-component; for the standard kind with alpha < 0 a walk up to r = 1 runs
-in the substituted variable v = (1-r^2)^{alpha+1}, which absorbs the
-integrable singularity there into a bounded integrand. A bounded weight
-also integrates sums of terms with one kink each (:meth:`integrate_graded`)
-in one walk, each term graded toward its kink and all split at the
-weight's knots.
+Both radial walks, of general integrands phi(r, k)
+(:meth:`RadialWeight.integrate_against`) and of sums of terms with one
+kink each (:meth:`RadialWeight.integrate_graded`), keep one contract:
+the caller's components k = 0..K-1 go in, one adaptive quadrature walk
+takes them all, with ``tols`` and ``refine`` passed straight to it, and
+one (value, err_est) per component comes out. The direct walk runs in r
+with the weight's knots as breakpoints, for every kind; only a walk of
+the standard kind with alpha < 0 up to r = 1 runs in the substituted
+variable v = (1-r^2)^{alpha+1}, which absorbs the integrable singularity
+there into a bounded integrand. The graded walk, of a bounded weight,
+takes each component whole, its terms on every piece between the knots
+each graded toward its kink.
 """
 from __future__ import annotations
 
@@ -51,7 +55,8 @@ def _power_primitive(s: float, alpha: float, beta: float, r: float) -> float:
 class RadialWeight:
     """Base class for radial weights; all kinds are immutable and pure."""
 
-    #: whether w is bounded on [0, 1], which integrate_graded needs
+    #: whether w is bounded on [0, 1]: integrate_graded needs it, and
+    #: integrate_against walks an unbounded w up to r = 1 in its own way
     bounded = True
 
     def liminf_at_origin(self) -> OriginLiminf:
@@ -74,10 +79,26 @@ class RadialWeight:
         absolute error <= tols[k], in one quadrature walk.
 
         ``phi(r, comp)`` maps arrays of radii and of their components
-        elementwise, and ``refine`` resumes the walk at finer tolerances
-        (see :func:`korenblum.quadrature.integrate_many`).
-        Returns one (value, err_est) per tolerance.
+        elementwise; ``tols`` and ``refine``, which resumes the walk at
+        finer tolerances, go straight to
+        :func:`korenblum.quadrature.integrate_many`. Returns one
+        (value, err_est) per component. The walk runs in r from the first
+        knot (w is 0 below it) with the knots as breakpoints; a walk of an
+        unbounded weight up to r = 1 is its own (_integrate_to_one).
         """
+        if not self.bounded and b == 1.0:
+            return self._integrate_to_one(phi, a, tols, refine)
+        knots = self._support_knots()
+        # a walk of [b, b] returns zeros
+        lo = min(max(a, knots[0]), b)
+
+        def kernel(r, comp):
+            return self._kernel(r) * phi(r, comp)
+
+        return integrate_many(kernel, lo, b, tols, breakpoints=knots, refine=refine)
+
+    def _integrate_to_one(self, phi, a, tols, refine):
+        """integrate_against on [a, 1] for an unbounded weight."""
         raise NotImplementedError
 
     def integrate_graded(
@@ -90,29 +111,28 @@ class RadialWeight:
         kink |r - c_j|^q at its centre c_j in (0, 1). Component k has
         absolute error <= tols[k], and all are taken in one quadrature walk.
 
-        [0, 1] is cut at the weight's knots only. On each piece [a, b]
-        every term is taken in its own s, r = c_j + s^3, with
+        [0, 1] is cut at the weight's knots, and on each piece [a, b] each
+        term is taken in its own s, r = c_j + s^3, with
         s = cbrt(a - c_j) + (cbrt(b - c_j) - cbrt(a - c_j)) x for x in
         [0, 1]: the Jacobian 3 s^2 and the kink make the term vanish like
         |s|^{3q + 2} at s = 0, so a few Gauss panels in x resolve what a
-        walk in r would bisect toward c_j. The terms are added at each x in
-        order, and each (component, piece) is a component of one
-        :func:`korenblum.quadrature.integrate_many` walk in x, with its
-        share tols[k]/(pieces) of the tolerance; ``refine`` maps the summed
-        results of a first walk to the tolerances of a resumed second one,
-        as there. Returns one (value, err_est) per component, each bit for
-        bit what it gets alone. The weight must be bounded.
+        walk in r would bisect toward c_j. Component k is one component of
+        a :func:`korenblum.quadrature.integrate_many` walk in x, whose
+        integrand adds, at each x in order, its (piece, term) pairs;
+        ``tols`` and ``refine`` go straight to that walk, as in
+        :meth:`integrate_against`. Returns one (value, err_est) per
+        component, each bit for bit what it gets alone. The weight must be
+        bounded.
         """
         if not self.bounded:
             raise DomainError(f"integrate_graded needs a bounded weight, got {self.to_spec()}")
         knots = self._support_knots()
         pieces = list(zip(knots, (*knots[1:], 1.0)))
-        term, centre, lo, width, owner, counts = [], [], [], [], [], []
+        term, centre, lo, width, counts = [], [], [], [], []
         first = 0
-        for k, cs in enumerate(centres):
+        for cs in centres:
+            counts.append(len(pieces) * len(cs))
             for a, b in pieces:
-                owner.append(k)
-                counts.append(len(cs))
                 for j, c in enumerate(cs, start=first):
                     s_a, s_b = np.cbrt(a - c), np.cbrt(b - c)
                     term.append(j)
@@ -126,7 +146,7 @@ class RadialWeight:
         starts = np.cumsum(counts) - counts
 
         def kernel(x, comp):
-            # one row per (node, term of the node's piece), summed per node
+            # one row per (node, (piece, term) pair of its component), summed per node
             n = counts[comp]
             node = np.repeat(np.arange(x.size), n)
             row = np.arange(node.size) + np.repeat(starts[comp] - (np.cumsum(n) - n), n)
@@ -135,19 +155,7 @@ class RadialWeight:
             terms = self._kernel(r) * phi(r, term[row]) * (3.0 * width[row] * s * s)
             return np.bincount(node, terms, x.size)
 
-        def per_component(results):
-            # each component's pieces added in order, as alone
-            sums = [[0.0, 0.0] for _ in centres]
-            for k, (value, err) in zip(owner, results):
-                sums[k][0] += value
-                sums[k][1] += err
-            return [tuple(pair) for pair in sums]
-
-        def split(component_tols):
-            return [component_tols[k] / len(pieces) for k in owner]
-
-        fine = None if refine is None else (lambda results: split(refine(per_component(results))))
-        return per_component(integrate_many(kernel, 0.0, 1.0, split(tols), refine=fine))
+        return integrate_many(kernel, 0.0, 1.0, tols, refine=refine)
 
     def power_mass(self, s: float, a: float, b: float) -> float:
         """int_a^b 2 r^{s+1} w(r) dr in closed form."""
@@ -189,16 +197,6 @@ class _PiecewiseLinear(RadialWeight):
         if ks[0] == 0.0 and vs[0] > 0.0:
             return OriginLiminf.POSITIVE_LIMINF
         return OriginLiminf.ZERO_NEAR_ORIGIN
-
-    def integrate_against(self, phi, a, b, tols, *, refine=None):
-        knots, _ = self._knots()
-        # w = 0 below the first knot; a walk of [b, b] returns zeros
-        lo = min(max(a, knots[0]), b)
-
-        def kernel(r, comp):
-            return self._kernel(r) * phi(r, comp)
-
-        return integrate_many(kernel, lo, b, tols, breakpoints=knots, refine=refine)
 
     def power_mass(self, s, a, b):
         total = 0.0
@@ -248,26 +246,18 @@ class StandardWeight(RadialWeight):
     def _support_knots(self):
         return (0.0,)
 
-    def integrate_against(self, phi, a, b, tols, *, refine=None):
-        al = self.alpha
-        # walks short of r = 1 stay in r: v below cannot resolve r^2 under rounding
-        if al >= 0.0 or b < 1.0:
-            def direct(r, comp):
-                return self._kernel(r) * phi(r, comp)
-
-            return integrate_many(direct, a, b, tols, refine=refine)
-
+    def _integrate_to_one(self, phi, a, tols, refine):
         # v = (1-r^2)^{alpha+1} turns the kernel into plain dv and keeps the
-        # transformed integrand bounded up to r = 1.
-        q = 1.0 / (al + 1.0)
-        va = (1.0 - a * a) ** (al + 1.0)
-        vb = (1.0 - b * b) ** (al + 1.0)
+        # transformed integrand bounded up to r = 1, where v = 0; walks short
+        # of r = 1 stay in r, since v cannot resolve r^2 under rounding
+        q = 1.0 / (self.alpha + 1.0)
+        va = (1.0 - a * a) ** (self.alpha + 1.0)
 
         def transformed(v, comp):
             u = np.clip(1.0 - v**q, 0.0, 1.0)
             return phi(np.sqrt(u), comp)
 
-        return integrate_many(transformed, vb, va, tols, refine=refine)
+        return integrate_many(transformed, 0.0, va, tols, refine=refine)
 
     def power_mass(self, s, a, b):
         ap1 = self.alpha + 1.0

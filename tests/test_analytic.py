@@ -438,6 +438,16 @@ class TestBinomialMeans:
         assert vals[0] == 1.0
         assert vals[1] == pytest.approx(binomial_mean(p, 1.0, 1.0, 0.5), rel=1e-13, abs=0.0)
 
+    def test_integral_row_at_large_p_forms_no_series(self):
+        # at p = 1100 the series coefficients C(p/2, k)^2 overflow a float,
+        # but x = 0.9 takes the integral form and needs none of them
+        p = 1100.0
+        expected = binomial_mean(p, 1.0, 1.0, 0.9)
+        vals = analytic._unit_binomial_means(np.array([0.9]), p)
+        assert vals[0] == pytest.approx(expected, rel=1e-13, abs=0.0)
+        mean = integral_mean(Polynomial((1.0, 1.0)), 0.9, p)
+        assert mean == pytest.approx(expected ** (1.0 / p), rel=1e-15, abs=0.0)
+
     def test_refutation_family_takes_no_angular_nodes(self, monkeypatch):
         calls = []
         inner = analytic._abs_pow_means
@@ -1038,6 +1048,31 @@ class TestKinkSubtraction:
         assert counts["walk"] <= 178 // 2
         assert counts["nodes"] <= 5_860_864 // 2
         assert counts["graded"] <= 18
+
+
+    def test_graded_work_over_several_pieces(self, monkeypatch):
+        # the closed-form parts on the 3-knot table weight: one graded
+        # component per polynomial took 38 panels at p = 1, where one
+        # component per (polynomial, weight piece) took 78
+        w = KINK_WEIGHTS["table"][0]
+        panels, graded = [0], [False]
+        panel_sums, integrate_graded = quadrature._panel_sums, TableWeight.integrate_graded
+
+        def counted_panels(f, lo, hi, comp):
+            panels[0] += lo.size if graded[0] else 0
+            return panel_sums(f, lo, hi, comp)
+
+        def counted_graded(self, *args, **kwargs):
+            graded[0] = True
+            try:
+                return integrate_graded(self, *args, **kwargs)
+            finally:
+                graded[0] = False
+
+        monkeypatch.setattr(quadrature, "_panel_sums", counted_panels)
+        monkeypatch.setattr(TableWeight, "integrate_graded", counted_graded)
+        weighted_norms(list(KINK_POLYS.values()), w, 1.0)
+        assert 0 < panels[0] <= 78 // 2
 
 
 class TestMeanProfile:

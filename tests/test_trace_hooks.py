@@ -50,3 +50,18 @@ def test_trace_hooks_find_every_layer(tracer):
     assert verify["analytic.angular_nodes"] > 0
     assert sweep["schuster.F_points"] > 0
     assert sweep["weights.integrate_against.calls"] > 0
+
+
+@pytest.mark.parametrize("alpha", [1.0, -0.5])
+def test_one_span_per_walk(tracer, alpha):
+    # the direct walk in r and the walk in v up to r = 1 are each one
+    # integrate_against call, so one span
+    weight = f'{{"kind":"standard","alpha":{alpha}}}'
+    sid = tracer.begin_job()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exit_:
+            main(["norm", "--poly", "0,1", "--p", "2", "--weight", weight])
+    finally:
+        tracer.close(sid)
+    assert exit_.value.code == 0
+    assert tracer.job_counts[0]["weights.integrate_against.calls"] == 1
