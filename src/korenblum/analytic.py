@@ -32,7 +32,7 @@ the fewest Gauss panels that resolve it. The weighted norm
 
 nests that angular quadrature inside the radial quadrature of the weight.
 :func:`weighted_norms` computes the norms of many polynomials in one
-radial walk of two passes, the fine pass resuming the coarse one, each
+radial walk whose fine tolerances are set from its own level 0, each
 polynomial a component of the integrand phi(r, comp) with its own
 tolerances and panel tree, so every norm is bit for bit the one it gets
 alone; the binomials of all components share one closed-form call per
@@ -313,6 +313,18 @@ def _p_overflow(p: float, quantity: str) -> DomainError:
     return DomainError(f"p = {p} is too large: {quantity} overflows a float")
 
 
+def _check_root_tol(p: float, tol: float) -> None:
+    """Refuse a p whose p-th root cannot meet tol: x^(1/p) turns a
+    relative rounding eps of x into eps/p, so p tol < eps misses tol. A
+    tol below eps asks for the best rounding allows and is let through."""
+    eps = float(np.finfo(float).eps)
+    if tol >= eps and p * tol < eps:
+        raise DomainError(
+            f"p = {p} is too small for tol = {tol:g}: a p-th root turns a relative "
+            f"rounding error eps into eps/p, so the smallest tol p allows is eps/p = {eps / p:.3e}"
+        )
+
+
 def _above_floor(fs: list[Polynomial], p: float, tols: list[float]) -> list[float]:
     """The radial walk tolerances of fs, refusing a p at which a nonzero
     polynomial's would fall below 1e-300: that walk would settle at once,
@@ -328,7 +340,9 @@ def _above_floor(fs: list[Polynomial], p: float, tols: list[float]) -> list[floa
 
 
 def _finite_mean_pows(f: Polynomial, radii: np.ndarray, p: float, tol: float):
-    """_mean_pow_batch, refusing a p at which some M_p^p overflows a float."""
+    """_mean_pow_batch, refusing a p at which some M_p^p overflows a float
+    or whose p-th root cannot meet tol."""
+    _check_root_tol(p, tol)
     with np.errstate(over="ignore", invalid="ignore"):
         vals, diffs = _mean_pow_batch(f, radii, p, tol)
     if not np.all(np.isfinite(vals)):
@@ -358,7 +372,8 @@ def _binomial_series(p: float) -> tuple[np.ndarray, float]:
         coeffs.append(c)
     coeffs = np.array(coeffs)
     coeffs.flags.writeable = False  # shared by every caller through the cache
-    with np.errstate(over="ignore"):
+    # the sum underflows to 0 below p of about 3e-162: every row is then 1.0
+    with np.errstate(over="ignore", divide="ignore"):
         return coeffs, _SERIES_ONE / np.sum(coeffs)
 
 
@@ -749,11 +764,11 @@ def _kink_sums(model: _KinkModel, r: np.ndarray, p: float) -> np.ndarray:
 def _closed_form_parts(models, w: RadialWeight, p: float, tol: float, coarse_tols, values):
     """C = sum_k int_0^1 2 r w(r) G_k(r) S_k(r) dr per polynomial (0.0
     without a model), each polynomial a component of one graded walk
-    (``w.integrate_graded``, a term per root, none without a model) at its
-    coarse tolerance, refined to _KINK_SHARE tol p (v + C), v its value of
-    D (``values``) and C its coarse one: an error on the scale of
-    ||f||^p, however far sum_k G_k S_k exceeds M_p^p. A batch with no
-    model walks nothing."""
+    (``w.integrate_graded``, a term per root, none without a model) at
+    _KINK_SHARE tol p (v + C), capped by ``coarse_tols``, v its level-0
+    value of D (``values``) and C the walk's own level-0 estimate: an
+    error on the scale of ||f||^p, however far sum_k G_k S_k exceeds
+    M_p^p. A batch with no model walks nothing."""
     owned = [m for m in models if m is not None]
     if not owned:
         return [0.0] * len(models)
@@ -817,14 +832,14 @@ def weighted_norms(
     """||f||_{p,w} of every f in fs, each with relative error about tol.
 
     The radial quadrature is one walk for all the polynomials (see
-    :func:`korenblum.quadrature.integrate_many`) in two passes: a coarse
-    pass to learn the scale of each integral, then a fine pass whose
-    absolute tolerances target the final relative accuracy of each norm,
-    or stay at the coarse ones where those are finer already. The fine
-    pass resumes the coarse one, so no panel is evaluated twice. Each
-    component keeps its own tolerances and panel tree, and its panels
-    are added one by one in frontier order, so each norm is bit for bit
-    the one the polynomial gets alone, ``weighted_norms([f], ...)``.
+    :func:`korenblum.quadrature.integrate_many`) whose level 0 gives the
+    scale of each integral; from it the walk sets absolute tolerances
+    that target the final relative accuracy of each norm, capped at
+    1e-3 (sum |a_k|)^p m(0). Each component keeps its own tolerances and
+    panel tree, and its panels are added one by one in frontier order, so
+    each norm is bit for bit the one the polynomial gets alone,
+    ``weighted_norms([f], ...)``. A p with p tol < eps, whose p-th root
+    would miss tol, is refused (_check_root_tol).
 
     At p < _KINK_P, on a bounded weight, a non-binomial f with roots
     0 < |z_k| < 1 that have a model (_kink_models) is split as
@@ -839,8 +854,8 @@ def weighted_norms(
     same functions, so each part need only meet its own tolerance. G_k S_k
     carries the |r - |z_k||^{p+1} kink of M_p^p, so D has it cancelled to
     leading order and its walk needs far fewer panels near |z_k|; C
-    evaluates no circle mean (_closed_form_parts). Once D's coarse pass
-    has given v, C is walked to _KINK_SHARE tol p (v + C), and D's fine
+    evaluates no circle mean (_closed_form_parts). Once D's level 0 has
+    given v, C is walked to _KINK_SHARE tol p (v + C), and D's fine
     tolerance is share tol p (v + C): _KINK_SHARE, a tenth of the plain
     0.25, when every root 0 < |z_k| < 1 has a model, else 0.25. Both
     errors are then on the scale of ||f||^p, however far sum_k G_k S_k
@@ -851,6 +866,7 @@ def weighted_norms(
     """
     positive("p", p)
     positive("tol", tol)
+    _check_root_tol(p, tol)
     fs = list(fs)
     try:
         m0 = moment(w, 0.0)
@@ -866,8 +882,8 @@ def weighted_norms(
     shares = [0.25 if m is None else m.share for m in models]
     closed = [0.0] * len(fs)
 
-    def fine_tols(coarse):
-        values = [v for v, _ in coarse]
+    def fine_tols(level0):
+        values = [v for v, _ in level0]
         closed[:] = _closed_form_parts(models, w, p, tol, coarse_tols, values)
         totals = [v + c for v, c in zip(values, closed)]
         for f, v, ct in zip(fs, totals, coarse_tols):

@@ -22,11 +22,11 @@ by one in frontier order, the order a walk of it alone takes; so each
 component's result is bit for bit what a separate walk would give.
 :func:`integrate` is that walk for a single integrand ``f(x)``.
 
-A walk at finer tolerances splits every panel a coarser walk splits, so
-``integrate_many(..., refine=...)`` runs its second, finer walk as a
-resume of the first: panels the first walk evaluated are taken from its
-trail, and the integrand sees only the panels it never did. Decisions
-and summation order are those of a fresh walk, bit for bit.
+``integrate_many(..., refine=...)`` sets its tolerances from its own
+level 0: once every piece's panel sum and its two halves are evaluated,
+``refine`` maps each component's level-0 estimate to the tolerances
+that decide level 0 and every later level. The walk is bit for bit a
+fresh walk at those tolerances, and calls the integrand as that walk does.
 """
 from __future__ import annotations
 
@@ -75,53 +75,30 @@ def _panel_sums(
     return half * sums, rise
 
 
-def _walk(finite_sums, edges, tols, *, keep=False, earlier=None):
+def _walk(finite_sums, edges, tols, refine=None):
     """One level-by-level walk of every component's panel tree over the
     pieces between ``edges``, component k at tolerance ``tols[k]``, its
     panels evaluated by ``finite_sums(lo, hi, comp)``.
 
-    Returns per-component arrays (total, settled error, stuck error) and,
-    with ``keep``, the walk's trail: its level-0 panel sums, then per
-    level the halves, rises and split mask of its frontier. ``earlier`` is
-    the trail of a walk of the same pieces at tolerances no lower than
-    ``tols``. Every panel that walk splits, this one splits too, so at
-    each level its frontier is an order-preserving subsequence of this
-    one: all level-0 panels are shared, and a child is shared when its
-    parent was and the earlier walk split it. The halves of shared panels
-    are taken from the trail, and only the others are evaluated.
+    With ``refine``, the tolerances are ``refine(level0)`` instead, where
+    ``level0`` holds each component's (sum of its level-0 halves, sum of
+    their max(error, rounding floor)): what the walk returns at
+    tolerances every level-0 panel meets. Returns per-component arrays
+    (total, settled error, stuck error) and the tolerances walked.
     """
     K = len(tols)
     pieces = edges.size - 1
     lo, hi = np.tile(edges[:-1], K), np.tile(edges[1:], K)
     comp = np.repeat(np.arange(K), pieces)
-    panel_tol = np.repeat(np.array(tols) / pieces, pieces)
-    coarse = finite_sums(lo, hi, comp)[0] if earlier is None else earlier[0]
-    levels = iter(earlier[1:] if earlier else ())
-    shared = np.ones(lo.size, dtype=bool)  # the panels the earlier walk evaluated
-    trail = [coarse] if keep else None
+    coarse = finite_sums(lo, hi, comp)[0]
 
     total, settled_err, stuck_err = np.zeros(K), np.zeros(K), np.zeros(K)
     depth = 0
     while lo.size:
         mid = 0.5 * (lo + hi)
-        # past the earlier walk's last level no panel is shared
-        reused = next(levels, None)
-        if reused is None:
-            halves, rise = finite_sums(
-                np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((comp, comp))
-            )
-        elif shared.all():
-            halves, rise, _ = reused
-        else:
-            new = ~shared
-            both = np.concatenate((shared, shared))
-            halves, rise = np.empty(both.size), np.empty(both.size)
-            halves[both], rise[both] = reused[:2]
-            halves[~both], rise[~both] = finite_sums(
-                np.concatenate((lo[new], mid[new])),
-                np.concatenate((mid[new], hi[new])),
-                np.concatenate((comp[new], comp[new])),
-            )
+        halves, rise = finite_sums(
+            np.concatenate((lo, mid)), np.concatenate((mid, hi)), np.concatenate((comp, comp))
+        )
         left, right = halves[: lo.size], halves[lo.size :]
         fine = left + right
         err = np.abs(fine - coarse)
@@ -131,6 +108,12 @@ def _walk(finite_sums, edges, tols, *, keep=False, earlier=None):
         rounding = _ROUNDING * np.maximum(
             np.abs(left) + np.abs(right), np.abs(mid) * (rise[: lo.size] + rise[lo.size :])
         )
+        floor = np.maximum(err, rounding)
+        if depth == 0:
+            if refine is not None:
+                level0 = (np.bincount(comp, fine, K), np.bincount(comp, floor, K))
+                tols = refine(list(zip(*(a.tolist() for a in level0))))
+            panel_tol = np.repeat(np.array(tols) / pieces, pieces)
         settled = (
             (err <= np.maximum(panel_tol, rounding))
             | (mid <= lo)
@@ -139,25 +122,19 @@ def _walk(finite_sums, edges, tols, *, keep=False, earlier=None):
         done = settled | (depth >= MAX_DEPTH)
         total += np.bincount(comp[done], fine[done], K)
         # a panel settled at the rounding floor may be off by that much
-        settled_err += np.bincount(comp[settled], np.maximum(err, rounding)[settled], K)
+        settled_err += np.bincount(comp[settled], floor[settled], K)
         if depth >= MAX_DEPTH:  # the panels still open are stuck
             stuck_err += np.bincount(comp[~settled], err[~settled], K)
         # children keep each component's panels in the order of its own walk:
         # all left halves, then all right halves
         split = ~done
-        if trail is not None:
-            trail.append((halves, rise, split))
-        if reused is not None:
-            parent = np.zeros(lo.size, dtype=bool)
-            parent[shared] = reused[2]
-            shared = np.concatenate((parent[split], parent[split]))
         lo, hi = np.concatenate((lo[split], mid[split])), np.concatenate((mid[split], hi[split]))
         coarse = np.concatenate((left[split], right[split]))
         comp = np.concatenate((comp[split], comp[split]))
         half_tol = 0.5 * panel_tol[split]
         panel_tol = np.concatenate((half_tol, half_tol))
         depth += 1
-    return total, settled_err, stuck_err, trail
+    return total, settled_err, stuck_err, tols
 
 
 def integrate_many(
@@ -183,15 +160,27 @@ def integrate_many(
     error of a component's panels that hit ``MAX_DEPTH`` still exceeds
     its tolerance.
 
-    ``refine`` maps the walk's results to the tolerances of a second walk,
-    whose results are returned instead: bit for bit those of a fresh
-    walk at those tolerances, but the second walk resumes the first and
-    evaluates only the panels the first never did. A refined tolerance
-    above the first walk's raises ``ValueError``.
+    ``refine`` maps each component's level-0 estimate, the ``(value,
+    err_est)`` this function returns at tolerances every level-0 panel
+    meets, to the tolerances the walk then takes; ``tols`` caps them. The
+    result is bit for bit a fresh walk's at those tolerances. A refined
+    tolerance above ``tols`` raises ``ValueError``.
     """
     tols = [positive("tol", tol) for tol in tols]
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
+
+    def refined(level0):
+        fine_tols = [positive("tol", tol) for tol in refine(level0)]
+        if len(fine_tols) != len(tols) or any(t > u for t, u in zip(fine_tols, tols)):
+            raise ValueError("refine must give one tolerance per component, none above tols")
+        return fine_tols
+
+    if a == b:
+        results = [(0.0, 0.0)] * len(tols)
+        if refine is not None:
+            refined(results)
+        return results
 
     def finite_sums(lo, hi, comp):
         sums, rise = _panel_sums(f, lo, hi, comp)
@@ -201,28 +190,16 @@ def integrate_many(
 
     cuts = sorted({float(x) for x in breakpoints if a < x < b})
     edges = np.array([a, *cuts, b], dtype=float)
-
-    def walk(tols, **kwargs):
-        if a == b:
-            return [(0.0, 0.0)] * len(tols), None
-        total, settled_err, stuck_err, trail = _walk(finite_sums, edges, tols, **kwargs)
-        for tol, err in zip(tols, stuck_err.tolist()):
-            if err > tol:
-                raise QuadratureDivergence(
-                    f"quadrature on [{a}, {b}] left error {err:.3e} > tol {tol:.3e} "
-                    f"after {MAX_DEPTH} bisection levels"
-                )
-        return list(zip(total.tolist(), (settled_err + stuck_err).tolist())), trail
-
-    results, trail = walk(tols, keep=refine is not None)
-    if refine is None:
-        return results
-    fine_tols = [positive("tol", tol) for tol in refine(results)]
-    if len(fine_tols) != len(tols) or any(t > u for t, u in zip(fine_tols, tols)):
-        raise ValueError(
-            "refine must give one tolerance per component, none above the first walk's"
-        )
-    return walk(fine_tols, earlier=trail)[0]
+    total, settled_err, stuck_err, tols = _walk(
+        finite_sums, edges, tols, None if refine is None else refined
+    )
+    for tol, err in zip(tols, stuck_err.tolist()):
+        if err > tol:
+            raise QuadratureDivergence(
+                f"quadrature on [{a}, {b}] left error {err:.3e} > tol {tol:.3e} "
+                f"after {MAX_DEPTH} bisection levels"
+            )
+    return list(zip(total.tolist(), (settled_err + stuck_err).tolist()))
 
 
 def integrate(

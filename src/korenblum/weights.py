@@ -79,8 +79,8 @@ class RadialWeight:
         absolute error <= tols[k], in one quadrature walk.
 
         ``phi(r, comp)`` maps arrays of radii and of their components
-        elementwise; ``tols`` and ``refine``, which resumes the walk at
-        finer tolerances, go straight to
+        elementwise; ``tols`` and ``refine``, which sets the walk's
+        tolerances from its own level 0, go straight to
         :func:`korenblum.quadrature.integrate_many`. Returns one
         (value, err_est) per component. The walk runs in r from the first
         knot (w is 0 below it) with the knots as breakpoints; a walk of an

@@ -6,9 +6,11 @@ weighted norms by a tanh-sinh product rule and the full binomial series.
 
 Nothing here goes through the package's quadrature paths, except
 :func:`two_walk_norms`, the weighted norms as two separate walks, which
-the package's resumed walk must reproduce bit for bit.
+the package's one walk, refined from its own level 0, must reproduce bit
+for bit.
 """
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -274,18 +276,19 @@ def two_walk_norms(fs, w, p, tol, subtract=True):
     """``weighted_norms(fs, w, p, tol)`` by two plain ``integrate_against``
     walks of D = M_p^p - sum_k G_k S_k (M_p^p itself for a polynomial with
     no kink model, or for all with ``subtract=False``) plus the
-    closed-form part C: a coarse walk at tolerances 1e-3 (sum |a_k|)^p
-    m(0), C refined against its values v, then a fresh walk from the root
-    at min(share tol p (v + C), coarse tolerance), share 0.25 or the
-    model's. Returns the norms and the fine tolerances."""
+    closed-form part C: a walk at tolerances every level-0 panel meets
+    (``sys.float_info.max``) for D's level-0 values v, C refined against
+    them, then a fresh walk from the root at min(share tol p (v + C),
+    1e-3 (sum |a_k|)^p m(0)), share 0.25 or the model's. Returns the norms
+    and the fine tolerances."""
     scales = [float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0) for f in fs]
     coarse_tols = _above_floor(fs, p, [1e-3 * scale for scale in scales])
     models = [_kink_models(f, p) if subtract and w.bounded else None for f in fs]
     shares = [0.25 if m is None else m.share for m in models]
     phi = _mean_pows(fs, p, 0.25 * tol, models)
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse = w.integrate_against(phi, 0.0, 1.0, coarse_tols)
-        values = [v for v, _ in coarse]
+        level0 = w.integrate_against(phi, 0.0, 1.0, [sys.float_info.max] * len(fs))
+        values = [v for v, _ in level0]
         closed = _closed_form_parts(models, w, p, tol, coarse_tols, values)
         fine_tols = _above_floor(fs, p, [
             min(share * tol * p * (v + c), ct)

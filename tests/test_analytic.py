@@ -1,9 +1,11 @@
 import cmath
 import math
+import re
 import struct
 import threading
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -752,6 +754,52 @@ class TestToleranceFloor:
         assert weighted_norms([Polynomial(())], ConstantWeight(1.0), 1000.0) == [0.0]
 
 
+def _mp_zero_free_norm(coeffs, p, dps=40, terms=200):
+    """||f||_p on the constant weight, for f with no root in |z| <= 1, by
+    Parseval: f^{p/2} = sum b_k z^k (J. C. P. Miller's power recurrence)
+    and ||f||^p = sum_k |b_k|^2 / (k + 1), all in mpmath at ``dps`` digits."""
+    with mp.workdps(dps):
+        a, half = [mp.mpc(c) for c in coeffs], mp.mpf(p) / 2
+        b = [a[0] ** half]
+        for k in range(1, terms):
+            b.append(sum(((half + 1) * j - k) * a[j] * b[k - j]
+                         for j in range(1, min(k, len(a) - 1) + 1)) / (k * a[0]))
+        return sum(abs(bk) ** 2 / (k + 1) for k, bk in enumerate(b)) ** (1 / mp.mpf(p))
+
+
+class TestTinyP:
+    """x^(1/p) turns a relative rounding eps of x = ||f||^p or M_p^p into
+    eps/p: a p with p tol < eps is refused, not missed silently."""
+
+    F = Polynomial((1.0, 0.5, 0.25))  # roots at |z| = 2
+
+    def test_norm_meets_tol_at_p_1e_6(self):
+        exact = _mp_zero_free_norm(self.F.coeffs, 1e-6)
+        norm = weighted_norm(self.F, ConstantWeight(1.0), 1e-6)
+        assert float(abs(norm / exact - 1)) <= TOL
+
+    @pytest.mark.parametrize("p", [1e-7, 1e-8, 1e-200])
+    def test_refused_where_the_root_misses_tol(self, p):
+        # the norm was 1.08e-9 off at p = 1e-7, 1.14e-8 at 1e-8 and 0 for
+        # an about 1 at 1e-200; the mean at r = 0.7 was 1.26e-9 off at 1e-7
+        smallest = re.escape(f"eps/p = {np.finfo(float).eps / p:.3e}")
+        with pytest.raises(DomainError, match=f"p = {p} is too small .* {smallest}"):
+            weighted_norm(self.F, ConstantWeight(1.0), p)
+        with pytest.raises(DomainError, match=smallest):
+            integral_mean(self.F, 0.7, p)
+
+    def test_tol_below_eps_is_best_effort(self):
+        # p tol < eps, but a tol below eps is let through; the exact mean is
+        # about 1 + p x^2/4 = 1 + 1.6e-10 at x = 0.25
+        mean = integral_mean(Polynomial((1.0, 0.5)), 0.5, 1e-8, tol=1e-17)
+        assert mean == pytest.approx(1.0, abs=1e-9)
+
+    def test_underflowing_series_gives_one(self):
+        # C(p/2, 1)^2 underflows, and the series' coefficient sum with it:
+        # dividing by it warned "divide by zero" on stderr
+        assert integral_mean(Polynomial((1.0, 0.5)), 0.5, 1e-200, tol=1e-17) == 1.0
+
+
 def _family_scan(p, c):
     n = choose_n(p)
     family = [family_pair(c, n, c * 2.0**-j)[0] for j in range(1, EPSILON_SCAN_STEPS + 1)]
@@ -832,9 +880,9 @@ _MIXED = [
 
 
 class TestResumedNorms:
-    """weighted_norms's fine pass resumes its coarse pass: the norms are
-    bit for bit those of two separate walks, and no more panels are
-    evaluated than the fine walk alone takes."""
+    """weighted_norms sets its fine tolerances from its walk's own level 0:
+    the norms are bit for bit those of two separate walks, and no more
+    panels are evaluated than the fine walk alone takes."""
 
     # (polynomials, weight, p): the pinned refute scan, the verify-style
     # pair, and each walk path of integrate_against (piecewise linear with
@@ -845,6 +893,9 @@ class TestResumedNorms:
         "step": (_MIXED, StepWeight(0.3), 0.5),
         "standard_direct": (_MIXED, StandardWeight(1.0), 3.0),
         "standard_alpha_below_0": (_MIXED, StandardWeight(-0.5), 0.5),
+        # twenty roots on |z| = 0.9, whose graded walk of C went past level 0
+        "twenty_roots": ([Polynomial((-0.9**20,) + (0.0,) * 19 + (1.0,)) * Polynomial((1.0, 0.5))],
+                         ConstantWeight(1.0), 1.0),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -202,6 +202,14 @@ class TestRefute:
         assert code == 0
         assert json.loads(out)["n"] == 7
 
+    def test_tiny_p_witness(self, capsys):
+        # p tol = 1e-15 >= eps: the p-th roots meet tol, and the witness stands
+        code, out, _ = run_cli(
+            capsys, "refute", "--p", "1e-8", "--c", "0.5", "--tol", "1e-7", "--weight", CONST1
+        )
+        assert code == 0
+        assert json.loads(out)["gap"] == pytest.approx(1.78e-3, abs=5e-6)
+
 
 class TestBound:
     def test_p2(self, capsys):
@@ -613,6 +621,16 @@ class TestDeterminismAndErrors:
         assert out == ""
         assert f"p = {float(argv[argv.index('--p') + 1])} is out of range" in err
         assert "falls below 1e-300" in err
+
+    @pytest.mark.parametrize("p", ["1e-8", "1e-200"])
+    def test_p_too_small_for_tol_exit_2(self, capsys, p):
+        # the p-th root turns the rounding of ||f||^p into eps/p: the norm
+        # was 1.14e-8 off at p = 1e-8, and printed 0 for about 1 at 1e-200
+        code, out, err = run_cli(capsys, "norm", "--poly", "1,1", "--p", p, "--weight", CONST1)
+        assert code == 2
+        assert out == ""
+        assert f"p = {float(p)} is too small for tol = 1e-09" in err
+        assert f"eps/p = {np.finfo(float).eps / float(p):.3e}" in err
 
     def test_norm_above_tolerance_floor(self, capsys):
         # at p = 950 every tolerance stays above 1e-300 and the norm is the

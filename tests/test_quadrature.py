@@ -1,7 +1,9 @@
 """The adaptive Gauss-Legendre engine: accuracy, the level-by-level walk
 of the panel tree against the depth-first reference walk, the walk of
-many integrals at once against one walk per integral, and a refined walk
-resumed from a coarser one against a fresh walk."""
+many integrals at once against one walk per integral, and a walk refined
+from its own level 0 against a fresh walk."""
+import sys
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -215,8 +217,8 @@ def _recording_many(f):
 
 
 class TestResume:
-    """integrate_many(..., refine=...) runs its second walk as a resume of
-    the first: bit for bit a fresh walk at the refined tolerances, with no
+    """integrate_many(..., refine=...) takes its tolerances from its own
+    level 0: bit for bit a fresh walk at the refined tolerances, with no
     node evaluated twice."""
 
     F = staticmethod(
@@ -238,7 +240,10 @@ class TestResume:
             return self.T2
 
         resumed = integrate_many(self.F, -0.5, 1.5, self.T1, breakpoints=cuts, refine=refine)
-        assert seen == [integrate_many(self.F, -0.5, 1.5, self.T1, breakpoints=cuts)]
+        # refine sees the level-0 estimate: a walk whose tolerances every
+        # level-0 panel meets
+        level0 = integrate_many(self.F, -0.5, 1.5, [sys.float_info.max] * 4, breakpoints=cuts)
+        assert seen == [level0]
         assert resumed == integrate_many(self.F, -0.5, 1.5, self.T2, breakpoints=cuts)
 
     def test_equals_a_fresh_walk_at_the_node_rounding_floor(self):
@@ -260,6 +265,16 @@ class TestResume:
         g, rows = _recording_many(self.F)
         integrate_many(g, -0.5, 1.5, self.T2, breakpoints=self.CUTS)
         assert np.array_equal(np.unique(resumed, axis=0), np.unique(np.concatenate(rows), axis=0))
+
+    def test_calls_like_a_fresh_walk(self):
+        # the same integrand calls, in the same order, as a fresh walk at the
+        # refined tolerances
+        g, refined = _recording_many(self.F)
+        integrate_many(g, -0.5, 1.5, self.T1, breakpoints=self.CUTS, refine=lambda _: self.T2)
+        g, fresh = _recording_many(self.F)
+        integrate_many(g, -0.5, 1.5, self.T2, breakpoints=self.CUTS)
+        assert len(refined) == len(fresh)
+        assert all(np.array_equal(r, s) for r, s in zip(refined, fresh))
 
     def test_full_reuse_evaluates_nothing_new(self):
         g, rows = _recording_many(self.F)
