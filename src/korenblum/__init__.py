@@ -6,18 +6,15 @@ from .analytic import (
     DEGREE_CAP,
     MeanProfile,
     Polynomial,
-    integral_mean,
     mean_profile,
     polynomial_from_spec,
     weighted_norm,
     weighted_norms,
 )
 from .certifier import (
-    CertificateScanPoint,
     DominationReport,
     InstanceReport,
     RadiusCertificate,
-    certification_scan,
     certify,
     check_domination,
     random_dominating_pair,
@@ -40,9 +37,8 @@ from .refuter import (
     family_pair,
     find_counterexample,
     monomial_upper_bound,
-    revalidate_witness,
 )
-from .schuster import SchusterBound, eval_F, eval_H, inverse_H
+from .schuster import inverse_H
 from .weights import (
     ConstantWeight,
     OriginLiminf,
@@ -58,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEGREE_CAP",
-    "CertificateScanPoint",
     "ConstantWeight",
     "CounterexampleWitness",
     "DominationReport",
@@ -76,27 +71,21 @@ __all__ = [
     "RadialWeight",
     "RadiusCertificate",
     "RadiusUpperBound",
-    "SchusterBound",
     "StandardWeight",
     "StepWeight",
     "TableWeight",
-    "certification_scan",
     "certify",
     "check_domination",
     "check_final_inequality",
     "choose_n",
-    "eval_F",
-    "eval_H",
     "family_pair",
     "find_counterexample",
-    "integral_mean",
     "inverse_H",
     "mean_profile",
     "moment",
     "monomial_upper_bound",
     "polynomial_from_spec",
     "random_dominating_pair",
-    "revalidate_witness",
     "verify_instance",
     "weight_from_spec",
     "weighted_norm",

@@ -13,11 +13,9 @@ switches to the control variates z - z_k of its roots within
 log-distance 0.05, whose means are exact: it estimates
 T_n(|f|^p) + sum_k G_k (S_k - T_n(|z - z_k|^p)), an identity for any
 weights G_k, with G_k chosen to cancel the cusps (see _mean_pow_batch).
-A lacunary f(z) = h(z^d) is reduced first to h on the circle of radius
-r^d, which has the same mean and needs d times fewer nodes. A binomial
-a + b z^d (constants, monomials, the refutation family) reduces to
-degree 1, whose mean has a closed form: with A = |a|, B = |b| r^d and
-x = min/max,
+A binomial a + b z^d (constants, monomials, the refutation family) has
+the mean of a + b w on the circle of radius r^d, which has a closed
+form: with A = |a|, B = |b| r^d and x = min/max,
 
     M_p^p = max(A, B)^p S_p(x),  S_p(x) = mean_t |1 + x e^{it}|^p
           = sum_k C(p/2, k)^2 x^{2k} = 2F1(-p/2, -p/2; 1; x^2),
@@ -339,17 +337,6 @@ def _above_floor(fs: list[Polynomial], p: float, tols: list[float]) -> list[floa
     return [max(t, 1e-300) for t in tols]
 
 
-def _finite_mean_pows(f: Polynomial, radii: np.ndarray, p: float, tol: float):
-    """_mean_pow_batch, refusing a p at which some M_p^p overflows a float
-    or whose p-th root cannot meet tol."""
-    _check_root_tol(p, tol)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals, diffs = _mean_pow_batch(f, radii, p, tol)
-    if not np.all(np.isfinite(vals)):
-        raise _p_overflow(p, "the circle mean M_p^p")
-    return vals, diffs
-
-
 @functools.lru_cache(maxsize=32)
 def _binomial_series(p: float) -> tuple[np.ndarray, float]:
     """C(p/2, k)^2 for k = 1..K, past k = p/2 until C(p/2, K)^2 2^-K <= 1e-17,
@@ -462,21 +449,10 @@ def _binomial_integral(x: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _lacunary(f: Polynomial) -> tuple[Polynomial, int]:
-    """(h, d) with f(z) = h(z^d), d the gcd of f's exponents (0 for a constant).
-
-    M_p(r; f) = M_p(r^d; h) for d > 1, exactly for the trapezoid rule
-    too: the N-node rule on f is the N/d-node rule on h when d divides N.
-    """
-    d = math.gcd(*[k for k, c in enumerate(f.coeffs) if c])
-    return (Polynomial(f.coeffs[::d]), d) if d > 1 else (f, d)
-
-
 def _binomial_form(f: Polynomial) -> tuple[float, float, int] | None:
     """(|a_0|, |a_d|, d) of a binomial f(z) = a_0 + a_d z^d, d = deg f (0,
-    with |a_d| = 0, for a constant), else None: the moduli and exponent of
-    f's lacunary reduction a_0 + a_d w, read off f's coefficients without
-    building it.
+    with |a_d| = 0, for a constant), else None, read off f's coefficients:
+    M_p(r; f) = M_p(r^d; a_0 + a_d w).
     """
     d = f.degree
     if any(f.coeffs[1:d]):
@@ -566,13 +542,11 @@ def _mean_pow_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """M_p^p(r; f) row per radius, doubling the angle grid per radius.
 
-    f(z) = h(z^d), d the gcd of f's exponents, is first reduced to h at
-    radii r^d, since M_p(r; f) = M_p(r^d; h); the family K (z^n + e^n)
-    becomes a degree-1 polynomial and a monomial z^n becomes w. Such a
-    binomial a_0 + a_d z^d takes the closed form of _binomial_means, with
-    the moduli and d of _binomial_form, and no angular nodes; its `diff`
-    is _BINOMIAL_REL_ERROR relative to the mean M.
-    Otherwise the doubled grid is the current grid plus its
+    A binomial a_0 + a_d z^d (the family K (z^n + e^n), a monomial z^n)
+    takes the closed form of _binomial_means at radii r^d, with the moduli
+    and d of _binomial_form, and no angular nodes; its `diff` is
+    _BINOMIAL_REL_ERROR relative to the mean M. Any other f is sampled on
+    its own coefficients, and the doubled grid is the current grid plus its
     half-spacing offset, so each refinement reuses every node already
     evaluated. Convergence is measured on the means M themselves
     (relative, per row): a row leaves the doubling once two successive
@@ -606,11 +580,11 @@ def _mean_pow_batch(
     cap, off by up to 1e-7.
     """
     binomial = _binomial_form(f)
-    f, d = (f, binomial[2]) if binomial else _lacunary(f)
-    if d > 1:
-        radii = np.asarray(radii, dtype=float) ** d
     if binomial:
-        vals = _binomial_means(*binomial[:2], radii, p)
+        a0, a1, d = binomial
+        if d > 1:
+            radii = np.asarray(radii, dtype=float) ** d
+        vals = _binomial_means(a0, a1, radii, p)
         return vals, _BINOMIAL_REL_ERROR * vals ** (1.0 / p)
     n = max(256, 8 * (f.degree + 1))
     vals = _abs_pow_means(f, radii, p, n)
@@ -669,18 +643,6 @@ def _mean_pow_batch(
         s_error = np.bincount(pairs, _BINOMIAL_REL_ERROR * weight * exact, vals.size)
         diff[switched] += s_error[switched] * means[switched] / (p * vals[switched])
     return vals, diff
-
-
-def integral_mean(f: Polynomial, r: float, p: float, tol: float = DEFAULT_TOL) -> float:
-    """M_p(r; f) with relative error about tol (zero polynomial gives 0)."""
-    if not 0.0 <= r < 1.0:
-        raise DomainError(f"integral_mean needs r in [0,1), got {r}")
-    positive("p", p)
-    positive("tol", tol)
-    if f.is_zero:
-        return 0.0
-    vals, _ = _finite_mean_pows(f, np.array([r]), p, tol)
-    return float(vals[0] ** (1.0 / p))
 
 
 class _KinkModel(NamedTuple):
@@ -911,7 +873,9 @@ def weighted_norms(
 def weighted_norm(
     f: Polynomial, w: RadialWeight, p: float, tol: float = DEFAULT_TOL
 ) -> float:
-    """||f||_{p,w} with relative error about tol: ``weighted_norms([f])[0]``."""
+    """||f||_{p,w} with relative error about tol: ``weighted_norms([f])[0]``.
+
+    Kept as its own function because perfbench's tracer hooks it by name."""
     return weighted_norms([f], w, p, tol)[0]
 
 
@@ -926,7 +890,11 @@ def mean_profile(f: Polynomial, p: float, radii) -> MeanProfile:
     if f.is_zero:
         return MeanProfile(p=p, radii=radii, values=(0.0,) * len(radii), est_error=0.0)
 
-    vals, diffs = _finite_mean_pows(f, np.asarray(radii), p, DEFAULT_TOL)
+    _check_root_tol(p, DEFAULT_TOL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, diffs = _mean_pow_batch(f, np.asarray(radii), p, DEFAULT_TOL)
+    if not np.all(np.isfinite(vals)):
+        raise _p_overflow(p, "the circle mean M_p^p")
     means = vals ** (1.0 / p)
     est = float(np.max(diffs)) if len(diffs) else 0.0
     drop_tol = 10.0 * max(est, 1e-15)

@@ -8,8 +8,7 @@ holds with a margin, where H is the explicit bound from
 :mod:`korenblum.schuster` and 1/H is taken as 0 wherever the bound is
 vacuous. The inequality does not involve the exponent p: a certified c is
 admissible for every p >= 1 simultaneously. :func:`certify` walks the
-radius grid from the top down and stops at the first admissible point;
-:func:`certification_scan` evaluates every point.
+radius grid from the top down and stops at the first admissible point.
 """
 from __future__ import annotations
 
@@ -42,15 +41,6 @@ class RadiusCertificate:
     outer: float
     margin: float
     quad_tol: float
-
-
-@dataclass(frozen=True)
-class CertificateScanPoint:
-    c: float
-    inner: float
-    outer: float
-    margin: float
-    admissible: bool
 
 
 @dataclass(frozen=True)
@@ -98,21 +88,6 @@ def _checked_grid(quad_tol: float, grid: int) -> np.ndarray:
     return radius_grid(grid)
 
 
-def _scan_point(w: RadialWeight, c: float, quad_tol: float) -> CertificateScanPoint:
-    inner, outer = _sides_at(w, c, quad_tol)
-    margin = outer - inner
-    return CertificateScanPoint(
-        c=c, inner=inner, outer=outer, margin=margin, admissible=margin > 2.0 * quad_tol
-    )
-
-
-def certification_scan(
-    w: RadialWeight, quad_tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID
-) -> list[CertificateScanPoint]:
-    """Both sides of the certification inequality on the whole radius grid."""
-    return [_scan_point(w, float(c), quad_tol) for c in _checked_grid(quad_tol, grid)]
-
-
 def certify(
     w: RadialWeight, quad_tol: float = DEFAULT_TOL, grid: int = DEFAULT_GRID
 ) -> RadiusCertificate:
@@ -120,22 +95,19 @@ def certify(
 
     The grid is scanned from the top down and the scan stops at the first
     admissible point. Each point's sides depend on its own radius alone, so
-    that point is the largest admissible one of the full
-    :func:`certification_scan`, whether or not the admissible points form
-    a prefix of the grid.
+    that point is the largest admissible one of the whole grid, whether or
+    not the admissible points form a prefix of it.
 
     Raises :class:`NoCertificate` when no grid point passes; the sufficient
     condition can fail even though some admissible radius always exists.
     """
     for c in _checked_grid(quad_tol, grid)[::-1]:
-        point = _scan_point(w, float(c), quad_tol)
-        if point.admissible:
+        c = float(c)
+        inner, outer = _sides_at(w, c, quad_tol)
+        margin = outer - inner
+        if margin > 2.0 * quad_tol:
             return RadiusCertificate(
-                c=point.c,
-                inner=point.inner,
-                outer=point.outer,
-                margin=point.margin,
-                quad_tol=quad_tol,
+                c=c, inner=inner, outer=outer, margin=margin, quad_tol=quad_tol
             )
     raise NoCertificate(
         f"no radius in ({C_GRID_LO}, {C_GRID_HI}) cleared margin 2*{quad_tol}"

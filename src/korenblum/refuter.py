@@ -13,11 +13,11 @@ which bounds the largest admissible radius strictly below 1.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import Polynomial, weighted_norms
+from .analytic import Polynomial, _check_root_tol, weighted_norms
 from .errors import DomainError, KorenblumError, NoWitnessFound, positive
 from .quadrature import DEFAULT_TOL
 from .weights import RadialWeight, moment
@@ -133,21 +133,6 @@ def find_counterexample(
     )
 
 
-def revalidate_witness(
-    witness: CounterexampleWitness, w: RadialWeight, quad_tol: float
-) -> CounterexampleWitness:
-    """Recompute a witness's norms at a fresh tolerance; its domination is
-    exact (see :func:`find_counterexample`)."""
-    f, g = family_pair(witness.c, witness.n, witness.epsilon)
-    norm_f, norm_g = weighted_norms([f, g], w, witness.p, tol=quad_tol)
-    gap = norm_f - norm_g
-    if gap <= 2.0 * quad_tol:
-        raise NoWitnessFound(
-            f"witness gap {gap:.3e} fell below 2*{quad_tol} on revalidation"
-        )
-    return replace(witness, norm_f=norm_f, norm_g=norm_g, gap=gap)
-
-
 def check_final_inequality(
     p: float,
     c: float,
@@ -195,9 +180,12 @@ def monomial_upper_bound(p: float, w: RadialWeight) -> RadiusUpperBound:
     ||z/c||^p = m(p)/c^p while ||1||^p = m(0). So no radius above c_star
     is admissible once witness_c > c_star and m(p)/witness_c^p < m(0);
     both are checked in closed form, with no quadrature and no sampling.
-    A moment ratio m(p)/m(0) below the smallest normal float is refused.
+    A moment ratio m(p)/m(0) below the smallest normal float is refused,
+    and so is a p whose p-th root turns the ratio's rounding eps into more
+    than DEFAULT_TOL, p DEFAULT_TOL < eps (_check_root_tol).
     """
     positive("p", p)
+    _check_root_tol(p, DEFAULT_TOL)
     m0, mp = moment(w, 0.0), moment(w, p)
     if not min(mp, mp / m0) >= sys.float_info.min:
         raise DomainError(

@@ -17,28 +17,7 @@ expression.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class SchusterBound:
-    """F and H at one point of the validity box; H is None where F >= 1."""
-
-    rho: float
-    c: float
-    F: float
-    H: float | None
-
-
-def _check_box(rho: float, c: float) -> None:
-    if not 0.0 < c < 0.25:
-        raise DomainError(f"need 0 < c < 1/4, got c={c}")
-    if not c < rho < 1.0:
-        raise DomainError(f"need c < rho < 1, got rho={rho} with c={c}")
 
 
 def _F_values(rho, c: float):
@@ -54,21 +33,6 @@ def _F_values(rho, c: float):
         den = den * (1.0 + c ** (2 * n - 1)) ** 2
         value = value * num / den
     return value
-
-
-def eval_F(rho: float, c: float) -> float:
-    """The product bound F(rho, c) on its validity box."""
-    _check_box(rho, c)
-    return float(_F_values(rho, c))
-
-
-def eval_H(rho: float, c: float) -> SchusterBound:
-    """F together with H = F/sqrt(1 - F^2); H is undefined where F >= 1."""
-    _check_box(rho, c)
-    F = float(_F_values(rho, c))
-    if F >= 1.0:
-        return SchusterBound(rho=rho, c=c, F=F, H=None)
-    return SchusterBound(rho=rho, c=c, F=F, H=F / np.sqrt(1.0 - F * F))
 
 
 def inverse_H(rho, c: float):

@@ -18,11 +18,12 @@ from korenblum import (
     StandardWeight,
     StepWeight,
     TableWeight,
-    certification_scan,
+    certify,
+    check_domination,
+    check_final_inequality,
     choose_n,
     family_pair,
     find_counterexample,
-    integral_mean,
     mean_profile,
     moment,
     monomial_upper_bound,
@@ -106,37 +107,50 @@ class TestPolynomial:
                 polynomial_from_spec(spec)
 
 
-class TestIntegralMean:
+def mean_at(f, r, p):
+    """M_p(r; f) at one radius 0 < r < 1, by mean_profile."""
+    return mean_profile(f, p, (r,)).values[0]
+
+
+def batch_mean_at(f, r, p, tol=TOL):
+    """M_p(r; f) at one radius by _mean_pow_batch, which also takes r = 0
+    and a tol below eps."""
+    vals, _ = _mean_pow_batch(f, np.array([r]), p, tol)
+    return float(vals[0] ** (1.0 / p))
+
+
+class TestCircleMean:
     @pytest.mark.parametrize("n", [1, 3, 7])
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.7])
     def test_monomial_mean_is_power(self, n, p):
         # |z^n| is constant on circles
         f = Polynomial.monomial(n)
-        for r in (0.0, 0.2, 0.7, 0.95):
-            assert integral_mean(f, r, p) == pytest.approx(r**n, rel=1e-12, abs=1e-15)
+        assert batch_mean_at(f, 0.0, p) == pytest.approx(0.0, rel=1e-12, abs=1e-15)
+        for r in (0.2, 0.7, 0.95):
+            assert mean_at(f, r, p) == pytest.approx(r**n, rel=1e-12, abs=1e-15)
 
     def test_orthogonality_at_p2(self):
         n, eps = 4, 0.3
         f = Polynomial((eps**n,) + (0,) * (n - 1) + (1,))
         for r in (0.1, 0.5, 0.9):
             expected = np.sqrt(r ** (2 * n) + eps ** (2 * n))
-            assert integral_mean(f, r, 2.0) == pytest.approx(expected, rel=1e-12)
+            assert mean_at(f, r, 2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_mean_power_lower_bounds(self):
         # M_p^p(r; z^n + eps^n) >= max(eps^{np}, r^{np})
         n, eps, r, p = 5, 0.3, 0.2, 0.5
         f = Polynomial((eps**n,) + (0,) * (n - 1) + (1,))
-        value = integral_mean(f, r, p) ** p
+        value = mean_at(f, r, p) ** p
         assert value >= max(eps ** (n * p), r ** (n * p)) - 1e-12
 
     def test_zero_polynomial(self):
-        assert integral_mean(Polynomial(()), 0.5, 1.0) == 0.0
+        assert mean_at(Polynomial(()), 0.5, 1.0) == 0.0
 
     def test_domain_checks(self):
         with pytest.raises(DomainError):
-            integral_mean(Polynomial((1,)), 1.0, 2.0)
+            mean_at(Polynomial((1,)), 1.0, 2.0)
         with pytest.raises(DomainError):
-            integral_mean(Polynomial((1,)), 0.5, 0.0)
+            mean_at(Polynomial((1,)), 0.5, 0.0)
 
 
 class TestAngularDoubling:
@@ -186,7 +200,7 @@ class TestAngularDoubling:
         f, _ = family_pair(0.9, n, eps)
         for r in (0.3, 0.449, 0.45001, 0.451, 0.8):
             expected = binomial_mean(p, f.coeffs[0], f.coeffs[-1], r, n) ** (1.0 / p)
-            assert integral_mean(f, r, p) == pytest.approx(expected, rel=1e-9)
+            assert mean_at(f, r, p) == pytest.approx(expected, rel=1e-9)
 
     def test_lacunary_reduction(self, rng):
         d = 3
@@ -197,9 +211,7 @@ class TestAngularDoubling:
             f = Polynomial(tuple(coeffs))
             for p in (0.5, 1.0, 3.0):
                 for r in (0.3, 0.7, 0.9):
-                    assert integral_mean(f, r, p) == pytest.approx(
-                        integral_mean(h, r**d, p), rel=1e-14
-                    )
+                    assert mean_at(f, r, p) == pytest.approx(mean_at(h, r**d, p), rel=1e-14)
 
 
 def _counting_means(monkeypatch):
@@ -447,7 +459,7 @@ class TestBinomialMeans:
         expected = binomial_mean(p, 1.0, 1.0, 0.9)
         vals = analytic._unit_binomial_means(np.array([0.9]), p)
         assert vals[0] == pytest.approx(expected, rel=1e-13, abs=0.0)
-        mean = integral_mean(Polynomial((1.0, 1.0)), 0.9, p)
+        mean = mean_at(Polynomial((1.0, 1.0)), 0.9, p)
         assert mean == pytest.approx(expected ** (1.0 / p), rel=1e-15, abs=0.0)
 
     def test_refutation_family_takes_no_angular_nodes(self, monkeypatch):
@@ -463,23 +475,21 @@ class TestBinomialMeans:
         assert (witness.n, witness.epsilon) == (5, 0.45)
         assert calls == []
 
-    def test_binomial_form_reads_the_lacunary_reduction(self):
-        for coeffs in [(), (2 - 1j,), (0, 3), (1, 2), (0, 0, 0.5j), (1, 0, 0, -2j),
-                       (1, 1, 1), (0, 1, 0, 1), (0, 0, 1, 0, 1)]:
-            f = Polynomial(coeffs)
-            h, d = analytic._lacunary(f)
-            a = np.abs(np.asarray(h.coeffs, dtype=complex))
-            expected = (a[0] if a.size else 0.0, a[1] if a.size > 1 else 0.0, d)
-            assert analytic._binomial_form(f) == (expected if h.degree <= 1 else None)
-
-    def test_binomials_build_no_reduced_polynomial(self, monkeypatch):
-        def refuse(f):
-            raise AssertionError(f"reduced {f}")
-
-        monkeypatch.setattr(analytic, "_lacunary", refuse)
-        f, g = family_pair(0.9, 5, 0.45)
-        weighted_norms([f, g, Polynomial((2.0,))], ConstantWeight(1.0), 0.5)
-        _mean_pow_batch(f, np.array([0.3, 0.6]), 0.5, 1e-9)
+    def test_binomial_form_reads_the_coefficients(self):
+        # (|a_0|, |a_d|, d) of a_0 + a_d z^d; None for any other polynomial
+        cases = {
+            (): (0.0, 0.0, 0),
+            (2 - 1j,): (abs(2 - 1j), 0.0, 0),
+            (0, 3): (0.0, 3.0, 1),
+            (1, 2): (1.0, 2.0, 1),
+            (0, 0, 0.5j): (0.0, 0.5, 2),
+            (1, 0, 0, -2j): (1.0, 2.0, 3),
+            (1, 1, 1): None,
+            (0, 1, 0, 1): None,
+            (0, 0, 1, 0, 1): None,
+        }
+        for coeffs, expected in cases.items():
+            assert analytic._binomial_form(Polynomial(coeffs)) == expected
 
     def test_profile_across_the_cusp_is_monotone(self):
         eps = 0.45
@@ -786,18 +796,18 @@ class TestTinyP:
         with pytest.raises(DomainError, match=f"p = {p} is too small .* {smallest}"):
             weighted_norm(self.F, ConstantWeight(1.0), p)
         with pytest.raises(DomainError, match=smallest):
-            integral_mean(self.F, 0.7, p)
+            mean_profile(self.F, p, (0.7,))
 
     def test_tol_below_eps_is_best_effort(self):
         # p tol < eps, but a tol below eps is let through; the exact mean is
         # about 1 + p x^2/4 = 1 + 1.6e-10 at x = 0.25
-        mean = integral_mean(Polynomial((1.0, 0.5)), 0.5, 1e-8, tol=1e-17)
+        mean = batch_mean_at(Polynomial((1.0, 0.5)), 0.5, 1e-8, tol=1e-17)
         assert mean == pytest.approx(1.0, abs=1e-9)
 
     def test_underflowing_series_gives_one(self):
         # C(p/2, 1)^2 underflows, and the series' coefficient sum with it:
         # dividing by it warned "divide by zero" on stderr
-        assert integral_mean(Polynomial((1.0, 0.5)), 0.5, 1e-200, tol=1e-17) == 1.0
+        assert batch_mean_at(Polynomial((1.0, 0.5)), 0.5, 1e-200, tol=1e-17) == 1.0
 
 
 def _family_scan(p, c):
@@ -1168,15 +1178,18 @@ NUMBER_ARGUMENTS = {
     "weighted_norm.tol": lambda x: weighted_norm(_F, _W, 2.0, tol=x),
     "weighted_norms.p": lambda x: weighted_norms([_F, _F], _W, x),
     "weighted_norms.tol": lambda x: weighted_norms([_F, _F], _W, 2.0, tol=x),
-    "integral_mean.p": lambda x: integral_mean(_F, 0.5, x),
-    "integral_mean.tol": lambda x: integral_mean(_F, 0.5, 2.0, tol=x),
     "mean_profile.p": lambda x: mean_profile(_F, x, (0.5,)),
     "verify_instance.p": lambda x: verify_instance(_F, _F, _W, x, 0.5),
     "verify_instance.tol": lambda x: verify_instance(_F, _F, _W, 2.0, 0.5, tol=x),
     "find_counterexample.p": lambda x: find_counterexample(x, 0.9, _W, n=5),
+    "choose_n.p": choose_n,
+    "family_pair.epsilon": lambda x: family_pair(0.9, 5, x),
+    "check_domination.c": lambda x: check_domination(_F, _F, x),
+    "check_final_inequality.p": lambda x: check_final_inequality(x, 0.9, _W, 5, 0.45),
+    "check_final_inequality.quad_tol": lambda x: check_final_inequality(0.5, 0.9, _W, 5, 0.45, x),
     "find_counterexample.quad_tol": lambda x: find_counterexample(0.5, 0.9, _W, quad_tol=x),
     "monomial_upper_bound.p": lambda x: monomial_upper_bound(x, _W),
-    "certification_scan.quad_tol": lambda x: certification_scan(_W, quad_tol=x),
+    "certify.quad_tol": lambda x: certify(_W, quad_tol=x),
     "moment.s": lambda x: moment(_W, x),
     "integrate.tol": lambda x: integrate(np.sin, 0.0, 1.0, x),
     "integrate_many.tol": lambda x: integrate_many(lambda r, comp: r, 0.0, 1.0, [1e-9, x]),

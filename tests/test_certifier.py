@@ -1,6 +1,7 @@
 import inspect
 import json
 from dataclasses import asdict
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from korenblum import (
     StandardWeight,
     StepWeight,
     TableWeight,
-    certification_scan,
     certify,
     check_domination,
     family_pair,
@@ -32,6 +32,25 @@ QUAD_TOL = 1e-9
 PINNED_CONST1 = dict(c=0.18682104186142803, inner=0.03490210168218945, outer=0.05486705868055169)
 PINNED_STEP05 = dict(c=0.22686557610436464, inner=0.0, outer=0.026572150271133077)
 PINNED_STD2 = dict(c=0.1538448550966299, inner=0.06933742025050535, outer=0.10187354208689124)
+
+class ScanPoint(NamedTuple):
+    c: float
+    inner: float
+    outer: float
+    margin: float
+    admissible: bool
+
+
+def full_scan(w, quad_tol=QUAD_TOL, grid=certifier.DEFAULT_GRID):
+    """The reference certify is checked against: both sides of the
+    certification inequality at every radius of the grid, smallest first."""
+    points = []
+    for c in radius_grid(grid):
+        inner, outer = certifier._sides_at(w, float(c), quad_tol)
+        margin = outer - inner
+        points.append(ScanPoint(float(c), inner, outer, margin, margin > 2.0 * quad_tol))
+    return points
+
 
 TOP_DOWN_WEIGHTS = (
     ConstantWeight(1.0),
@@ -84,13 +103,13 @@ class TestCertify:
     def test_admissible_points_form_a_prefix(self, fixture_weights):
         # once a radius fails, all larger scanned radii fail too
         for w in fixture_weights:
-            scan = certification_scan(w, quad_tol=QUAD_TOL)
+            scan = full_scan(w, quad_tol=QUAD_TOL)
             flags = [point.admissible for point in scan]
             assert flags == sorted(flags, reverse=True)
             assert any(flags)
 
     def test_scan_margins_match_certificate(self):
-        scan = certification_scan(ConstantWeight(1.0), quad_tol=QUAD_TOL)
+        scan = full_scan(ConstantWeight(1.0), quad_tol=QUAD_TOL)
         best = [point for point in scan if point.admissible][-1]
         cert = certify(ConstantWeight(1.0), quad_tol=QUAD_TOL)
         assert best.c == cert.c and best.margin == cert.margin
@@ -98,7 +117,7 @@ class TestCertify:
     @pytest.mark.parametrize("grid", [32, 64, 128])
     @pytest.mark.parametrize("w", TOP_DOWN_WEIGHTS, ids=repr)
     def test_top_down_equals_last_admissible_of_full_scan(self, w, grid):
-        scan = certification_scan(w, quad_tol=QUAD_TOL, grid=grid)
+        scan = full_scan(w, quad_tol=QUAD_TOL, grid=grid)
         best = [point for point in scan if point.admissible][-1]
         expected = RadiusCertificate(
             c=best.c, inner=best.inner, outer=best.outer, margin=best.margin, quad_tol=QUAD_TOL

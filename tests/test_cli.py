@@ -142,6 +142,33 @@ class TestMeans:
         assert lines[0] == "r,mean"
         assert len(lines) == 17
 
+    @pytest.mark.parametrize("poly, p, report", [
+        # a binomial, in closed form
+        ("1,1", "1", "r,mean\n"
+         "0.111111111111,1.00308880864\n0.222222222222,1.01238426268\n"
+         "0.333333333333,1.02797628346\n0.444444444444,1.05002506243\n"
+         "0.555555555556,1.07878016911\n0.666666666667,1.11461748102\n"
+         "0.777777777778,1.15811593428\n0.888888888889,1.21025077341\n"),
+        # 0.3 - z + z^3, with a root at |z| = 0.786 between two grid radii
+        ("0.3,-1,0,1", "1.5", "r,mean\n"
+         "0.111111111111,0.315272830393\n0.222222222222,0.359432138305\n"
+         "0.333333333333,0.428920686523\n0.444444444444,0.51977559973\n"
+         "0.555555555556,0.628072194953\n0.666666666667,0.757429342523\n"
+         "0.777777777778,0.917282919596\n0.888888888889,1.12146239259\n"),
+        # 0.1 - z^2 + z^4, a polynomial in z^2 with roots at |z| = 0.336 and 0.942
+        ("0.1,0,-1,0,1", "1", "r,mean\n"
+         "0.111111111111,0.100381170648\n0.222222222222,0.106132305446\n"
+         "0.333333333333,0.132238824727\n0.444444444444,0.202883009454\n"
+         "0.555555555556,0.308662487184\n0.666666666667,0.450501636779\n"
+         "0.777777777778,0.638510001025\n0.888888888889,0.89304719344\n"),
+    ], ids=["binomial", "cubic", "quartic-in-z2"])
+    def test_pinned_csv_report(self, capsys, poly, p, report):
+        code, out, err = run_cli(
+            capsys, "means", "--poly", poly, "--p", p, "--grid", "8", "--output", "csv"
+        )
+        assert (code, err) == (0, "")
+        assert out == report
+
 
 class TestCertify:
     def test_constant_weight(self, capsys):
@@ -254,6 +281,26 @@ class TestBound:
         assert out == ""
         assert "moment m(p) underflows at p = 1000000.0: m(p) = 0.0" in err
 
+    @pytest.mark.parametrize("p", ["1e-13", "1e-14"])
+    def test_p_too_small_for_its_root_exit_2(self, capsys, p):
+        # c_star = (m(p)/m(0))^(1/p) turns the ratio's rounding eps into
+        # eps/p: at p = 1e-13 it read 0.6067731014109617 against the exact
+        # (2/(2+p))^(1/p) = 0.60653066, and at 1e-14 its check failed (exit 1)
+        code, out, err = run_cli(capsys, "bound", "--p", p, "--weight", CONST1)
+        assert code == 2
+        assert out == ""
+        assert f"eps/p = {np.finfo(float).eps / float(p):.3e}" in err
+
+    def test_smallest_p_its_root_allows(self, capsys):
+        # p 1e-9 >= eps: c_star is within 1e-9 of (2/(2+p))^(1/p) = 0.6065306824575313
+        code, out, err = run_cli(
+            capsys, "bound", "--p", "3e-7", "--weight", CONST1, "--output", "csv"
+        )
+        assert (code, err) == (0, "")
+        row = out.splitlines()[1].split(",")
+        assert row[:2] == ["3e-07", "0.606530682581"]
+        assert float(row[1]) == pytest.approx(0.6065306824575313, rel=1e-9)
+
     def test_no_tol_flag(self, capsys):
         # the bound is decided in closed form and takes no tolerance
         code, out, err = run_cli(capsys, "bound", "--p", "2", "--tol", "1e-9", "--weight", CONST1)
@@ -350,6 +397,13 @@ class TestSweep:
         assert one[1] != "" and one[3] == "" and one[4] == "ok"
         assert two[1] == one[1]  # certified radius does not depend on p
         assert float(half[2]) == pytest.approx(0.64, abs=1e-9)
+
+    def test_row_of_a_p_too_small_for_its_root(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--p", "1e-14,1", "--weight", CONST1)
+        assert code == 1
+        assert out == SWEEP_HEADER + "\n1e-14,,,,DomainError\n1,0.186821041861,0.666666666667,,ok\n"
+        assert "korenblum sweep: p = 1e-14: p = 1e-14 is too small" in err
+        assert f"eps/p = {np.finfo(float).eps / 1e-14:.3e}" in err
 
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(

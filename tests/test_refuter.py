@@ -25,7 +25,6 @@ from korenblum import (
     find_counterexample,
     moment,
     monomial_upper_bound,
-    revalidate_witness,
     weight_from_spec,
     weighted_norms,
 )
@@ -110,11 +109,10 @@ class TestExactFamilyDomination:
         w = ConstantWeight(1.0)
         f, g = family_pair(0.9, 8, 0.9 * 2.0**-6)
         assert not check_domination(f, g, 0.9).conclusive
-        stale = CounterexampleWitness(p=0.05, c=0.9, n=8, epsilon=0.9 * 2.0**-6,
-                                      norm_f=0.0, norm_g=0.0, gap=0.0)
-        witness = revalidate_witness(stale, w, QUAD_TOL)
-        assert witness.gap == pytest.approx(3.75e-6, rel=1e-2)
-        assert witness.gap > 2 * QUAD_TOL
+        norm_f, norm_g = weighted_norms([f, g], w, 0.05, tol=QUAD_TOL)
+        gap = norm_f - norm_g
+        assert gap == pytest.approx(3.75e-6, rel=1e-2)
+        assert gap > 2 * QUAD_TOL
 
 
 class TestFindCounterexample:
@@ -140,9 +138,11 @@ class TestFindCounterexample:
 
     def test_revalidates_at_finer_quadrature(self):
         witness = find_counterexample(0.5, 0.9, ConstantWeight(1.0), quad_tol=QUAD_TOL)
-        finer = revalidate_witness(witness, ConstantWeight(1.0), QUAD_TOL / 10.0)
-        assert finer.gap > 2 * QUAD_TOL / 10.0
-        assert finer.gap == pytest.approx(witness.gap, abs=1e-8)
+        pair = family_pair(witness.c, witness.n, witness.epsilon)
+        norm_f, norm_g = weighted_norms(pair, ConstantWeight(1.0), witness.p, tol=QUAD_TOL / 10.0)
+        finer_gap = norm_f - norm_g
+        assert finer_gap > 2 * QUAD_TOL / 10.0
+        assert finer_gap == pytest.approx(witness.gap, abs=1e-8)
         assert witness.n * (1.0 - witness.p) > 2.0
 
     def test_forced_n_allows_p_at_least_one(self):
@@ -278,6 +278,11 @@ class TestMonomialUpperBound:
     def test_domain(self):
         with pytest.raises(DomainError):
             monomial_upper_bound(0.0, ConstantWeight(1.0))
+
+    def test_refuses_p_too_small_for_its_root(self):
+        # c_star is a p-th root: its relative rounding error is eps/p
+        with pytest.raises(DomainError, match="too small .* eps/p"):
+            monomial_upper_bound(1e-14, ConstantWeight(1.0))
 
     def test_names_the_failed_part(self):
         # c_star = 1 - 5e-11 rounds to 1.0, above the largest witness radius
