@@ -22,9 +22,13 @@ form: with A = |a|, B = |b| r^d and x = min/max,
 
 evaluated without angular nodes to a few 1e-15 relative (mpmath's hyp2f1
 as reference) and reported with an error of 1e-13. Its moduli and d are
-read off the coefficients, and each row's work is sized to its own x: a
-series row whose tail cannot move 1.0 is 1.0, and an integral row takes
-the fewest Gauss panels that resolve it. The weighted norm
+read off the coefficients, and each row's work is sized to its own x:
+x^2 <= 1/2 takes that series, or 1.0 where its tail cannot move 1.0, and
+so does every x at even p, where it ends at k = p/2. Above, p = 1 takes
+the complete elliptic integral E by the AGM, a non-integer p <= 12 the
+z -> 1 - z connection formula (two series in 1 - x^2 <= 1/2), and any
+other p an integral by the fewest Gauss panels that resolve it (see
+_unit_binomial_means). The weighted norm
 
     ||f||_{p,w} = ( int_0^1 2 r w(r) M_p^p(r; f) dr )^{1/p}
 
@@ -69,15 +73,35 @@ DEGREE_CAP = 64
 
 #: angle count at which the doubling of a circle mean stops
 _THETA_CAP = 1 << 17
-#: counts of equal 15-node Gauss panels of S_p's integral form (x^2 > 1/2)
-#: on the sinh-substituted v in [0, 1/2]: a row takes the fewest whose
-#: tau panels are no wider than 1, else the most
+#: counts of equal 15-node Gauss panels of S_p's integral form on the
+#: sinh-substituted v in [0, 1/2], the route of the rows 1/2 < x^2 < 1
+#: that neither a finite sum, the AGM nor the connection series takes: a
+#: row takes the fewest whose tau panels are no wider than 1, else the most
 _TAU_PANELS = (4, 8, 16)
-#: the p up to which 4 equal 15-node Gauss panels take v in [1/2, pi/2],
-#: and 16 above: the integrand peaks like exp(-p (v - pi/2)^2 / 2), and
-#: against mpmath 4 panels lose 4e-13 relative at p = 500 and 4e-10 at
-#: p = 1000, where 16 stay within 4e-14
+#: the p up to which 4 equal 15-node Gauss panels of the integral form take
+#: v in [1/2, pi/2], and 16 above: the integrand peaks like
+#: exp(-p (v - pi/2)^2 / 2), and against mpmath 4 panels lose 4e-13
+#: relative at p = 500 and 4e-10 at p = 1000, where 16 stay within 4e-14
 _V_FEW_PANELS_P = 100.0
+#: the largest p whose rows 1/2 < x^2 < 1 take the connection series: its
+#: first series alternates, with terms up to about 60 times S_p at p = 20
+#: and x^2 = 1/2; against mpmath it stayed within 3.3e-15 relative up to
+#: p = 12, 8e-15 up to 16 and 1.1e-14 at 20
+_CONNECTION_P = 12.0
+#: distance to the nearest integer m >= 1 within which a p keeps the
+#: integral form: at odd m both connection terms have a pole, and they
+#: cancel (against mpmath p = 1.001 lost 1.4e-14, 1.003 4.8e-15, 1.008
+#: 1.2e-15); p = 0.99, 1.01, 2.99 and 3.01, 0.01 from an integer up to
+#: rounding either way, all take the connection series
+_CONNECTION_WINDOW = 0.008
+#: terms of each connection series: at u <= 1/2 they shrink like u^k / k
+_CONNECTION_TERMS = 60
+#: AGM steps of S_1: the largest x below 1 has k' = 2^-54, and 9 steps give
+#: the 14-step value bit for bit on 200,000 x from 1 - 1e-17 to 0.68
+_AGM_STEPS = 9
+#: the largest even p whose rows all take the finite sum: its largest
+#: value, at x = 1, is C(p, p/2) <= 2.7e299
+_FINITE_SUM_P = 1000.0
 #: a series row whose whole tail x^2 sum_k C(p/2, k)^2 is at most this
 #: rounds to 1.0: 1 + t is 1.0 for every t below half an ulp of 1, 2^-53
 _SERIES_ONE = 2.0**-54
@@ -370,34 +394,27 @@ def _row_blocks(rows: np.ndarray, size: int):
 
 
 def _unit_binomial_means(x: np.ndarray, p: float) -> np.ndarray:
-    """S_p(x) = mean_t |1 + x e^{it}|^p for 0 <= x <= 1, per row.
+    """S_p(x) = mean_t |1 + x e^{it}|^p = 2F1(-p/2, -p/2; 1; x^2) for
+    0 <= x <= 1, per row.
 
     x^2 <= 1/2: the series 1 + sum_k C(p/2, k)^2 x^{2k} (binomial series
     and Parseval), about 60 terms, or exactly 1.0 where its whole tail is
     at most 2^-54, to which the series rounds anyway (most rows of the
-    refutation family, whose x is (eps/r)^n or (r/eps)^n). x^2 > 1/2: the
-    integral
-
-        S_p = (2/pi) int_0^{pi/2} ((1 - x)^2 + 4 x sin^2 v)^{p/2} dv,
-
-    whose integrand nearly vanishes at v = +-i b, b = (1 - x)/(2 sqrt x).
-    On [0, 1/2] the substitution v = b sinh(tau) moves that pair to
-    tau = +-i pi/2, so equal Gauss panels in tau no wider than 1 converge
-    at a rate that does not depend on x: each row takes the fewest of 4,
-    8 or 16 such panels on its own [0, top], top = asinh(1/(2b)), and 16
-    where top > 16 (1 - x below about 2.3e-7). [1/2, pi/2] is smooth,
-    and 4 panels resolve its peak at pi/2 up to p = 100, 16 above.
-    x = 1 is Gamma(1 + p)/Gamma(1 + p/2)^2. At large p the series
-    coefficients and the Gamma ratio overflow, so neither is formed
-    unless a row needs it: a batch of x = 0 rows (a constant or a
-    monomial) is exactly 1. Every row's value depends on its own x only,
-    not on the rows that share its call.
+    refutation family, whose x is (eps/r)^n or (r/eps)^n). At even
+    p <= _FINITE_SUM_P the series ends at k = p/2 (1 + x^2 at p = 2), and
+    every row takes it. x = 1 is Gamma(1 + p)/Gamma(1 + p/2)^2. Any other
+    row, 1/2 < x^2 < 1, takes _near_one_means. At large p the series
+    coefficients and the Gamma ratio overflow, so neither is formed unless
+    a row needs it: a batch of x = 0 rows (a constant or a monomial) is
+    exactly 1. Every row's value depends on its own x only, not on the
+    rows that share its call.
     """
     if not x.any():
         return np.ones_like(x)
     out = np.empty_like(x)
     x2 = x * x
-    series = x2 <= 0.5
+    finite = p % 2.0 == 0.0 and p <= _FINITE_SUM_P
+    series = np.ones(x.shape, dtype=bool) if finite else x2 <= 0.5
     if series.any():
         coeffs, one = _binomial_series(p)
         tiny = series & (x2 <= one)
@@ -411,7 +428,7 @@ def _unit_binomial_means(x: np.ndarray, p: float) -> np.ndarray:
             powers *= coeffs
             out[rows] = 1.0 + np.sum(powers, axis=1)
 
-    edge = x == 1.0
+    edge = (x == 1.0) & ~series
     if edge.any():
         if p < 170.0:  # math.gamma is finite; exp(lgamma) loses ~|lgamma| ulps
             out[edge] = math.gamma(1.0 + p) / math.gamma(1.0 + 0.5 * p) ** 2
@@ -423,13 +440,107 @@ def _unit_binomial_means(x: np.ndarray, p: float) -> np.ndarray:
 
     rows = np.flatnonzero(~series & ~edge)
     if rows.size:
-        out[rows] = _binomial_integral(x[rows], p)
+        out[rows] = _near_one_means(x[rows], p)
+    return out
+
+
+def _near_one_means(x: np.ndarray, p: float) -> np.ndarray:
+    """S_p(x) per row for 1/2 < x^2 < 1, at a p that is not an even
+    p <= _FINITE_SUM_P: by the AGM at p = 1 (_agm_means), by the
+    connection series at p <= _CONNECTION_P at least _CONNECTION_WINDOW
+    from every integer >= 1 (_connection_means), else by the integral
+    form (_binomial_integral). Against mpmath's hyp2f1 the AGM stayed
+    within 2.6e-15 relative, the connection series within 3.3e-15 and the
+    integral within a few 1e-15 up to p = 100."""
+    if p == 1.0:
+        return _agm_means(x)
+    m = round(p)
+    if p <= _CONNECTION_P and (m == 0 or abs(p - m) >= _CONNECTION_WINDOW):
+        return _connection_means(x, p)
+    return _binomial_integral(x, p)
+
+
+def _agm_means(x: np.ndarray) -> np.ndarray:
+    """S_1(x) = (2/pi) (1 + x) E(k), k = 2 sqrt(x)/(1 + x), per row.
+
+    With a_0 = 1, b_0 = k' = (1 - x)/(1 + x), c_0 = k and the AGM steps
+    a_{n+1} = (a_n + b_n)/2, b_{n+1} = sqrt(a_n b_n), c_{n+1} = (a_n - b_n)/2,
+    E(k) = pi/(2 a_N) (1 - sum_n 2^{n-1} c_n^2) (Abramowitz-Stegun 17.6),
+    so S_1 = (1 + x)/a_N ((1 + k'^2)/2 - sum_{n>=1} 2^{n-1} c_n^2): k' is
+    formed from 1 - x, exact, and never as sqrt(1 - k^2). A fixed
+    _AGM_STEPS, elementwise, so each row depends on its own x only.
+    """
+    a = np.ones_like(x)
+    b = (1.0 - x) / (1.0 + x)
+    rest = 0.5 * (1.0 + b * b)
+    scale = 1.0
+    for _ in range(_AGM_STEPS):
+        c = 0.5 * (a - b)
+        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        rest -= scale * c * c
+        scale *= 2.0
+    return (1.0 + x) / a * rest
+
+
+@functools.lru_cache(maxsize=32)
+def _connection_series(p: float) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """(A, a_k, B, b_k), k = 1.._CONNECTION_TERMS, of the z -> 1 - z
+    connection formula (Abramowitz-Stegun 15.3.6) for a non-integer p:
+
+        S_p = A 2F1(-p/2, -p/2; -p; u) + B u^{1+p} 2F1(1 + p/2, 1 + p/2; 2 + p; u)
+
+    with u = 1 - x^2, 2F1(...; u) = 1 + sum_k a_k u^k and 1 + sum_k b_k u^k,
+    A = Gamma(1 + p)/Gamma(1 + p/2)^2 and B = Gamma(-1 - p)/Gamma(-p/2)^2,
+    taken by the reflection formula as tan(pi p/2)/(2 pi (1 + p) A), with
+    tan(pi p/2) from the exact p - m, m the nearest integer: near an odd
+    m, Gamma(-1 - p) at the rounded -1 - p lost 2e-14 at p = 1.01.
+    """
+    m = round(p)
+    t = math.tan(0.5 * math.pi * (p - m))
+    big_a = math.gamma(1.0 + p) / math.gamma(1.0 + 0.5 * p) ** 2
+    big_b = (t if m % 2 == 0 else -1.0 / t) / (2.0 * math.pi * (1.0 + p) * big_a)
+    a, b = np.empty(_CONNECTION_TERMS), np.empty(_CONNECTION_TERMS)
+    ca = cb = 1.0
+    for k in range(_CONNECTION_TERMS):
+        ca *= (k - 0.5 * p) ** 2 / ((k - p) * (k + 1))
+        cb *= (k + 1 + 0.5 * p) ** 2 / ((k + 2 + p) * (k + 1))
+        a[k], b[k] = ca, cb
+    a.flags.writeable = b.flags.writeable = False  # shared through the cache
+    return big_a, a, big_b, b
+
+
+def _connection_means(x: np.ndarray, p: float) -> np.ndarray:
+    """S_p(x) per row for 1/2 < x^2 < 1 by the connection series of
+    _connection_series at u = (1 - x)(1 + x) < 1/2. Each row sums its own
+    powers u^k (a row-wise cumprod and sum, as the series of
+    _unit_binomial_means), in blocks of at most _BLOCK_NODES / 2 terms, so
+    its value depends on its own x only."""
+    big_a, a, big_b, b = _connection_series(p)
+    u = (1.0 - x) * (1.0 + x)
+    out = np.empty_like(x)
+    for rows in _row_blocks(np.arange(x.size), _BLOCK_NODES // (2 * _CONNECTION_TERMS)):
+        powers = np.repeat(u[rows, None], _CONNECTION_TERMS, axis=1)
+        np.cumprod(powers, axis=1, out=powers)
+        first = 1.0 + np.sum(powers * a, axis=1)
+        powers *= b
+        second = 1.0 + np.sum(powers, axis=1)
+        out[rows] = big_a * first + big_b * u[rows] ** (1.0 + p) * second
     return out
 
 
 def _binomial_integral(x: np.ndarray, p: float) -> np.ndarray:
-    """S_p(x) per row for 1/2 < x^2 < 1, by the integral form of
-    _unit_binomial_means on its own panels; rows are independent."""
+    """S_p(x) per row for 1/2 < x^2 < 1 by the integral
+
+        S_p = (2/pi) int_0^{pi/2} ((1 - x)^2 + 4 x sin^2 v)^{p/2} dv,
+
+    whose integrand nearly vanishes at v = +-i b, b = (1 - x)/(2 sqrt x).
+    On [0, 1/2] the substitution v = b sinh(tau) moves that pair to
+    tau = +-i pi/2, so equal Gauss panels in tau no wider than 1 converge
+    at a rate that does not depend on x: each row takes the fewest of 4,
+    8 or 16 such panels on its own [0, top], top = asinh(1/(2b)), and 16
+    where top > 16 (1 - x below about 2.3e-7). [1/2, pi/2] is smooth,
+    and 4 panels resolve its peak at pi/2 up to p = 100, 16 above. Rows
+    are independent."""
     out = np.empty_like(x)
     v_weights, sin2_v = _V_RULES[4 if p <= _V_FEW_PANELS_P else 16]
     b_rows = (1.0 - x) / (2.0 * np.sqrt(x))

@@ -176,7 +176,7 @@ def _cmd_sweep(args):
         if p >= 1.0:
             row.update(c_certified=cert_c, status="ok" if cert_c is not None else "no_certificate")
         try:
-            row["c_star_upper"] = refuter.monomial_upper_bound(p, w).c_star
+            row["c_star_upper"] = refuter.monomial_upper_bound(p, w, tol=args.tol).c_star
             if p < 1.0:
                 try:
                     refuter.find_counterexample(p, row["c_star_upper"], w, quad_tol=args.tol, n=args.n)

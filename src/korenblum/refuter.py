@@ -172,7 +172,9 @@ def check_final_inequality(
     return FinalInequalityCheck(lhs=lhs, rhs=rhs, holds=lhs > rhs + 2.0 * quad_tol)
 
 
-def monomial_upper_bound(p: float, w: RadialWeight) -> RadiusUpperBound:
+def monomial_upper_bound(
+    p: float, w: RadialWeight, tol: float = DEFAULT_TOL
+) -> RadiusUpperBound:
     """c_star = (m(p)/m(0))^{1/p}, decided by the explicit pair (1, z/c).
 
     Two exact facts make the pair a witness at c = witness_c, slightly
@@ -182,10 +184,10 @@ def monomial_upper_bound(p: float, w: RadialWeight) -> RadiusUpperBound:
     both are checked in closed form, with no quadrature and no sampling.
     A moment ratio m(p)/m(0) below the smallest normal float is refused,
     and so is a p whose p-th root turns the ratio's rounding eps into more
-    than DEFAULT_TOL, p DEFAULT_TOL < eps (_check_root_tol).
+    than tol, p tol < eps (_check_root_tol).
     """
     positive("p", p)
-    _check_root_tol(p, DEFAULT_TOL)
+    _check_root_tol(p, tol)
     m0, mp = moment(w, 0.0), moment(w, p)
     if not min(mp, mp / m0) >= sys.float_info.min:
         raise DomainError(

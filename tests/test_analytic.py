@@ -356,14 +356,32 @@ def _x_at_top(top):
     return (0.5 * (math.sqrt(k * k + 4.0) - k)) ** 2
 
 
-def _binomial_path(x, one):
-    """The way _unit_binomial_means takes a row x: "one" (a series whose
-    tail cannot move 1.0; one is the x^2 bound of _binomial_series),
-    "series", its count of tau panels, or "edge" (x = 1)."""
-    if x * x <= 0.5:
-        return "one" if x * x <= one else "series"
+def _near_one_route(p):
+    """The way _unit_binomial_means takes its rows 1/2 < x^2 < 1 at p:
+    "sum" (the finite series of an even p), "agm" (p = 1), "connection"
+    or "integral"."""
+    if p % 2 == 0 and p <= analytic._FINITE_SUM_P:
+        return "sum"
+    if p == 1.0:
+        return "agm"
+    m = round(p)
+    near = m >= 1 and abs(p - m) < analytic._CONNECTION_WINDOW
+    return "integral" if near or p > analytic._CONNECTION_P else "connection"
+
+
+def _binomial_path(x, p, one):
+    """The way _unit_binomial_means takes a row x at p: "one" (a series
+    whose tail cannot move 1.0; one is the x^2 bound of _binomial_series),
+    "series", "edge" (x = 1), or for 1/2 < x^2 < 1 its _near_one_route,
+    an integral row as its count of tau panels. A row of the finite sum of
+    an even p is "one" or "sum" for every x."""
+    route = _near_one_route(p)
+    if x * x <= 0.5 or route == "sum":
+        return "one" if x * x <= one else "series" if x * x <= 0.5 else "sum"
     if x == 1.0:
         return "edge"
+    if route != "integral":
+        return route
     top = math.asinh(math.sqrt(x) / (1.0 - x))
     return 4 if top <= 4.0 else 8 if top <= 8.0 else 16
 
@@ -412,14 +430,18 @@ class TestBinomialMeans:
 
     @pytest.mark.parametrize("p", BINOMIAL_PS + (1000.0,))
     def test_each_row_path_against_hypergeometric(self, p):
-        # either side of the series/integral switch x^2 = 1/2, of the 4/8
-        # and the 8/16 tau panel switches top = 4 and top = 8, and the
-        # last x below 1, whose top is about 36.7
+        # either side of the series switch x^2 = 1/2, of the integral's 4/8
+        # and 8/16 tau panel switches top = 4 and top = 8, and the last x
+        # below 1, whose top is about 36.7
         xs = [0.7071, 0.7072, 1.0 - 2.0**-52]
         for top in (4.0, 8.0):
             xs += [_x_at_top(top) * (1.0 - 1e-9), _x_at_top(top) * (1.0 + 1e-9)]
-        paths = [_binomial_path(x, 0.0) for x in xs]
-        assert paths == ["series", 4, 16, 4, 8, 8, 16]
+        paths = [_binomial_path(x, p, 0.0) for x in xs]
+        route = _near_one_route(p)
+        if route == "integral":
+            assert paths == ["series", 4, 16, 4, 8, 8, 16]
+        else:
+            assert paths == ["series"] + [route] * 6
         vals = analytic._unit_binomial_means(np.array(xs), p)
         for x, v in zip(xs, vals):
             assert v == pytest.approx(binomial_mean(p, 1.0, 1.0, x), rel=1e-13, abs=0.0)
@@ -438,7 +460,7 @@ class TestBinomialMeans:
             x = math.nextafter(above, 0.0)
         xs = np.array([0.0, 0.5 * x, math.nextafter(x, 0.0), x,
                        above, 1.5 * x, 2.0 * x, 4.0 * x, 0.3])
-        paths = [_binomial_path(v, one) for v in xs]
+        paths = [_binomial_path(v, p, one) for v in xs]
         assert paths == ["one"] * 4 + ["series"] * 5
         vals = analytic._unit_binomial_means(xs, p)
         assert np.array_equal(vals, full_series_binomial_means(xs, p))
@@ -500,6 +522,58 @@ class TestBinomialMeans:
             assert prof.est_error <= 1e-13 * max(prof.values)
 
 
+#: p -> the route of its rows 1/2 < x^2 < 1: small p, both sides of the
+#: integer windows at 1 and 3, p = 1, even p and both sides of the cap
+NEAR_ONE_ROUTES = {
+    1e-6: "connection", 1e-3: "connection", 0.5: "connection",
+    0.99: "connection", 0.995: "integral", 1.0: "agm", 1.005: "integral",
+    1.01: "connection", 1.5: "connection", 2.0: "sum", 2.99: "connection",
+    3.0: "integral", 3.01: "connection", 4.0: "sum", 11.99: "connection",
+    12.0: "sum", 12.5: "integral", 13.0: "integral",
+}
+#: both sides of x^2 = 1/2, the middle, near 1 and the last float below 1
+NEAR_ONE_XS = (0.7071, 0.70711, 0.75, 0.9, 0.99, 0.999999, 1 - 1e-12, 1 - 2.0**-52)
+
+
+class TestBinomialNearOne:
+    """S_p for 1/2 < x^2 < 1: the finite sum of an even p, the AGM at
+    p = 1, the connection series, and the integral form elsewhere."""
+
+    @pytest.mark.parametrize("p", sorted(NEAR_ONE_ROUTES))
+    def test_route_against_mpmath(self, monkeypatch, p):
+        taken = []
+        for name, route in (("_agm_means", "agm"), ("_connection_means", "connection"),
+                            ("_binomial_integral", "integral")):
+            inner = getattr(analytic, name)
+            monkeypatch.setattr(analytic, name,
+                                lambda *args, inner=inner, route=route: taken.append(route) or inner(*args))
+        xs = np.array(NEAR_ONE_XS)
+        vals = analytic._unit_binomial_means(xs, p)
+        route = NEAR_ONE_ROUTES[p]
+        assert _near_one_route(p) == route
+        assert taken == ([] if route == "sum" else [route])
+        for x, v in zip(NEAR_ONE_XS, vals):
+            assert v == pytest.approx(binomial_mean(p, 1.0, 1.0, x, dps=40), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("x", [0.7072, 0.99, 1 - 1e-8, 1 - 2.0**-52, 1 - 2.0**-53, 1.0])
+    def test_even_p_is_the_finite_sum(self, x):
+        # at x near 1 as elsewhere: 1 + x^2 at p = 2 and 1 + 4 x^2 + x^4 at
+        # p = 4, in float, bit for bit (4 x^2 is exact, and x^4 the square
+        # of x^2)
+        x2 = x * x
+        row = np.array([x])
+        assert analytic._unit_binomial_means(row, 2.0)[0] == 1.0 + x2
+        assert analytic._unit_binomial_means(row, 4.0)[0] == 1.0 + (4.0 * x2 + x2 * x2)
+
+    def test_agm_steps_have_converged(self, monkeypatch):
+        # _AGM_STEPS gives the value of 14 steps bit for bit, down to the
+        # last float below 1, whose k' = (1 - x)/(1 + x) is 2^-54
+        xs = np.concatenate(([0.70711, 1 - 2.0**-53, 1 - 2.0**-52], 1 - np.logspace(-16, -0.6, 2001)))
+        vals = analytic._agm_means(xs)
+        monkeypatch.setattr(analytic, "_AGM_STEPS", 14)
+        assert np.array_equal(vals, analytic._agm_means(xs))
+
+
 class TestAngularBlocks:
     def test_large_batch_memory_is_bounded(self):
         # 64 radii at the finest batch grid: rows are taken in blocks, so
@@ -519,25 +593,33 @@ class TestAngularBlocks:
             assert v == pytest.approx(alone, rel=1e-14)
 
 
-    def test_large_binomial_batch_memory_is_bounded(self):
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    def test_large_binomial_batch_memory_is_bounded(self, p):
         # a batch of many polynomials' radii: every path of S_p is taken in
         # row blocks, and a row's value does not depend on its block or on
-        # the paths of the other rows
+        # the paths of the other rows; p = 0.5 takes the connection series,
+        # 1 the AGM, 2 the finite sum and 3 the integral
         x = np.concatenate((np.linspace(0.0, 1.0, 20001), np.logspace(-30, -6, 1001)))
         tracemalloc.start()
         try:
-            vals = analytic._unit_binomial_means(x, 0.5)
+            vals = analytic._unit_binomial_means(x, p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
-        _, one = analytic._binomial_series(0.5)
-        paths = np.array([str(_binomial_path(v, one)) for v in x])
-        for path in ("one", "series", "4", "8", "16", "edge"):
+        _, one = analytic._binomial_series(p)
+        paths = np.array([str(_binomial_path(v, p, one)) for v in x])
+        expected = {
+            0.5: ("one", "series", "connection", "edge"),
+            1.0: ("one", "series", "agm", "edge"),
+            2.0: ("one", "series", "sum"),
+            3.0: ("one", "series", "4", "8", "16", "edge"),
+        }[p]
+        assert set(paths) == set(expected)
+        for path in expected:
             rows = np.flatnonzero(paths == path)
-            assert rows.size
             for i in (rows[0], rows[rows.size // 2], rows[-1]):
-                assert vals[i] == analytic._unit_binomial_means(x[i : i + 1], 0.5)[0]
+                assert vals[i] == analytic._unit_binomial_means(x[i : i + 1], p)[0]
 
 
 class TestTurnedGrids:

@@ -370,6 +370,11 @@ class TestVerify:
             "--c", "0.10659979976020419", "--weight", CONST1,
         )
         assert (code, err) == (0, "")
+        # the references first, so that a change of the bytes below cannot
+        # hide a miss of them
+        payload = json.loads(out)
+        assert payload["norm_f"] == pytest.approx(1.2619959959327256, rel=1e-12)
+        assert payload["norm_g"] == pytest.approx(1.7439044504269687, rel=1e-12)
         assert out == (
             "{\n"
             '  "dominates": true,\n'
@@ -378,9 +383,6 @@ class TestVerify:
             '  "principle_holds": true\n'
             "}\n"
         )
-        payload = json.loads(out)
-        assert payload["norm_f"] == pytest.approx(1.2619959959327256, rel=1e-12)
-        assert payload["norm_g"] == pytest.approx(1.7439044504269687, rel=1e-12)
 
 
 class TestSweep:
@@ -404,6 +406,17 @@ class TestSweep:
         assert out == SWEEP_HEADER + "\n1e-14,,,,DomainError\n1,0.186821041861,0.666666666667,,ok\n"
         assert "korenblum sweep: p = 1e-14: p = 1e-14 is too small" in err
         assert f"eps/p = {np.finfo(float).eps / 1e-14:.3e}" in err
+
+    def test_tol_reaches_the_moment_bound(self, capsys):
+        # p = 1e-8 is too small for the default tol 1e-9 (eps/p = 2.2e-8),
+        # but --tol 1e-7 allows it in the bound as in the refutation
+        code, out, err = run_cli(
+            capsys, "sweep", "--p", "1e-8", "--tol", "1e-7", "--weight", CONST1
+        )
+        assert code == 0 and err == ""
+        row = dict(zip(SWEEP_HEADER.split(","), out.splitlines()[1].split(",")))
+        assert row["status"] == "ok"
+        assert row["c_star_upper"] == "0.606530660798"
 
     def test_json_rows(self, capsys):
         code, out, _ = run_cli(
