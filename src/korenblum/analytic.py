@@ -33,17 +33,25 @@ _unit_binomial_means). The weighted norm
     ||f||_{p,w} = ( int_0^1 2 r w(r) M_p^p(r; f) dr )^{1/p}
 
 nests that angular quadrature inside the radial quadrature of the weight.
-:func:`weighted_norms` computes the norms of many polynomials in one
-radial walk whose fine tolerances are set from its own level 0, each
-polynomial a component of the integrand phi(r, comp) with its own
-tolerances and panel tree, so every norm is bit for bit the one it gets
-alone; the binomials of all components share one closed-form call per
-integrand call. A single circle-mean row may differ in its last bit
-with the shape of its batch (the matrix product of _abs_pow_means), but
-a component's batches are the same alone and among others.
+:func:`weighted_norms` takes each polynomial by one of three routes. A
+monomial a z^d or a constant has ||f||^p = |a|^p m(dp) in closed form,
+with no walk. A binomial a_0 + a_d z^d whose kink radius
+rho = (|a_0|/|a_d|)^{1/d} lies in (0, 1), on a bounded weight, is a
+component of one graded walk (RadialWeight.integrate_graded) centred at
+rho, whose substitution r = rho + s^3 resolves the |r - rho|^{p+1} kink
+of its closed-form mean in a few levels (every refute norm). Every other
+polynomial is a component of one plain radial walk
+(RadialWeight.integrate_against). Both walks set their fine tolerances
+from their own level 0, and each polynomial is a component of the
+integrand phi(r, comp) with its own tolerances and panel tree, so every
+norm is bit for bit the one it gets alone; the binomials of all
+components share one closed-form call per integrand call. A single
+circle-mean row may differ in its last bit with the shape of its batch
+(the matrix product of _abs_pow_means), but a component's batches are
+the same alone and among others.
 
 At p < 2, M_p^p(r; f) has a kink like |r - |z_k||^{p+1} at the modulus
-of every root 0 < |z_k| < 1, toward which the radial walk bisects. So
+of every root 0 < |z_k| < 1, toward which the plain walk bisects. So
 for a non-binomial f the walk takes D(r) = M_p^p(r; f) - sum_k G_k S_k,
 S_k(r) = M_p^p(r; z - z_k) in closed form and G_k a smooth model of
 |f(r u_k)/(r u_k - z_k)|^p, u_k = z_k/|z_k| (_kink_models), and the
@@ -59,6 +67,7 @@ import cmath
 import functools
 import json
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -568,8 +577,8 @@ def _binomial_form(f: Polynomial) -> tuple[float, float, int] | None:
     d = f.degree
     if any(f.coeffs[1:d]):
         return None
-    a = np.abs(np.asarray(f.coeffs[:: max(d, 1)], dtype=complex))
-    return (a[0] if a.size else 0.0), (a[1] if a.size > 1 else 0.0), d
+    a = np.abs(np.asarray(f.coeffs[:: max(d, 1)], dtype=complex)).tolist()
+    return (a[0] if a else 0.0), (a[1] if len(a) > 1 else 0.0), d
 
 
 def _binomial_means(a0, a1, radii: np.ndarray, p: float) -> np.ndarray:
@@ -899,20 +908,64 @@ def _mean_pows(fs: list[Polynomial], p: float, tol: float, models):
     return phi
 
 
+def _monomial_norm(a: float, d: int, w: RadialWeight, p: float) -> float:
+    """||a z^d||_{p,w} = |a| m(dp)^(1/p) of a monomial, a constant (d = 0)
+    or zero, from the weight's closed-form moment m(dp): no walk, and
+    |a|^p is never formed. A moment below the normal floats, whose
+    rounding its p-th root would not undo, is refused, and so is a norm
+    that overflows a float."""
+    if a == 0.0:
+        return 0.0
+    m = moment(w, d * p)
+    if m < sys.float_info.min:
+        raise DomainError(
+            f"the weight's moment m({d * p:g}) = {m:.6g} underflows a float: the closed "
+            f"form |a| m(dp)^(1/p) of ||a z^d||, d = {d}, needs a normal m(dp)"
+        )
+    try:
+        norm = a * m ** (1.0 / p)
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise _norm_overflow(p)
+    return norm
+
+
+def _norm_overflow(p: float) -> DomainError:
+    return DomainError(f"p = {p}: the norm (int 2 r w M_p^p dr)^(1/p) overflows a float")
+
+
 def weighted_norms(
     fs, w: RadialWeight, p: float, tol: float = DEFAULT_TOL
 ) -> list[float]:
     """||f||_{p,w} of every f in fs, each with relative error about tol.
 
-    The radial quadrature is one walk for all the polynomials (see
-    :func:`korenblum.quadrature.integrate_many`) whose level 0 gives the
-    scale of each integral; from it the walk sets absolute tolerances
-    that target the final relative accuracy of each norm, capped at
-    1e-3 (sum |a_k|)^p m(0). Each component keeps its own tolerances and
-    panel tree, and its panels are added one by one in frontier order, so
-    each norm is bit for bit the one the polynomial gets alone,
-    ``weighted_norms([f], ...)``. A p with p tol < eps, whose p-th root
-    would miss tol, is refused (_check_root_tol).
+    Each f takes one of three routes, and its norm is bit for bit the one
+    it gets alone, ``weighted_norms([f], ...)``:
+
+    - a monomial a z^d, a constant or zero: ||f||^p = |a|^p m(dp) in
+      closed form (_monomial_norm), on every weight;
+    - a binomial a_0 + a_d z^d (_binomial_form) on a bounded weight whose
+      kink radius rho = (|a_0|/|a_d|)^(1/d) lies in (0, 1): one component
+      of a single graded walk (``w.integrate_graded``) with the one term
+      M_p^p(r) = _binomial_means(|a_0|, |a_d|, r^d, p) centred at rho,
+      whose substitution r = rho + s^3 resolves the |r - rho|^{p+1} kink
+      in a few levels where a walk in r bisects toward it;
+    - any other f (a binomial with rho >= 1 or on a standard weight with
+      alpha < 0 included): one component of a single plain radial walk
+      (``w.integrate_against``) of M_p^p(r; f).
+
+    Both walks start from the coarse tolerance 1e-3 (sum |a_k|)^p m(0)
+    and set their fine tolerances from their own level 0 (see
+    :func:`korenblum.quadrature.integrate_many`): 0.25 tol p v, v the
+    level-0 value, which targets the final relative accuracy of each
+    norm. Each component keeps its own tolerances and panel tree, and its
+    panels are added one by one in frontier order. A p with p tol < eps,
+    whose p-th root would miss tol, is refused (_check_root_tol), and so
+    are a walked f whose scale (sum |a_k|)^p m(0) overflows, a walk
+    tolerance below 1e-300 (_above_floor), a walk that finds ||f||^p = 0
+    for a nonzero f, whose weight mass it did not resolve, and a monomial
+    whose moment m(dp) underflows. A monomial forms no (sum |a_k|)^p.
 
     At p < _KINK_P, on a bounded weight, a non-binomial f with roots
     0 < |z_k| < 1 that have a model (_kink_models) is split as
@@ -934,51 +987,92 @@ def weighted_norms(
     errors are then on the scale of ||f||^p, however far sum_k G_k S_k
     exceeds M_p^p. At even p there is no kink, and at p >= 2 the
     subtraction costs more than it saves (_KINK_P). A standard weight with
-    alpha < 0 takes no subtraction: the graded walk would have to resolve
-    its singularity at r = 1.
+    alpha < 0 takes neither graded walk: it would have to resolve the
+    weight's singularity at r = 1.
     """
     positive("p", p)
     positive("tol", tol)
     _check_root_tol(p, tol)
     fs = list(fs)
-    try:
-        m0 = moment(w, 0.0)
-        scales = [float(np.sum(np.abs(f.coeffs))) ** p * m0 for f in fs]
-    except OverflowError:
-        raise _p_overflow(p, "(sum |a_k|)^p") from None
-    if not all(map(math.isfinite, scales)):
-        raise DomainError(
-            f"p = {p}: the scale (sum |a_k|)^p m(0) of the radial tolerance overflows a float"
-        )
-    coarse_tols = _above_floor(fs, p, [1e-3 * scale for scale in scales])
-    models = [_kink_models(f, p) if w.bounded else None for f in fs]
-    shares = [0.25 if m is None else m.share for m in models]
-    closed = [0.0] * len(fs)
+    m0 = moment(w, 0.0)
+    norms = [0.0] * len(fs)
+    # the routes, and the kink radius rho of each graded binomial, where its
+    # two terms have equal modulus
+    graded, plain, centres = [], [], []
+    for i, f in enumerate(fs):
+        form = _binomial_form(f)
+        if form is None:
+            plain.append(i)
+            continue
+        a0, a1, d = form
+        if not (a0 and a1):
+            norms[i] = _monomial_norm(a0 + a1, d, w, p)
+        elif w.bounded and 0.0 < (rho := (a0 / a1) ** (1.0 / d)) < 1.0:
+            graded.append(i)
+            centres.append((rho,))
+        else:
+            plain.append(i)
 
-    def fine_tols(level0):
-        values = [v for v, _ in level0]
-        closed[:] = _closed_form_parts(models, w, p, tol, coarse_tols, values)
-        totals = [v + c for v, c in zip(values, closed)]
-        for f, v, ct in zip(fs, totals, coarse_tols):
+    def resolved(sub, totals, cts):
+        for f, v, ct in zip(sub, totals, cts):
             if v <= 0.0 and not f.is_zero:
                 raise DomainError(
                     f"the weight's mass m(0) = {m0:.6g} was not resolved: the radial "
                     f"quadrature of ||f||^p at tolerance {ct:.3e} found 0 for a nonzero f"
                 )
-        return _above_floor(
-            fs, p, [min(share * tol * p * v, ct) for share, v, ct in zip(shares, totals, coarse_tols)]
-        )
 
-    phi = _mean_pows(fs, p, 0.25 * tol, models)
-    # an overflowing integrand is reported by the walk's non-finite panel check
-    with np.errstate(over="ignore", invalid="ignore"):
-        fine = w.integrate_against(phi, 0.0, 1.0, coarse_tols, refine=fine_tols)
-    try:
-        return [max(v + c, 0.0) ** (1.0 / p) for (v, _), c in zip(fine, closed)]
-    except OverflowError:
-        raise DomainError(
-            f"p = {p}: the norm (int 2 r w M_p^p dr)^(1/p) overflows a float"
-        ) from None
+    def walk(route, run):
+        sub = [fs[i] for i in route]
+        try:
+            scales = [float(np.sum(np.abs(f.coeffs))) ** p * m0 for f in sub]
+        except OverflowError:
+            raise _p_overflow(p, "(sum |a_k|)^p") from None
+        if not all(map(math.isfinite, scales)):
+            raise DomainError(
+                f"p = {p}: the scale (sum |a_k|)^p m(0) of the radial tolerance overflows a float"
+            )
+        cts = _above_floor(sub, p, [1e-3 * scale for scale in scales])
+        # an overflowing integrand is reported by the walk's non-finite panel check
+        with np.errstate(over="ignore", invalid="ignore"):
+            totals = run(sub, cts)
+        try:
+            for i, v in zip(route, totals):
+                norms[i] = max(v, 0.0) ** (1.0 / p)
+        except OverflowError:
+            raise _norm_overflow(p) from None
+
+    def graded_walk(sub, cts):
+        def fine_tols(level0):
+            values = [v for v, _ in level0]
+            resolved(sub, values, cts)
+            return _above_floor(sub, p, [min(0.25 * tol * p * v, ct) for v, ct in zip(values, cts)])
+
+        phi = _mean_pows(sub, p, 0.25 * tol, [None] * len(sub))
+        return [v for v, _ in w.integrate_graded(phi, centres, cts, refine=fine_tols)]
+
+    def plain_walk(sub, cts):
+        models = [_kink_models(f, p) if w.bounded else None for f in sub]
+        shares = [0.25 if m is None else m.share for m in models]
+        parts = [0.0] * len(sub)
+
+        def fine_tols(level0):
+            values = [v for v, _ in level0]
+            parts[:] = _closed_form_parts(models, w, p, tol, cts, values)
+            totals = [v + c for v, c in zip(values, parts)]
+            resolved(sub, totals, cts)
+            return _above_floor(
+                sub, p, [min(share * tol * p * v, ct) for share, v, ct in zip(shares, totals, cts)]
+            )
+
+        phi = _mean_pows(sub, p, 0.25 * tol, models)
+        fine = w.integrate_against(phi, 0.0, 1.0, cts, refine=fine_tols)
+        return [v + c for (v, _), c in zip(fine, parts)]
+
+    if graded:
+        walk(graded, graded_walk)
+    if plain:
+        walk(plain, plain_walk)
+    return norms
 
 
 def weighted_norm(

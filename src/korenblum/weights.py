@@ -6,12 +6,15 @@ constant weight 1 has total mass exactly 1. Moments
     m(s) = int_0^1 2 r^{s+1} w(r) dr
 
 are computed in closed form for every kind and returned as plain floats,
-with no tolerance and no error estimate. The constant, step and table
-kinds are piecewise linear, each given once by its knots, and share one
-implementation: power masses by primitives, w by interpolation and the
-knots as quadrature breakpoints. For the standard kind
+with no tolerance and no error estimate; they give the norm
+||a z^d||^p = |a|^p m(dp) of a monomial directly. The constant, step
+and table kinds are piecewise linear, each given once by its knots, and
+share one implementation: power masses by primitives, w by interpolation
+and the knots as quadrature breakpoints. For the standard kind
 w(r) = (alpha+1)(1-r^2)^alpha, m(s) = (alpha+1) B(s/2 + 1, alpha + 1),
-with the partial masses of s = 0 from the primitive -(1-r^2)^{alpha+1};
+its log-Gamma ratio from Stirling's series once alpha is large
+(_log_gamma_ratio), and the partial masses of s = 0 from the primitive
+-(1-r^2)^{alpha+1};
 its other partial power masses have no closed form here and are refused.
 Both radial walks, of general integrands phi(r, k)
 (:meth:`RadialWeight.integrate_against`) and of sums of terms with one
@@ -24,7 +27,11 @@ the standard kind with alpha < 0 up to r = 1 runs in the substituted
 variable v = (1-r^2)^{alpha+1}, which absorbs the integrable singularity
 there into a bounded integrand. The graded walk, of a bounded weight,
 takes each component whole, its terms on every piece between the knots
-each graded toward its kink.
+each graded toward its kink: the closed-form parts of the kink
+subtraction, and the binomials a_0 + a_d z^d with their kink radius in
+(0, 1), every norm of the refutation family among them. Its piece ends
+in s are cube roots from math.cbrt, a scalar call, so they do not depend
+on which SIMD kernels numpy picks for the CPU.
 """
 from __future__ import annotations
 
@@ -38,6 +45,31 @@ import numpy as np
 
 from .errors import DomainError, positive
 from .quadrature import integrate_many
+
+
+#: from x = 10 on, Stirling's series to the 1/x^13 term below has a
+#: truncation error under 1e-16 (its next term is 3617/(122400 x^15))
+_STIRLING_X = 10.0
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _stirling_tail(x: float) -> float:
+    # lgamma(x) - (x - 1/2) log x + x - log(2 pi)/2 = sum_k c_k / x^(2k-1)
+    y, total = 1.0 / (x * x), 0.0
+    for c in reversed(_STIRLING):
+        total = total * y + c
+    return total / x
+
+
+def _log_gamma_ratio(x: float, t: float) -> float:
+    """log Gamma(x + t) - log Gamma(x) for x >= _STIRLING_X and t >= 0, with
+    an absolute error of about eps t log(x + t). The difference of two
+    lgamma values would lose about eps x log x to cancellation, all of
+    the value once x is large against t: Stirling's series leaves the
+    difference (x - 1/2) log1p(t/x) + t log(x + t) - t of its leading
+    terms, which cancels nothing of size x."""
+    lead = (x - 0.5) * math.log1p(t / x) + t * math.log(x + t) - t
+    return lead + (_stirling_tail(x + t) - _stirling_tail(x))
 
 
 class OriginLiminf(enum.Enum):
@@ -116,10 +148,12 @@ class RadialWeight:
         s = cbrt(a - c_j) + (cbrt(b - c_j) - cbrt(a - c_j)) x for x in
         [0, 1]: the Jacobian 3 s^2 and the kink make the term vanish like
         |s|^{3q + 2} at s = 0, so a few Gauss panels in x resolve what a
-        walk in r would bisect toward c_j. Component k is one component of
-        a :func:`korenblum.quadrature.integrate_many` walk in x, whose
-        integrand adds, at each x in order, its (piece, term) pairs;
-        ``tols`` and ``refine`` go straight to that walk, as in
+        walk in r would bisect toward c_j. The cube roots of the piece
+        ends come from math.cbrt, which, unlike np.cbrt, does not change
+        with the SIMD kernels numpy picks for the CPU. Component k is one
+        component of a :func:`korenblum.quadrature.integrate_many` walk in
+        x, whose integrand adds, at each x in order, its (piece, term)
+        pairs; ``tols`` and ``refine`` go straight to that walk, as in
         :meth:`integrate_against`. Returns one (value, err_est) per
         component, each bit for bit what it gets alone. The weight must be
         bounded.
@@ -134,7 +168,7 @@ class RadialWeight:
             counts.append(len(pieces) * len(cs))
             for a, b in pieces:
                 for j, c in enumerate(cs, start=first):
-                    s_a, s_b = np.cbrt(a - c), np.cbrt(b - c)
+                    s_a, s_b = math.cbrt(a - c), math.cbrt(b - c)
                     term.append(j)
                     centre.append(c)
                     lo.append(s_a)
@@ -269,10 +303,12 @@ class StandardWeight(RadialWeight):
 
             return v_minus_one(a) - v_minus_one(b)
         if a == 0.0 and b == 1.0:
-            # (alpha+1) B(s/2 + 1, alpha + 1)
+            # (alpha+1) B(s/2 + 1, alpha + 1) = Gamma(h) Gamma(alpha+2) / Gamma(alpha+1+h)
             h = 0.5 * s + 1.0
             try:
-                return ap1 * math.exp(math.lgamma(h) + math.lgamma(ap1) - math.lgamma(h + ap1))
+                if ap1 + 1.0 < _STIRLING_X:
+                    return ap1 * math.exp(math.lgamma(h) + math.lgamma(ap1) - math.lgamma(h + ap1))
+                return math.exp(math.lgamma(h) - _log_gamma_ratio(ap1 + 1.0, 0.5 * s))
             except OverflowError:
                 raise DomainError(
                     f"standard weight moment (alpha+1) B(s/2 + 1, alpha + 1) overflows a "

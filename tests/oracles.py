@@ -79,6 +79,54 @@ def binomial_mean(p, a0, a1, r, d: int = 1, dps: int = 30):
         return float(hi**p * mp.hyp2f1(-mp.mpf(p) / 2, -mp.mpf(p) / 2, 1, (lo / hi) ** 2))
 
 
+def mp_weight(spec: dict):
+    """(w(r) in mpmath, knots) of a weight spec (see weight_from_spec)."""
+    kind = spec["kind"]
+    if kind == "constant":
+        level = mp.mpf(spec["level"])
+        return (lambda r: level), ()
+    if kind == "standard":
+        alpha = mp.mpf(spec["alpha"])
+        return (lambda r: (alpha + 1) * (1 - r * r) ** alpha), ()
+    if kind == "step":
+        R = mp.mpf(spec["R"])
+        return (lambda r: mp.mpf(r >= R)), (spec["R"],)
+    knots, values = [mp.mpf(x) for x in spec["r"]], [mp.mpf(x) for x in spec["w"]]
+
+    def table(r):
+        for k in range(len(knots) - 1):
+            if r <= knots[k + 1]:
+                slope = (values[k + 1] - values[k]) / (knots[k + 1] - knots[k])
+                return values[k] + slope * (r - knots[k])
+        return values[-1]
+
+    return table, tuple(spec["r"])
+
+
+def mp_binomial_norms(p, a0, a1, d, weights, dps: int = 30):
+    """||a0 + a1 z^d||_{p,w} for each (w, knots) of ``weights`` (as from
+    mp_weight): int_0^1 2 r w(r) M_p^p(r) dr by mpmath's tanh-sinh quad,
+    M_p^p the hyp2f1 mean of binomial_mean, split at the kink radius
+    (a0/a1)^(1/d), where M_p^p has its |r - rho|^{p+1} kink, and at the
+    knots. The weights share their means, cached per node."""
+    with mp.workdps(dps):
+        p, a0, a1 = mp.mpf(p), abs(mp.mpf(a0)), abs(mp.mpf(a1))
+        cuts = {0, 1} | ({(a0 / a1) ** (mp.mpf(1) / d)} if a0 and a1 else set())
+        cache = {}
+
+        def mean(r):
+            if r not in cache:
+                hi, lo = max(a0, a1 * r**d), min(a0, a1 * r**d)
+                cache[r] = hi**p * mp.hyp2f1(-p / 2, -p / 2, 1, (lo / hi) ** 2) if hi else 0
+            return cache[r]
+
+        norms = []
+        for w, knots in weights:
+            edges = sorted(c for c in cuts | {mp.mpf(k) for k in knots} if 0 <= c <= 1)
+            norms.append(float(mp.quad(lambda r: 2 * r * w(r) * mean(r), edges) ** (1 / p)))
+        return norms
+
+
 def circle_mean(coeffs, r, p, dps: int = 20):
     """M_p^p(r; f) for f = sum_j coeffs[j] z^j by mpmath's tanh-sinh
     quadrature in the angle, split at the argument of every nonzero root,
@@ -273,26 +321,66 @@ def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
 
 
 def two_walk_norms(fs, w, p, tol, subtract=True):
-    """``weighted_norms(fs, w, p, tol)`` by two plain ``integrate_against``
-    walks of D = M_p^p - sum_k G_k S_k (M_p^p itself for a polynomial with
-    no kink model, or for all with ``subtract=False``) plus the
-    closed-form part C: a walk at tolerances every level-0 panel meets
-    (``sys.float_info.max``) for D's level-0 values v, C refined against
+    """``weighted_norms(fs, w, p, tol)`` by two separate walks per route.
+    A monomial, a constant or zero takes |a| m(dp)^(1/p), and no walk. A
+    binomial a_0 + a_d z^d on a bounded weight with its kink radius
+    rho = (|a_0|/|a_d|)^(1/d) in (0, 1) is a component of two
+    ``integrate_graded`` walks of M_p^p, centred at rho: one at
+    tolerances every level-0 panel meets (``sys.float_info.max``) for the
+    level-0 values v, then a fresh one at min(0.25 tol p v,
+    1e-3 (sum |a_k|)^p m(0)). Every other polynomial is a component of
+    two plain ``integrate_against`` walks of D = M_p^p - sum_k G_k S_k
+    (M_p^p itself for a polynomial with no kink model, or for all with
+    ``subtract=False``) plus the closed-form part C: the first at
+    ``sys.float_info.max`` for D's level-0 values v, C refined against
     them, then a fresh walk from the root at min(share tol p (v + C),
     1e-3 (sum |a_k|)^p m(0)), share 0.25 or the model's. Returns the norms
-    and the fine tolerances."""
+    and a call that repeats the fresh plain walk (None without one)."""
+    norms = [0.0] * len(fs)
+    graded, plain, centres = [], [], []
+    for i, f in enumerate(fs):
+        cs = np.abs(np.asarray(f.coeffs, dtype=complex))
+        d = f.degree
+        if np.count_nonzero(cs) <= 1:
+            norms[i] = float(np.sum(cs)) * moment(w, d * p) ** (1.0 / p)
+        elif np.count_nonzero(cs) == 2 and cs[0] and w.bounded and cs[0] < cs[d]:
+            graded.append(i)
+            centres.append(((float(cs[0]) / float(cs[d])) ** (1.0 / d),))
+        else:
+            plain.append(i)
     scales = [float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0) for f in fs]
-    coarse_tols = _above_floor(fs, p, [1e-3 * scale for scale in scales])
-    models = [_kink_models(f, p) if subtract and w.bounded else None for f in fs]
-    shares = [0.25 if m is None else m.share for m in models]
-    phi = _mean_pows(fs, p, 0.25 * tol, models)
     with np.errstate(over="ignore", invalid="ignore"):
-        level0 = w.integrate_against(phi, 0.0, 1.0, [sys.float_info.max] * len(fs))
+        if graded:
+            sub = [fs[i] for i in graded]
+            coarse_tols = _above_floor(sub, p, [1e-3 * scales[i] for i in graded])
+            phi = _mean_pows(sub, p, 0.25 * tol, [None] * len(sub))
+            level0 = w.integrate_graded(phi, centres, [sys.float_info.max] * len(sub))
+            fine_tols = _above_floor(sub, p, [
+                min(0.25 * tol * p * v, ct) for (v, _), ct in zip(level0, coarse_tols)
+            ])
+            fine = w.integrate_graded(phi, centres, fine_tols)
+            for i, (v, _) in zip(graded, fine):
+                norms[i] = max(v, 0.0) ** (1.0 / p)
+        if not plain:
+            return norms, None
+        sub = [fs[i] for i in plain]
+        coarse_tols = _above_floor(sub, p, [1e-3 * scales[i] for i in plain])
+        models = [_kink_models(f, p) if subtract and w.bounded else None for f in sub]
+        shares = [0.25 if m is None else m.share for m in models]
+        phi = _mean_pows(sub, p, 0.25 * tol, models)
+        level0 = w.integrate_against(phi, 0.0, 1.0, [sys.float_info.max] * len(sub))
         values = [v for v, _ in level0]
         closed = _closed_form_parts(models, w, p, tol, coarse_tols, values)
-        fine_tols = _above_floor(fs, p, [
+        fine_tols = _above_floor(sub, p, [
             min(share * tol * p * (v + c), ct)
             for share, v, c, ct in zip(shares, values, closed, coarse_tols)
         ])
         fine = w.integrate_against(phi, 0.0, 1.0, fine_tols)
-    return [max(v + c, 0.0) ** (1.0 / p) for (v, _), c in zip(fine, closed)], fine_tols
+    for i, (v, _), c in zip(plain, fine, closed):
+        norms[i] = max(v + c, 0.0) ** (1.0 / p)
+
+    def plain_walk():
+        with np.errstate(over="ignore", invalid="ignore"):
+            return w.integrate_against(phi, 0.0, 1.0, fine_tols)
+
+    return norms, plain_walk

@@ -29,6 +29,7 @@ from korenblum import (
     monomial_upper_bound,
     polynomial_from_spec,
     verify_instance,
+    weight_from_spec,
     weighted_norm,
     weighted_norms,
 )
@@ -37,6 +38,7 @@ from korenblum.analytic import _mean_pow_batch
 import korenblum.quadrature as quadrature
 from korenblum.quadrature import integrate, integrate_many
 from korenblum.refuter import EPSILON_SCAN_STEPS
+from korenblum.weights import RadialWeight
 
 from oracles import (
     allocating_abs_pow_means,
@@ -44,6 +46,8 @@ from oracles import (
     circle_mean,
     const_moment,
     full_series_binomial_means,
+    mp_binomial_norms,
+    mp_weight,
     parseval_norm,
     std_moment,
     step_moment,
@@ -832,10 +836,16 @@ class TestWeightedNorm:
 
 class TestToleranceFloor:
     """A norm whose radial walk would need a tolerance below 1e-300 is
-    refused instead of settling at once on a lost integral."""
+    refused instead of settling at once on a lost integral; a monomial,
+    which walks nothing, takes its closed form instead."""
 
+    # the graded route (kink radius 0.002) at the coarse and at the fine
+    # floor, and the plain route at the coarse floor, twice: (sum |a_k|)^p
+    # is 0.5^1000, 0.5^985 and 4e-400
     @pytest.mark.parametrize(
-        "coeffs, p", [((0.0, 0.5), 1000.0), ((0.0, 0.5), 985.0), ((0.0, 1e-200), 2.0)]
+        "coeffs, p",
+        [((0.001, 0.499), 1000.0), ((0.001, 0.499), 985.0), ((0.0, 1e-200, 1e-200), 2.0),
+         ((0.0, 0.25, 0.25), 1000.0)],
     )
     def test_refused(self, coeffs, p):
         fs = [Polynomial(()), Polynomial(coeffs)]
@@ -844,6 +854,18 @@ class TestToleranceFloor:
 
     def test_zero_polynomial_keeps_norm_zero(self):
         assert weighted_norms([Polynomial(())], ConstantWeight(1.0), 1000.0) == [0.0]
+
+    @pytest.mark.parametrize(
+        "coeffs, p, norm",
+        [((0.0, 0.5), 1000.0, 0.5 * (2.0 / 1002.0) ** (1.0 / 1000.0)),
+         ((0.0, 0.5), 985.0, 0.5 * (2.0 / 987.0) ** (1.0 / 985.0)),
+         ((0.0, 1e-200), 2.0, 1e-200 * 0.5**0.5)],
+    )
+    def test_monomials_below_the_floor_take_the_closed_form(self, coeffs, p, norm):
+        # ||a z||^p = |a|^p 2/(p + 2) on the constant weight: the walk's
+        # tolerance would fall below 1e-300, the closed form has none
+        fs = [Polynomial(()), Polynomial(coeffs)]
+        assert weighted_norms(fs, ConstantWeight(1.0), p) == [0.0, norm]
 
 
 def _mp_zero_free_norm(coeffs, p, dps=40, terms=200):
@@ -921,7 +943,9 @@ class TestWeightedNorms:
     @pytest.mark.parametrize("p", [0.5, 1.5, 3.0])
     def test_mixed_degrees_equal_one_norm_at_a_time(self, p, rng, fixture_weights):
         # degree >= 2 components take their own angular doubling; binomials,
-        # lacunary ones among them, share one closed form; zero is 0
+        # lacunary ones among them, share one closed form; zero is 0. Each
+        # route (closed form, graded, plain) is taken on the bounded
+        # weights; on alpha = -0.5 the graded binomials walk plain
         g = random_poly(rng, max_degree=5)
         fs = [
             Polynomial((0.5, 0.5)) * g,
@@ -931,8 +955,11 @@ class TestWeightedNorms:
             Polynomial((1.0, 0.0, 0.0, -0.7j)),
             Polynomial((1.0, 0.0, 0.4, 0.0, 0.2)),
             Polynomial((0.3, 1.0)),
+            Polynomial((0.2j, 0.0, 0.0, 1.0)),
+            Polynomial((0.0, 0.0, 2.0 - 1.0j)),
         ]
-        for w in fixture_weights:
+        table = TableWeight(knots=(0.0, 0.3), values=(0.5, 1.5))
+        for w in (*fixture_weights, table, StandardWeight(-0.5)):
             assert weighted_norms(fs, w, p, tol=1e-10) == [
                 weighted_norm(f, w, p, tol=1e-10) for f in fs
             ]
@@ -959,6 +986,131 @@ class TestWeightedNorms:
         w = ConstantWeight(1.0)
         assert weighted_norms([Polynomial(()), Polynomial((0.0,))], w, 1.0) == [0.0, 0.0]
         assert weighted_norms([], w, 1.0) == []
+
+
+def _count_walks(monkeypatch):
+    """Counts of the plain and the graded radial walks from now on."""
+    counts = {"plain": 0, "graded": 0}
+    plain, graded = RadialWeight.integrate_against, RadialWeight.integrate_graded
+
+    def counted(name, walk):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return walk(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(RadialWeight, "integrate_against", counted("plain", plain))
+    monkeypatch.setattr(RadialWeight, "integrate_graded", counted("graded", graded))
+    return counts
+
+
+class TestNormRoutes:
+    """A monomial or a constant takes |a| m(dp)^(1/p); a binomial with its
+    kink radius rho in (0, 1) on a bounded weight takes the graded walk
+    centred at rho; every other polynomial, and any binomial on a standard
+    weight with alpha < 0, the plain walk."""
+
+    RHOS = [0.9 * 2.0**-48, 0.01, 0.45, 0.99]
+
+    @staticmethod
+    def _weights(rho):
+        # (weight, its mpmath form): a step at R = rho and a table with its
+        # knot at rho put a weight's kink on the binomial's
+        specs = [
+            {"kind": "constant", "level": 1.0},
+            {"kind": "step", "R": rho},
+            {"kind": "table", "r": [0.0, rho], "w": [0.5, 1.5]},
+            {"kind": "standard", "alpha": 1.0},
+            {"kind": "standard", "alpha": 6.0},
+        ]
+        return [(weight_from_spec(s), mp_weight(s)) for s in specs]
+
+    @pytest.mark.parametrize("rho", RHOS, ids=["rho_tiny", "rho_0.01", "rho_0.45", "rho_0.99"])
+    @pytest.mark.parametrize("p", [0.3, 0.5, 0.74, 1.0, 1.5, 3.0])
+    def test_graded_binomial_against_mpmath(self, p, rho, monkeypatch):
+        weights = self._weights(rho)
+        references = mp_binomial_norms(p, rho, 1.0, 1, [mp_w for _, mp_w in weights])
+        counts = _count_walks(monkeypatch)
+        for (w, _), reference in zip(weights, references):
+            [norm] = weighted_norms([Polynomial((rho, 1.0))], w, p)
+            assert norm == pytest.approx(reference, rel=1e-11), w
+        assert counts == {"plain": 0, "graded": len(weights)}
+
+    @pytest.mark.parametrize("rho", [0.01, 0.45])
+    @pytest.mark.parametrize("p", [0.5, 1.5])
+    def test_alpha_below_0_walks_plain(self, p, rho, monkeypatch):
+        # the graded walk would have to resolve the weight's singularity at
+        # r = 1, so the binomial keeps the plain walk in v = (1 - r^2)^(1/2)
+        spec = {"kind": "standard", "alpha": -0.5}
+        [reference] = mp_binomial_norms(p, rho, 1.0, 1, [mp_weight(spec)])
+        counts = _count_walks(monkeypatch)
+        [norm] = weighted_norms([Polynomial((rho, 1.0))], weight_from_spec(spec), p)
+        assert norm == pytest.approx(reference, rel=1e-11)
+        assert counts == {"plain": 1, "graded": 0}
+
+    def test_lacunary_binomial_against_mpmath(self, monkeypatch):
+        # 0.2 + z^4 has its kink at 0.2^(1/4), the family K (z^5 + e^5) at e
+        w = TableWeight(knots=(0.0, 0.35, 0.6), values=(0.0, 1.2, 0.6))
+        spec = {"kind": "table", "r": [0.0, 0.35, 0.6], "w": [0.0, 1.2, 0.6]}
+        family = family_pair(0.9, 5, 0.45)[0]
+        counts = _count_walks(monkeypatch)
+        for f, p in [(Polynomial((0.2, 0.0, 0.0, 0.0, 1.0)), 0.7), (family, 0.5)]:
+            a0, a1 = abs(f.coeffs[0]), abs(f.coeffs[-1])
+            [reference] = mp_binomial_norms(p, a0, a1, f.degree, [mp_weight(spec)])
+            assert weighted_norm(f, w, p) == pytest.approx(reference, rel=1e-11)
+        assert counts == {"plain": 0, "graded": 2}
+
+    @pytest.mark.parametrize("p", [0.3, 1.0, 2.5, 1000.0])
+    def test_monomial_is_its_moment(self, p, monkeypatch):
+        weights = [ConstantWeight(2.0), StandardWeight(1.0), StandardWeight(-0.5),
+                   StepWeight(0.3), TableWeight(knots=(0.0, 0.35, 0.6), values=(0.0, 1.2, 0.6))]
+        counts = _count_walks(monkeypatch)
+        for w in weights:
+            for a, d in [(0.5 - 0.5j, 3), (2.0, 0), (1.0, 1)]:
+                f = Polynomial((0.0,) * d + (a,))
+                expected = abs(a) * moment(w, d * p) ** (1.0 / p)
+                assert weighted_norm(f, w, p) == expected
+        assert counts == {"plain": 0, "graded": 0}
+        assert weighted_norm(Polynomial.monomial(2), ConstantWeight(1.0), 1.5) == pytest.approx(
+            const_moment(3.0) ** (1.0 / 1.5), rel=1e-15
+        )
+
+    @pytest.mark.parametrize("f", [Polynomial((0.0, 1.0)), Polynomial((0.5, 1.0))],
+                             ids=["closed_form", "graded"])
+    def test_refusals_hold(self, f):
+        is_graded = f.coeffs[0] != 0
+        # a p-th root that cannot meet tol
+        with pytest.raises(DomainError, match="is too small for tol"):
+            weighted_norms([f], ConstantWeight(1.0), 1e-8)
+        # a norm that overflows: ||f||^p is about 1e300, its square is not
+        with pytest.raises(DomainError, match=r"the norm \(int 2 r w M_p\^p dr\)\^\(1/p\) overflows"):
+            weighted_norms([f], ConstantWeight(1e300), 0.5)
+        if is_graded:
+            # (sum |a_k|)^p = 3^1100 overflows, and so does M_p^p near r = 1
+            with pytest.raises(DomainError, match=r"too large: \(sum \|a_k\|\)\^p"):
+                weighted_norms([Polynomial((1.0, 2.0))], ConstantWeight(1.0), 1100.0)
+            # the mass of alpha = 1e20 lies within about 1e-10 of r = 0,
+            # where the graded walk finds 0
+            with pytest.raises(DomainError, match=r"mass m\(0\) = 1 was not resolved"):
+                weighted_norms([f], StandardWeight(1e20), 2.0)
+        else:
+            # m(40) = 20! Gamma(1e20 + 2)/Gamma(1e20 + 22), about 2.4e-382,
+            # underflows to 0
+            with pytest.raises(DomainError, match=r"moment m\(40\) = 0 underflows"):
+                weighted_norms([f], StandardWeight(1e20), 40.0)
+
+    @pytest.mark.parametrize("alpha", [1e8, 1e12, 1e15, 1e20])
+    def test_monomial_on_a_huge_alpha(self, alpha, monkeypatch):
+        # ||z||^2 = m(2) = (alpha+1) B(2, alpha+1): a difference of log-Gamma
+        # values made it 4.8e-9 relative off at 1e8, 3.2e-4 at 1e12 and a
+        # factor 2.9 at 1e15
+        mp.mp.dps = 50
+        expected = mp.sqrt((alpha + 1) * mp.beta(2, mp.mpf(alpha) + 1))
+        counts = _count_walks(monkeypatch)
+        [norm] = weighted_norms([Polynomial((0.0, 1.0))], StandardWeight(alpha), 2.0)
+        assert norm == pytest.approx(float(expected), rel=1e-13)
+        assert counts == {"plain": 0, "graded": 0}
 
 
 _G4 = Polynomial((0.3 - 0.2j, 1.0, -0.4j, 0.25, 0.6 + 0.1j))
@@ -997,11 +1149,11 @@ class TestResumedNorms:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_no_more_panels_than_the_fine_walk(self, case, monkeypatch):
-        # the walk of D and the graded walk of the closed-form parts each
-        # take no more panels than a fresh walk of the same integrand at
-        # the final tolerances
+        # the plain walk and every graded walk (of the binomials and of the
+        # closed-form parts) each take no more panels than a fresh walk of
+        # the same integrand at the final tolerances
         fs, w, p = self.CASES[case]
-        _, fine_tols = two_walk_norms(fs, w, p, TOL)
+        _, plain_walk = two_walk_norms(fs, w, p, TOL)
         counts = {"walk": 0, "graded": 0}
         graded, calls = [False], []
         panel_sums, integrate_graded = quadrature._panel_sums, type(w).integrate_graded
@@ -1011,12 +1163,14 @@ class TestResumedNorms:
             return panel_sums(f, lo, hi, comp)
 
         def counted_graded(self, phi, centres, tols, *, refine=None):
-            # the last walk's final tolerances
-            def kept(results):
-                calls[:] = [(phi, centres, refine(results))]
-                return calls[0][2]
+            # each walk's final tolerances
+            call = len(calls)
+            calls.append((phi, centres, tols))
 
-            calls[:] = [(phi, centres, tols)]
+            def kept(results):
+                calls[call] = (phi, centres, refine(results))
+                return calls[call][2]
+
             graded[0] = True
             try:
                 return integrate_graded(self, phi, centres, tols,
@@ -1028,14 +1182,15 @@ class TestResumedNorms:
         monkeypatch.setattr(type(w), "integrate_graded", counted_graded)
         weighted_norms(fs, w, p)
         resumed = dict(counts)
-        models = [analytic._kink_models(f, p) if w.bounded else None for f in fs]
-        assert (resumed["graded"] > 0) == any(m is not None for m in models) == bool(calls)
+        assert (resumed["graded"] > 0) == bool(calls)
+        assert (resumed["walk"] > 0) == (plain_walk is not None)
         counts.update(walk=0, graded=0)
-        w.integrate_against(analytic._mean_pows(fs, p, 0.25 * TOL, models), 0.0, 1.0, fine_tols)
+        if plain_walk is not None:
+            plain_walk()
         graded[0] = True
         for phi, centres, tols in calls:
             integrate_graded(w, phi, centres, tols)
-        assert 0 < resumed["walk"] <= counts["walk"]
+        assert resumed["walk"] <= counts["walk"]
         assert resumed["graded"] <= counts["graded"]
 
 

@@ -3,6 +3,7 @@ import csv
 import json
 from dataclasses import fields
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,8 +20,16 @@ from korenblum import (
     weight_from_spec,
 )
 from korenblum.cli import SWEEP_HEADER, main
+from oracles import mp_binomial_norms, mp_weight
 
 CONST1 = '{"kind":"constant","level":1}'
+
+
+def _binomial_mean(a, b, p):
+    """M_p^p of a + b z on the unit circle, a, b >= 0, by mpmath's hyp2f1."""
+    hi, lo = max(a, b), min(a, b)
+    return hi**p * mp.hyp2f1(-p / 2, -p / 2, 1, (lo / hi) ** 2) if hi else 0
+
 STEP05 = '{"kind":"step","R":0.5}'
 #: a step so close to 1 that c_star lies above 1 - 1e-6
 STEP_NEAR_1 = '{"kind":"step","R":0.9995}'
@@ -73,19 +82,24 @@ class TestNorm:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_integrand_warns_nothing(self, capsys):
-        # 1e300 times |30000|^2 overflows the radial integrand: the walk's
-        # non-finite panel check reports it, with no numpy RuntimeWarning
-        # before the one diagnostic line. The norm (about 2.1e153) is
-        # representable, so this exit 3 may later become a success.
-        code, out, err = run_cli(
-            capsys, "norm", "--poly", "30000", "--p", "2",
-            "--weight", '{"kind":"table","r":[0,0.5,0.51],"w":[0,1e300,0]}',
-        )
+        # 1e300 times |30000 + 1e-9 z|^2 overflows the radial integrand of
+        # the plain walk (the binomial's kink radius is far outside the
+        # disk): the walk's non-finite panel check reports it, with no
+        # numpy RuntimeWarning before the one diagnostic line. The norm
+        # (about 1.24e154) is representable, so this exit 3 may later
+        # become a success.
+        weight = '{"kind":"table","r":[0,0.5,0.51],"w":[0,1e300,0]}'
+        code, out, err = run_cli(capsys, "norm", "--poly", "30000,1e-9", "--p", "2", "--weight", weight)
         assert code == 3
         assert out == ""
         assert err.splitlines() == [
             "korenblum norm: quadrature on [0.0, 1.0] met a non-finite panel sum"
         ]
+        # the constant 30000 walks nothing: 30000 m(0)^(1/2) in closed form
+        code, out, err = run_cli(capsys, "norm", "--poly", "30000", "--p", "2", "--weight", weight)
+        assert (code, err) == (0, "")
+        mass = weight_from_spec(weight).power_mass(0.0, 0.0, 1.0)
+        assert json.loads(out)["norm"] == 30000.0 * mass**0.5
 
     def test_unresolved_weight_mass_exit_2(self, capsys):
         # the mass of a standard weight with alpha = 1e20 lies within about
@@ -101,9 +115,10 @@ class TestNorm:
         ]
 
     def test_tolerance_underflow_exit_2(self, capsys):
-        # (sum |a_k|)^p = 0.5^1000 puts the coarse tolerance under 1e-300
+        # (sum |a_k|)^p = 0.5^1000 puts the coarse tolerance of the graded
+        # walk (kink radius 0.002) under 1e-300
         code, out, err = run_cli(
-            capsys, "norm", "--poly", "0,0.5", "--p", "1000", "--weight", CONST1
+            capsys, "norm", "--poly", "0.001,0.499", "--p", "1000", "--weight", CONST1
         )
         assert (code, out) == (2, "")
         assert err.splitlines() == [
@@ -378,8 +393,8 @@ class TestVerify:
         assert out == (
             "{\n"
             '  "dominates": true,\n'
-            '  "norm_f": 1.261995995932923,\n'
-            '  "norm_g": 1.7439044504273824,\n'
+            '  "norm_f": 1.2619959959329246,\n'
+            '  "norm_g": 1.7439044504273842,\n'
             '  "principle_holds": true\n'
             "}\n"
         )
@@ -522,13 +537,13 @@ PINNED_REPORTS = {
     ("bound", "step"): BOUND_HEADER + "2,0.715017482304,0.715732499786\n",
     ("bound", "table"): BOUND_HEADER + "2,0.759372568236,0.760131940804\n",
     ("refute", "constant"): REFUTE_HEADER
-    + "0.5,0.9,5,0.45,0.205816300133,0.197530864197,0.00828543593645\n",
+    + "0.5,0.9,5,0.45,0.205816300134,0.197530864198,0.00828543593648\n",
     ("refute", "standard"): REFUTE_HEADER
-    + "0.5,0.9,5,0.225,0.389822779507,0.389749762926,7.30165811388e-05\n",
+    + "0.5,0.9,5,0.225,0.389822779507,0.389749762926,7.30165811331e-05\n",
     ("refute", "step"): REFUTE_HEADER
-    + "0.5,0.9,5,0.45,0.203094484069,0.197453412124,0.00564107194437\n",
+    + "0.5,0.9,5,0.45,0.203094484069,0.197453412124,0.00564107194445\n",
     ("refute", "table"): REFUTE_HEADER
-    + "0.5,0.9,5,0.225,0.459361319655,0.45908727733,0.000274042325156\n",
+    + "0.5,0.9,5,0.225,0.459361319656,0.45908727733,0.000274042325497\n",
     ("sweep", "constant"): SWEEP_HEADER + "\n"
     "0.5,,0.64,true,ok\n"
     "1,0.186821041861,0.666666666667,,ok\n"
@@ -550,6 +565,21 @@ PINNED_REPORTS = {
 
 @pytest.mark.parametrize("command, weight", PINNED_REPORTS, ids=[f"{c}-{w}" for c, w in PINNED_REPORTS])
 def test_pinned_csv_report(capsys, command, weight):
+    if command == "refute":
+        # the references first, so that a change of the bytes below cannot
+        # hide a miss of them: both norms by 30-digit mpmath, the hyp2f1
+        # mean integrated with splits at epsilon and at the weight's knots
+        code, out, _ = run_cli(capsys, *PINNED_COMMANDS[command], "--weight", PINNED_WEIGHTS[weight])
+        assert code == 0
+        report = json.loads(out)
+        c, n, eps = report["c"], report["n"], report["epsilon"]
+        k = c**n / (c**n + eps**n)
+        w = mp_weight(json.loads(PINNED_WEIGHTS[weight]))
+        [norm_f] = mp_binomial_norms(report["p"], k * eps**n, k, n, [w])
+        [norm_g] = mp_binomial_norms(report["p"], 0.0, 1.0, n, [w])
+        assert report["norm_f"] == pytest.approx(norm_f, rel=1e-12)
+        assert report["norm_g"] == pytest.approx(norm_g, rel=1e-12)
+        assert report["gap"] == pytest.approx(norm_f - norm_g, abs=1e-12 * norm_g)
     code, out, _ = run_cli(
         capsys, *PINNED_COMMANDS[command], "--weight", PINNED_WEIGHTS[weight], "--output", "csv"
     )
@@ -645,12 +675,12 @@ class TestDeterminismAndErrors:
              "p = 1030.0 is too large: Gamma(1 + p)/Gamma(1 + p/2)^2"),
             (("means", "--poly", "1,2", "--p", "1000", "--grid", "4"),
              "p = 1000.0 is too large: the circle mean M_p^p"),
-            (("norm", "--poly", "1e10", "--p", "1", "--weight", '{"kind":"constant","level":1e300}'),
+            (("norm", "--poly", "1e10,1e10,1e10", "--p", "1", "--weight", '{"kind":"constant","level":1e300}'),
              "p = 1.0: the scale (sum |a_k|)^p m(0) of the radial tolerance overflows a float"),
             (("norm", "--poly", "1", "--p", "0.5", "--weight", '{"kind":"constant","level":1e300}'),
              "p = 0.5: the norm (int 2 r w M_p^p dr)^(1/p) overflows a float"),
-            (("bound", "--p", "2", "--weight", '{"kind":"standard","alpha":1e308}'),
-             "B(s/2 + 1, alpha + 1) overflows a float in log-Gamma at s = 2.0"),
+            (("bound", "--p", "1e308", "--weight", '{"kind":"standard","alpha":1}'),
+             "B(s/2 + 1, alpha + 1) overflows a float in log-Gamma at s = 1e+308"),
         ],
         ids=["p-th-power", "binomial-series", "gamma-ratio", "circle-mean", "coarse-scale",
              "norm-root", "beta-moment"],
@@ -658,10 +688,10 @@ class TestDeterminismAndErrors:
     def test_large_p_overflow_exit_2(self, capsys, argv, message):
         # 3^1000, the series coefficients C(550, k)^2, at r = 0.5 where
         # x = 1, Gamma(1031)/Gamma(516)^2, M_p^p of 1 + 2z at r = 0.6
-        # (about 2.2^1000), 1e10 times the weight's mass 1e300 (which used
+        # (about 2.2^1000), 3e10 times the weight's mass 1e300 (which used
         # to be refused as an infinite tol), the square of ||1||^p = 1e300,
-        # and lgamma(1e308) overflow a float: bad input, not a traceback
-        # and not Infinity in the report
+        # and lgamma(1 + 1e308/2) overflow a float: bad input, not a
+        # traceback and not Infinity in the report
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -670,19 +700,22 @@ class TestDeterminismAndErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("norm", "--poly", "0,0.5", "--p", "1000", "--weight", CONST1),
-            ("norm", "--poly", "0,0.5", "--p", "985", "--weight", CONST1),
-            ("norm", "--poly", "0,1e-200", "--p", "2", "--weight", CONST1),
-            ("verify", "--poly", "0,1e-200", "--poly", "0,2e-200", "--p", "2", "--c", "0.5",
-             "--weight", CONST1),
+            ("norm", "--poly", "0.001,0.499", "--p", "1000", "--weight", CONST1),
+            ("norm", "--poly", "0.001,0.499", "--p", "985", "--weight", CONST1),
+            ("norm", "--poly", "0,1e-200,1e-200", "--p", "2", "--weight", CONST1),
+            ("verify", "--poly", "0,1e-200,1e-200", "--poly", "0,2e-200,2e-200", "--p", "2",
+             "--c", "0.5", "--weight", CONST1),
         ],
         ids=["coarse-floor", "fine-floor", "tiny-poly", "verify-tiny-pair"],
     )
     def test_norm_below_tolerance_floor_exit_2(self, capsys, argv):
-        # the integral ||f||^p would need a tolerance below 1e-300: the walk
-        # settled at once and printed 0.49642 (exact 0.49690) at p = 1000,
-        # an error of 5.2e-9 at p = 985, and 0.0 for 1e-200 z, both norms
-        # of the verify pair included, with principle_holds true
+        # the integral ||f||^p would need a walk tolerance below 1e-300: a
+        # walk of 0.5 z settled at once and printed 0.49642 (exact 0.49690)
+        # at p = 1000, an error of 5.2e-9 at p = 985, and 0.0 for 1e-200 z,
+        # both norms of the verify pair included, with principle_holds
+        # true. A monomial takes its closed form instead
+        # (test_monomial_below_the_floor); the graded walk of the binomial
+        # and the plain walk of the trinomials keep the refusal
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -699,16 +732,37 @@ class TestDeterminismAndErrors:
         assert f"p = {float(p)} is too small for tol = 1e-09" in err
         assert f"eps/p = {np.finfo(float).eps / float(p):.3e}" in err
 
+    @pytest.mark.parametrize(
+        "poly, p, norm",
+        [("0,0.5", "1000", 0.496901338507709), ("0,0.5", "950", 0.4967655502368913),
+         ("0,1e-200", "2", 7.071067811865475e-201), ("0,2", "1100", 1.988556979611009)],
+    )
+    def test_monomial_below_the_floor(self, capsys, poly, p, norm):
+        # |a| m(p)^(1/p) = 0.5 (2/1002)^(1/1000), 0.5 (2/952)^(1/950) (the
+        # walk's value too), 1e-200 (1/2)^(1/2) and 2 (2/1102)^(1/1100):
+        # the closed form walks nothing, so no walk tolerance can fall below
+        # 1e-300, and forms no (sum |a_k|)^p, such as 2^1100
+        code, out, err = run_cli(capsys, "norm", "--poly", poly, "--p", p, "--weight", CONST1)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["norm"] == norm
+
     def test_norm_above_tolerance_floor(self, capsys):
-        # at p = 950 every tolerance stays above 1e-300 and the norm is the
-        # exact 0.5 (2/952)^(1/950) to the last digit, as before the floor
-        # refusal
-        code, out, err = run_cli(
-            capsys, "norm", "--poly", "0,0.5", "--p", "950", "--weight", CONST1
-        )
-        assert code == 0
-        assert err == ""
-        assert json.loads(out)["norm"] == 0.4967655502368913
+        # at p = 950 the fine tolerance 0.25 tol p ||f||^p of these walks,
+        # about 8e-297, lies within four orders of the 1e-300 floor (p = 985
+        # is refused, test_norm_below_tolerance_floor_exit_2): the graded
+        # walk of the binomial and the plain walk of 0.25 z (1 + z) still
+        # meet tol against 30-digit mpmath. The integrand lives within
+        # about 1/p of r = 1, so the reference is split at 1 - 2^-k
+        walks = [("0.001,0.499", lambda r, p: _binomial_mean(0.001, 0.499 * r, p)),
+                 ("0,0.25,0.25", lambda r, p: (r / 4) ** p * _binomial_mean(1, r, p))]
+        for poly, mean in walks:
+            code, out, err = run_cli(capsys, "norm", "--poly", poly, "--p", "950", "--weight", CONST1)
+            assert (code, err) == (0, "")
+            with mp.workdps(30):
+                p = mp.mpf(950)
+                edges = [0, mp.mpf(0.001) / mp.mpf(0.499), *(1 - mp.mpf(2) ** -k for k in range(1, 25)), 1]
+                reference = mp.quad(lambda r: 2 * r * mean(r, p), sorted(edges)) ** (1 / p)
+            assert json.loads(out)["norm"] == pytest.approx(float(reference), rel=1e-9), poly
 
     @pytest.mark.parametrize("command", [("norm", "--poly", "1", "--p", "2"), ("bound", "--p", "2"),
                                          ("refute", "--p", "0.5", "--c", "0.9"), ("certify",)])

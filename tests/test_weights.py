@@ -213,6 +213,20 @@ class TestStandardClosedForms:
         [(quad, _)] = w.integrate_against(lambda r, comp: np.ones_like(r), 0.0, b, [TOL * b * b])
         assert quad == pytest.approx(w.power_mass(0.0, 0.0, b), rel=1e-6, abs=0.0)
 
+    @pytest.mark.parametrize("alpha", [7.9, 8.0, 1e3, 1e8, 1e12, 1e15, 1e20, 1e100])
+    @pytest.mark.parametrize("s", [0.3, 2.0, 7.0, 60.0])
+    def test_moment_of_a_large_alpha(self, alpha, s):
+        # lgamma(alpha + 1) - lgamma(alpha + 1 + h) cancels about eps alpha
+        # log alpha: m(2) = 1/(alpha + 2) came out 3.2e-4 off at 1e12 and
+        # 1e20 at 1e20. From alpha + 2 = 10 on Stirling's series takes it
+        mp.mp.dps = 250
+        h, a = mp.mpf(s) / 2 + 1, mp.mpf(alpha)
+        expected = mp.exp(mp.loggamma(h) + mp.loggamma(a + 2) - mp.loggamma(a + 1 + h))
+        if expected < 2.3e-308:
+            assert moment(StandardWeight(alpha), s) < 2.3e-308
+        else:
+            assert moment(StandardWeight(alpha), s) == pytest.approx(float(expected), rel=1e-13)
+
     def test_c_star_of_arcsine_weight_is_quarter_pi(self):
         # m(1)/m(0) = (1/2) B(3/2, 1/2) = pi/4 for alpha = -1/2
         c_star = monomial_upper_bound(1.0, StandardWeight(-0.5)).c_star
@@ -352,10 +366,13 @@ class TestConstruction:
             weight_from_spec(spec)
 
     def test_beta_moment_overflow_is_a_domain_error(self):
-        w = StandardWeight(1e308)
+        # lgamma(1 + s/2) overflows at s = 1e308; alpha = 1e308, whose
+        # lgamma(alpha + 1) overflowed, now has m(2) = 1/(alpha + 2)
+        w = StandardWeight(1.0)
         assert moment(w, 0.0) == 1.0
         with pytest.raises(DomainError, match="overflows a float in log-Gamma"):
-            moment(w, 2.0)
+            moment(w, 1e308)
+        assert moment(StandardWeight(1e308), 2.0) == pytest.approx(1e-308, rel=1e-13)
 
     def test_table_constant_extension_beyond_last_knot(self):
         w = TableWeight(knots=(0.0, 0.5), values=(0.0, 2.0))
