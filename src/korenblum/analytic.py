@@ -35,12 +35,16 @@ _unit_binomial_means). The weighted norm
 nests that angular quadrature inside the radial quadrature of the weight.
 :func:`weighted_norms` takes each polynomial by one of three routes. A
 monomial a z^d or a constant has ||f||^p = |a|^p m(dp) in closed form,
-with no walk. A binomial a_0 + a_d z^d whose kink radius
-rho = (|a_0|/|a_d|)^{1/d} lies in (0, 1), on a bounded weight, is a
-component of one graded walk (RadialWeight.integrate_graded) centred at
-rho, whose substitution r = rho + s^3 resolves the |r - rho|^{p+1} kink
-of its closed-form mean in a few levels (every refute norm). Every other
-polynomial is a component of one plain radial walk
+with no walk. Except at even p, M_p^p(r; f) has a kink like
+|r - |z_k||^{p+1} at the modulus of every root 0 < |z_k| < 1, toward
+which a walk in r bisects; so on a bounded weight, a polynomial with
+such a kink radius is a component of one graded walk
+(RadialWeight.integrate_graded) whose substitution r = c + s^3 in the
+cell of each kink radius c resolves it in a few levels (every refute
+norm). A binomial a_0 + a_d z^d has its one kink radius
+rho = (|a_0|/|a_d|)^{1/d} from its coefficients, any other f the moduli
+of its np.roots, those within _KINK_MERGE of a neighbour taken as one.
+Every other polynomial is a component of one plain radial walk
 (RadialWeight.integrate_against). Both walks set their fine tolerances
 from their own level 0, and each polynomial is a component of the
 integrand phi(r, comp) with its own tolerances and panel tree, so every
@@ -49,17 +53,6 @@ components share one closed-form call per integrand call. A single
 circle-mean row may differ in its last bit with the shape of its batch
 (the matrix product of _abs_pow_means), but a component's batches are
 the same alone and among others.
-
-At p < 2, M_p^p(r; f) has a kink like |r - |z_k||^{p+1} at the modulus
-of every root 0 < |z_k| < 1, toward which the plain walk bisects. So
-for a non-binomial f the walk takes D(r) = M_p^p(r; f) - sum_k G_k S_k,
-S_k(r) = M_p^p(r; z - z_k) in closed form and G_k a smooth model of
-|f(r u_k)/(r u_k - z_k)|^p, u_k = z_k/|z_k| (_kink_models), and the
-closed-form part C = int 2 r w sum_k G_k S_k dr is added on top, by a
-walk graded toward each |z_k| (RadialWeight.integrate_graded) that
-evaluates no circle mean, to an error on the scale of ||f||^p. The split
-is an identity for any G_k, and D has each kink cancelled to leading
-order, so its walk needs far fewer panels near each |z_k|.
 """
 from __future__ import annotations
 
@@ -70,7 +63,6 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -122,35 +114,12 @@ _CUSP_SWITCH_N = 1024
 #: log-distance |log(r/|z_k|)| below which a row's roots z_k are near
 #: enough for their cusps to be cancelled
 _CUSP_NEAR = 0.05
-#: p below which weighted_norms subtracts the radial kink of each root
-#: modulus: at even p there is none, and at p = 3 the kinks cost less than
-#: the subtraction (with it, the 12 p = 3 jobs of a seed-1 verify deck
-#: pass took 89 ms instead of 57)
-_KINK_P = 2.0
-#: share of tol p ||f||^p that the fine walk of D = M_p^p - sum_k G_k S_k
-#: takes when every root 0 < |z_k| < 1 has a model, a tenth of the plain
-#: walk's 0.25 (at 0.25 the pinned near-root verify pair read a norm
-#: 1.2e-12 from its reference, at 0.025 1.6e-13), and the closed-form part
-#: C = int 2 r w sum_k G_k S_k dr always
-_KINK_SHARE = 0.025
-#: a root's model G_k = |f'(z_k)|^p exp(gamma t + kappa t^2/2) is used when
-#: its exponent stays at most _MODEL_RISE on [0, 1] (D loses to rounding
-#: what G_k S_k exceeds M_p^p by) and |kappa| <= _MODEL_BEND (the walks
-#: must resolve its width |kappa|^-1/2; a double root that np.roots splits
-#: into z +- delta reads about p/(4 delta^2)); the verify decks of seeds 1
-#: and 9001 reach at most 2.3 and 48
-_MODEL_RISE = 4.0
-_MODEL_BEND = 1e3
-#: a polynomial's kinks are subtracted only where sum_k G_k S_k stays at
-#: most this many times M_p^p(r_j; f) at each root modulus r_j: D rounds
-#: to about 1.1e-16 sum_k G_k S_k, here at most 1.1e-13 M_p^p, a hundredth
-#: of its fine tolerance share 0.025 tol p at tol = 1e-9 and p >= 0.5. The
-#: verify decks of seeds 1 and 9001 reach 16.2; twenty roots on one circle,
-#: (z^20 - 0.9^20)(1 + z/2), reach 90 at p = 0.5, 400 at p = 1 and 1,592
-#: at p = 1.5. Below it the subtraction stayed accurate and mostly faster:
-#: twelve roots, (z^12 - 0.9^12)(1 + 0.9 z), reach 499 at p = 1.5, where
-#: it took the norm at tol 1e-12 from 828 to 98 ms
-_MODEL_EXCESS = 1e3
+#: relative distance within which neighbouring root moduli of f make one
+#: kink radius of its graded walk: np.roots spreads the 30 roots of
+#: z^30 - 0.8^30 over 2.8e-15 (23 distinct moduli), and a cell per
+#: modulus made one norm about 600 times slower than a merge at any
+#: threshold from 1e-14 to 1e-6
+_KINK_MERGE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -765,115 +734,8 @@ def _mean_pow_batch(
     return vals, diff
 
 
-class _KinkModel(NamedTuple):
-    """The roots of f whose radial kinks weighted_norms subtracts, as
-    arrays over them (see _kink_models), and D's share of the fine
-    tolerance: _KINK_SHARE when every root 0 < |z_k| < 1 of f is among
-    them, else the plain walk's 0.25, since a kink left in D would make
-    the tighter tolerance cost more than the subtraction saves."""
-
-    moduli: np.ndarray
-    g: np.ndarray
-    gamma: np.ndarray
-    kappa: np.ndarray
-    share: float
-
-
-@functools.lru_cache(maxsize=64)
-def _kink_models(f: Polynomial, p: float) -> _KinkModel | None:
-    """The roots z_k of f with 0 < r_k = |z_k| < 1 whose radial kink
-    weighted_norms subtracts, or None.
-
-    The model of |f(r u_k)/(r u_k - z_k)|^p, u_k = z_k/r_k, is its
-    log-Taylor polynomial at r = r_k, G_k(r) = g_k exp(gamma t + kappa t^2/2)
-    with t = r - r_k, g_k = |f'(z_k)|^p = (|a_n| prod_{j != k} |z_k - z_j|)^p,
-    gamma = p sum_{j != k} Re(u_k/(z_k - z_j)) and
-    kappa = -p sum_{j != k} Re(u_k^2/(z_k - z_j)^2): smooth on [0, 1], where
-    the exact product has a kink at every other root on z_k's ray. A root
-    is used or left out once, by its model: finite, its exponent at most
-    _MODEL_RISE on [0, 1] and |kappa| <= _MODEL_BEND. The whole polynomial
-    is left out once, when sum_k G_k S_k exceeds M_p^p(r_j; f) by more than
-    _MODEL_EXCESS at a modulus r_j, M_p^p taken on max(256, 8 (n + 1))
-    angles, n the degree. Binomials (closed form), zero polynomials and
-    p >= _KINK_P take no model.
-    """
-    if p >= _KINK_P or f.is_zero or _binomial_form(f) is not None:
-        return None
-    roots, _ = _root_factors(f)
-    moduli = np.abs(roots)
-    interior = np.flatnonzero((moduli > 0.0) & (moduli < 1.0))
-    models = []
-    for k in interior:
-        u, gaps = roots[k] / moduli[k], np.delete(roots[k] - roots, k)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            g = (abs(f.coeffs[-1]) * np.prod(np.abs(gaps))) ** p
-            gamma = p * float(np.sum((u / gaps).real))
-            kappa = -p * float(np.sum((u * u / (gaps * gaps)).real))
-        ends = [-moduli[k], 1.0 - moduli[k]]
-        if kappa < 0.0 and ends[0] < -gamma / kappa < ends[1]:
-            ends.append(-gamma / kappa)
-        rise = max(gamma * t + 0.5 * kappa * t * t for t in ends)
-        if 0.0 < g < math.inf and rise <= _MODEL_RISE and abs(kappa) <= _MODEL_BEND:
-            models.append((moduli[k], g, gamma, kappa))
-    if not models:
-        return None
-    arrays = tuple(np.array(column) for column in zip(*models))
-    for a in arrays:
-        a.flags.writeable = False  # shared by every caller through the cache
-    share = _KINK_SHARE if len(models) == interior.size else 0.25
-    model = _KinkModel(*arrays, share)
-    means = _abs_pow_means(f, model.moduli, p, max(256, 8 * (f.degree + 1)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not np.all(_kink_sums(model, model.moduli, p) <= _MODEL_EXCESS * means):
-            return None
-    return model
-
-
-def _kink_terms(r_k, g, gamma, kappa, r, p):
-    """G_k(r) S_k(r) elementwise (see _kink_models), S_k(r) = M_p^p(r; z - z_k)
-    in closed form."""
-    t = r - r_k
-    return g * np.exp(gamma * t + 0.5 * kappa * t * t) * _binomial_means(r_k, 1.0, r, p)
-
-
-def _kink_sums(model: _KinkModel, r: np.ndarray, p: float) -> np.ndarray:
-    """sum_k G_k(r) S_k(r) per radius, over the roots of one model."""
-    roots = model.moduli.size
-    terms = _kink_terms(*(np.tile(a, r.size) for a in model[:4]), np.repeat(r, roots), p)
-    return np.sum(terms.reshape(r.size, roots), axis=1)
-
-
-def _closed_form_parts(models, w: RadialWeight, p: float, tol: float, coarse_tols, values):
-    """C = sum_k int_0^1 2 r w(r) G_k(r) S_k(r) dr per polynomial (0.0
-    without a model), each polynomial a component of one graded walk
-    (``w.integrate_graded``, a term per root, none without a model) at
-    _KINK_SHARE tol p (v + C), capped by ``coarse_tols``, v its level-0
-    value of D (``values``) and C the walk's own level-0 estimate: an
-    error on the scale of ||f||^p, however far sum_k G_k S_k exceeds
-    M_p^p. A batch with no model walks nothing."""
-    owned = [m for m in models if m is not None]
-    if not owned:
-        return [0.0] * len(models)
-    columns = [np.concatenate([m[j] for m in owned]) for j in range(4)]
-
-    def phi(r, term):
-        return _kink_terms(*(c[term] for c in columns), r, p)
-
-    def fine(results):
-        tols = []
-        for (c, _), v, ct in zip(results, values, coarse_tols):
-            t = _KINK_SHARE * tol * p * (v + c)
-            tols.append(min(t, ct) if t > 0.0 else ct)
-        return tols
-
-    centres = [() if m is None else m.moduli.tolist() for m in models]
-    return [c for c, _ in w.integrate_graded(phi, centres, coarse_tols, refine=fine)]
-
-
-def _mean_pows(fs: list[Polynomial], p: float, tol: float, models):
-    """The integrand phi(r, comp) = M_p^p(r; fs[comp]) of the norms of fs,
-    less sum_k G_k S_k for a component with a model (models[comp], see
-    _kink_models).
+def _mean_pows(fs: list[Polynomial], p: float, tol: float):
+    """The integrand phi(r, comp) = M_p^p(r; fs[comp]) of the norms of fs.
 
     Every binomial component a_0 + a_d z^d takes one closed-form
     _binomial_means call per integrand call, with its own moduli and
@@ -901,11 +763,24 @@ def _mean_pows(fs: list[Polynomial], p: float, tol: float, models):
             own = comp == k
             if own.any():
                 out[own], _ = _mean_pow_batch(fs[k], r[own], p, tol)
-                if models[k] is not None:
-                    out[own] -= _kink_sums(models[k], r[own], p)
         return out
 
     return phi
+
+
+def _kink_radii(f: Polynomial, form) -> tuple[float, ...]:
+    """The sorted radii 0 < c < 1 at which M_p^p(r; f) may have a kink:
+    rho = (|a_0|/|a_d|)^(1/d) of a binomial f (``form``, from
+    _binomial_form, with a_0 and a_d nonzero), else the moduli of f's
+    roots (np.roots), each within _KINK_MERGE relative of its lower
+    neighbour merged into that neighbour's radius."""
+    if form:
+        a0, a1, d = form
+        rho = (a0 / a1) ** (1.0 / d)
+        return (rho,) if 0.0 < rho < 1.0 else ()
+    moduli = np.sort(np.abs(_root_factors(f)[0])).tolist()
+    return tuple(c for lower, c in zip([0.0, *moduli], moduli)
+                 if 0.0 < c < 1.0 and c - lower > _KINK_MERGE * c)
 
 
 def _monomial_norm(a: float, d: int, w: RadialWeight, p: float) -> float:
@@ -945,15 +820,18 @@ def weighted_norms(
 
     - a monomial a z^d, a constant or zero: ||f||^p = |a|^p m(dp) in
       closed form (_monomial_norm), on every weight;
-    - a binomial a_0 + a_d z^d (_binomial_form) on a bounded weight whose
-      kink radius rho = (|a_0|/|a_d|)^(1/d) lies in (0, 1): one component
-      of a single graded walk (``w.integrate_graded``) with the one term
-      M_p^p(r) = _binomial_means(|a_0|, |a_d|, r^d, p) centred at rho,
-      whose substitution r = rho + s^3 resolves the |r - rho|^{p+1} kink
-      in a few levels where a walk in r bisects toward it;
-    - any other f (a binomial with rho >= 1 or on a standard weight with
-      alpha < 0 included): one component of a single plain radial walk
-      (``w.integrate_against``) of M_p^p(r; f).
+    - on a bounded weight, an f with a kink radius c in (0, 1)
+      (_kink_radii): one component of a single graded walk
+      (``w.integrate_graded``) of M_p^p(r; f), whose substitution
+      r = c + s^3 in the cell of each c resolves the |r - c|^{p+1} kink
+      there in a few levels where a walk in r bisects toward it. A
+      binomial a_0 + a_d z^d (_binomial_form) has the one radius
+      rho = (|a_0|/|a_d|)^(1/d), where its two terms have equal modulus;
+      any other f has the moduli of its roots inside the disk;
+    - any other f (one with no root 0 < |z_k| < 1, or any f on a standard
+      weight with alpha < 0, whose singularity at r = 1 a graded cell
+      would have to resolve): one component of a single plain radial
+      walk (``w.integrate_against``) of M_p^p(r; f).
 
     Both walks start from the coarse tolerance 1e-3 (sum |a_k|)^p m(0)
     and set their fine tolerances from their own level 0 (see
@@ -966,29 +844,6 @@ def weighted_norms(
     tolerance below 1e-300 (_above_floor), a walk that finds ||f||^p = 0
     for a nonzero f, whose weight mass it did not resolve, and a monomial
     whose moment m(dp) underflows. A monomial forms no (sum |a_k|)^p.
-
-    At p < _KINK_P, on a bounded weight, a non-binomial f with roots
-    0 < |z_k| < 1 that have a model (_kink_models) is split as
-
-        ||f||^p = int 2 r w D dr + C,  C = int 2 r w sum_k G_k S_k dr,
-        D = M_p^p(r; f) - sum_k G_k(r) S_k(r),
-
-    with S_k(r) = M_p^p(r; z - z_k) = _binomial_means(|z_k|, 1, r, p) and
-    G_k(r) = |f'(z_k)|^p exp(gamma t + kappa t^2/2), t = r - |z_k|, the
-    log-Taylor model at |z_k| of |f(r u_k)/(r u_k - z_k)|^p along the ray
-    of z_k. The split is an identity for any G_k, since both parts use the
-    same functions, so each part need only meet its own tolerance. G_k S_k
-    carries the |r - |z_k||^{p+1} kink of M_p^p, so D has it cancelled to
-    leading order and its walk needs far fewer panels near |z_k|; C
-    evaluates no circle mean (_closed_form_parts). Once D's level 0 has
-    given v, C is walked to _KINK_SHARE tol p (v + C), and D's fine
-    tolerance is share tol p (v + C): _KINK_SHARE, a tenth of the plain
-    0.25, when every root 0 < |z_k| < 1 has a model, else 0.25. Both
-    errors are then on the scale of ||f||^p, however far sum_k G_k S_k
-    exceeds M_p^p. At even p there is no kink, and at p >= 2 the
-    subtraction costs more than it saves (_KINK_P). A standard weight with
-    alpha < 0 takes neither graded walk: it would have to resolve the
-    weight's singularity at r = 1.
     """
     positive("p", p)
     positive("tol", tol)
@@ -996,32 +851,18 @@ def weighted_norms(
     fs = list(fs)
     m0 = moment(w, 0.0)
     norms = [0.0] * len(fs)
-    # the routes, and the kink radius rho of each graded binomial, where its
-    # two terms have equal modulus
     graded, plain, centres = [], [], []
     for i, f in enumerate(fs):
         form = _binomial_form(f)
-        if form is None:
-            plain.append(i)
-            continue
-        a0, a1, d = form
-        if not (a0 and a1):
-            norms[i] = _monomial_norm(a0 + a1, d, w, p)
-        elif w.bounded and 0.0 < (rho := (a0 / a1) ** (1.0 / d)) < 1.0:
+        if form and not (form[0] and form[1]):
+            norms[i] = _monomial_norm(form[0] + form[1], form[2], w, p)
+        elif w.bounded and (radii := _kink_radii(f, form)):
             graded.append(i)
-            centres.append((rho,))
+            centres.append(radii)
         else:
             plain.append(i)
 
-    def resolved(sub, totals, cts):
-        for f, v, ct in zip(sub, totals, cts):
-            if v <= 0.0 and not f.is_zero:
-                raise DomainError(
-                    f"the weight's mass m(0) = {m0:.6g} was not resolved: the radial "
-                    f"quadrature of ||f||^p at tolerance {ct:.3e} found 0 for a nonzero f"
-                )
-
-    def walk(route, run):
+    def walk(route, integrate):
         sub = [fs[i] for i in route]
         try:
             scales = [float(np.sum(np.abs(f.coeffs))) ** p * m0 for f in sub]
@@ -1032,46 +873,31 @@ def weighted_norms(
                 f"p = {p}: the scale (sum |a_k|)^p m(0) of the radial tolerance overflows a float"
             )
         cts = _above_floor(sub, p, [1e-3 * scale for scale in scales])
+
+        def fine_tols(level0):
+            for f, (v, _), ct in zip(sub, level0, cts):
+                if v <= 0.0 and not f.is_zero:
+                    raise DomainError(
+                        f"the weight's mass m(0) = {m0:.6g} was not resolved: the radial "
+                        f"quadrature of ||f||^p at tolerance {ct:.3e} found 0 for a nonzero f"
+                    )
+            fine = [min(0.25 * tol * p * v, ct) for (v, _), ct in zip(level0, cts)]
+            return _above_floor(sub, p, fine)
+
+        phi = _mean_pows(sub, p, 0.25 * tol)
         # an overflowing integrand is reported by the walk's non-finite panel check
         with np.errstate(over="ignore", invalid="ignore"):
-            totals = run(sub, cts)
+            results = integrate(phi, cts, fine_tols)
         try:
-            for i, v in zip(route, totals):
+            for i, (v, _) in zip(route, results):
                 norms[i] = max(v, 0.0) ** (1.0 / p)
         except OverflowError:
             raise _norm_overflow(p) from None
 
-    def graded_walk(sub, cts):
-        def fine_tols(level0):
-            values = [v for v, _ in level0]
-            resolved(sub, values, cts)
-            return _above_floor(sub, p, [min(0.25 * tol * p * v, ct) for v, ct in zip(values, cts)])
-
-        phi = _mean_pows(sub, p, 0.25 * tol, [None] * len(sub))
-        return [v for v, _ in w.integrate_graded(phi, centres, cts, refine=fine_tols)]
-
-    def plain_walk(sub, cts):
-        models = [_kink_models(f, p) if w.bounded else None for f in sub]
-        shares = [0.25 if m is None else m.share for m in models]
-        parts = [0.0] * len(sub)
-
-        def fine_tols(level0):
-            values = [v for v, _ in level0]
-            parts[:] = _closed_form_parts(models, w, p, tol, cts, values)
-            totals = [v + c for v, c in zip(values, parts)]
-            resolved(sub, totals, cts)
-            return _above_floor(
-                sub, p, [min(share * tol * p * v, ct) for share, v, ct in zip(shares, totals, cts)]
-            )
-
-        phi = _mean_pows(sub, p, 0.25 * tol, models)
-        fine = w.integrate_against(phi, 0.0, 1.0, cts, refine=fine_tols)
-        return [v + c for (v, _), c in zip(fine, parts)]
-
     if graded:
-        walk(graded, graded_walk)
+        walk(graded, lambda phi, cts, refine: w.integrate_graded(phi, centres, cts, refine=refine))
     if plain:
-        walk(plain, plain_walk)
+        walk(plain, lambda phi, cts, refine: w.integrate_against(phi, 0.0, 1.0, cts, refine=refine))
     return norms
 
 

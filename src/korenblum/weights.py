@@ -16,25 +16,25 @@ its log-Gamma ratio from Stirling's series once alpha is large
 (_log_gamma_ratio), and the partial masses of s = 0 from the primitive
 -(1-r^2)^{alpha+1};
 its other partial power masses have no closed form here and are refused.
-Both radial walks, of general integrands phi(r, k)
-(:meth:`RadialWeight.integrate_against`) and of sums of terms with one
-kink each (:meth:`RadialWeight.integrate_graded`), keep one contract:
-the caller's components k = 0..K-1 go in, one adaptive quadrature walk
-takes them all, with ``tols`` and ``refine`` passed straight to it, and
-one (value, err_est) per component comes out. The direct walk runs in r
+Both radial walks of general integrands phi(r, k),
+:meth:`RadialWeight.integrate_against` and
+:meth:`RadialWeight.integrate_graded`, keep one contract: the caller's
+components k = 0..K-1 go in, one adaptive quadrature walk takes them
+all, with ``tols`` and ``refine`` passed straight to it, and one
+(value, err_est) per component comes out. The direct walk runs in r
 with the weight's knots as breakpoints, for every kind; only a walk of
 the standard kind with alpha < 0 up to r = 1 runs in the substituted
 variable v = (1-r^2)^{alpha+1}, which absorbs the integrable singularity
 there into a bounded integrand. The graded walk, of a bounded weight,
-takes each component whole, its terms on every piece between the knots
-each graded toward its kink: the closed-form parts of the kink
-subtraction, and the binomials a_0 + a_d z^d with their kink radius in
-(0, 1), every norm of the refutation family among them. Its piece ends
-in s are cube roots from math.cbrt, a scalar call, so they do not depend
-on which SIMD kernels numpy picks for the CPU.
+takes a component with kinks at the radii it names: [0, 1] is cut at
+the knots and midway between neighbouring kinks, and each cell is
+graded toward its own kink. Its cell ends in s are cube roots from
+math.cbrt, a scalar call, so they do not depend on which SIMD kernels
+numpy picks for the CPU.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import json
 import math
@@ -137,57 +137,59 @@ class RadialWeight:
         self, phi: Callable, centres: Sequence[Sequence[float]], tols: Sequence[float], *,
         refine: Callable | None = None,
     ) -> list[tuple[float, float]]:
-        """int_0^1 2 r w(r) sum_j phi(r, j) dr for each component k, the sum
-        over its terms j, which have the centres centres[k] and are numbered
-        on from the terms of component k - 1; term j is smooth but for a
-        kink |r - c_j|^q at its centre c_j in (0, 1). Component k has
-        absolute error <= tols[k], and all are taken in one quadrature walk.
+        """int_0^1 2 r w(r) phi(r, k) dr for k = 0..K-1, component k smooth but
+        for a kink |r - c|^q at each of its centres c, centres[k], sorted
+        and in (0, 1), with absolute error <= tols[k], in one quadrature
+        walk.
 
-        [0, 1] is cut at the weight's knots, and on each piece [a, b] each
-        term is taken in its own s, r = c_j + s^3, with
-        s = cbrt(a - c_j) + (cbrt(b - c_j) - cbrt(a - c_j)) x for x in
-        [0, 1]: the Jacobian 3 s^2 and the kink make the term vanish like
+        [0, 1] is cut at the weight's knots and, per component, at the
+        midpoints between neighbouring centres, and each cell [a, b] is
+        taken in its own s, r = c + s^3, graded toward the centre c of
+        the cell, the centre nearest all of it, with
+        s = cbrt(a - c) + (cbrt(b - c) - cbrt(a - c)) x for x in [0, 1]:
+        the Jacobian 3 s^2 and the kink make the kinked part vanish like
         |s|^{3q + 2} at s = 0, so a few Gauss panels in x resolve what a
-        walk in r would bisect toward c_j. The cube roots of the piece
-        ends come from math.cbrt, which, unlike np.cbrt, does not change
-        with the SIMD kernels numpy picks for the CPU. Component k is one
+        walk in r would bisect toward c. The cube roots of the cell ends
+        come from math.cbrt, which, unlike np.cbrt, does not change with
+        the SIMD kernels numpy picks for the CPU. Component k is one
         component of a :func:`korenblum.quadrature.integrate_many` walk in
-        x, whose integrand adds, at each x in order, its (piece, term)
-        pairs; ``tols`` and ``refine`` go straight to that walk, as in
+        x, whose integrand adds, at each x, its cells in order; ``phi``,
+        ``tols`` and ``refine`` keep the contract of
         :meth:`integrate_against`. Returns one (value, err_est) per
         component, each bit for bit what it gets alone. The weight must be
-        bounded.
+        bounded, and every component needs a centre.
         """
         if not self.bounded:
             raise DomainError(f"integrate_graded needs a bounded weight, got {self.to_spec()}")
+        if not all(centres):
+            raise DomainError("integrate_graded needs at least one centre per component")
         knots = self._support_knots()
-        pieces = list(zip(knots, (*knots[1:], 1.0)))
-        term, centre, lo, width, counts = [], [], [], [], []
-        first = 0
-        for cs in centres:
-            counts.append(len(pieces) * len(cs))
-            for a, b in pieces:
-                for j, c in enumerate(cs, start=first):
-                    s_a, s_b = math.cbrt(a - c), math.cbrt(b - c)
-                    term.append(j)
-                    centre.append(c)
-                    lo.append(s_a)
-                    width.append(s_b - s_a)
-            first += len(cs)
-        term = np.array(term, dtype=int)
+        comp, centre, lo, width, counts = [], [], [], [], []
+        for k, cs in enumerate(centres):
+            mids = [0.5 * (c + d) for c, d in zip(cs, cs[1:])]
+            edges = sorted({*knots, *(m for m in mids if m > knots[0]), 1.0})
+            counts.append(len(edges) - 1)
+            for a, b in zip(edges, edges[1:]):
+                c = cs[bisect.bisect_right(mids, a)]
+                s_a, s_b = math.cbrt(a - c), math.cbrt(b - c)
+                comp.append(k)
+                centre.append(c)
+                lo.append(s_a)
+                width.append(s_b - s_a)
+        comp = np.array(comp, dtype=int)
         centre, lo, width = map(np.array, (centre, lo, width))
         counts = np.array(counts, dtype=int)
         starts = np.cumsum(counts) - counts
 
-        def kernel(x, comp):
-            # one row per (node, (piece, term) pair of its component), summed per node
-            n = counts[comp]
+        def kernel(x, k):
+            # one row per (node, cell of its component), summed per node
+            n = counts[k]
             node = np.repeat(np.arange(x.size), n)
-            row = np.arange(node.size) + np.repeat(starts[comp] - (np.cumsum(n) - n), n)
+            row = np.arange(node.size) + np.repeat(starts[k] - (np.cumsum(n) - n), n)
             s = lo[row] + width[row] * x[node]
             r = centre[row] + s**3
-            terms = self._kernel(r) * phi(r, term[row]) * (3.0 * width[row] * s * s)
-            return np.bincount(node, terms, x.size)
+            cells = self._kernel(r) * phi(r, comp[row]) * (3.0 * width[row] * s * s)
+            return np.bincount(node, cells, x.size)
 
         return integrate_many(kernel, 0.0, 1.0, tols, refine=refine)
 

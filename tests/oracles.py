@@ -15,12 +15,7 @@ import sys
 import mpmath as mp
 import numpy as np
 
-from korenblum.analytic import (
-    _above_floor,
-    _closed_form_parts,
-    _kink_models,
-    _mean_pows,
-)
+from korenblum.analytic import _above_floor, _mean_pows
 from korenblum.errors import QuadratureDivergence
 from korenblum.weights import moment
 
@@ -107,11 +102,15 @@ def mp_binomial_norms(p, a0, a1, d, weights, dps: int = 30):
     """||a0 + a1 z^d||_{p,w} for each (w, knots) of ``weights`` (as from
     mp_weight): int_0^1 2 r w(r) M_p^p(r) dr by mpmath's tanh-sinh quad,
     M_p^p the hyp2f1 mean of binomial_mean, split at the kink radius
-    (a0/a1)^(1/d), where M_p^p has its |r - rho|^{p+1} kink, and at the
-    knots. The weights share their means, cached per node."""
+    (a0/a1)^(1/d), where M_p^p has its |r - rho|^{p+1} kink, at the
+    knots and at 1 - 2^-k for 16 <= 2^k <= 2p: at large p the integrand
+    lives within about 1/p of r = 1, where one quad over all of [rho, 1]
+    missed it (1.9e-5 relative at p = 950). The weights share their
+    means, cached per node."""
     with mp.workdps(dps):
         p, a0, a1 = mp.mpf(p), abs(mp.mpf(a0)), abs(mp.mpf(a1))
-        cuts = {0, 1} | ({(a0 / a1) ** (mp.mpf(1) / d)} if a0 and a1 else set())
+        cuts = {0, 1, *(1 - mp.mpf(2) ** -k for k in range(4, int(mp.log(2 * p, 2)) + 1))}
+        cuts |= {(a0 / a1) ** (mp.mpf(1) / d)} if a0 and a1 else set()
         cache = {}
 
         def mean(r):
@@ -320,21 +319,18 @@ def depth_first_integrate(f, a, b, tol, *, breakpoints=(), max_depth=40):
     return total, settled_err + stuck_err, deepest
 
 
-def two_walk_norms(fs, w, p, tol, subtract=True):
+def two_walk_norms(fs, w, p, tol):
     """``weighted_norms(fs, w, p, tol)`` by two separate walks per route.
-    A monomial, a constant or zero takes |a| m(dp)^(1/p), and no walk. A
-    binomial a_0 + a_d z^d on a bounded weight with its kink radius
-    rho = (|a_0|/|a_d|)^(1/d) in (0, 1) is a component of two
-    ``integrate_graded`` walks of M_p^p, centred at rho: one at
-    tolerances every level-0 panel meets (``sys.float_info.max``) for the
-    level-0 values v, then a fresh one at min(0.25 tol p v,
-    1e-3 (sum |a_k|)^p m(0)). Every other polynomial is a component of
-    two plain ``integrate_against`` walks of D = M_p^p - sum_k G_k S_k
-    (M_p^p itself for a polynomial with no kink model, or for all with
-    ``subtract=False``) plus the closed-form part C: the first at
-    ``sys.float_info.max`` for D's level-0 values v, C refined against
-    them, then a fresh walk from the root at min(share tol p (v + C),
-    1e-3 (sum |a_k|)^p m(0)), share 0.25 or the model's. Returns the norms
+    A monomial, a constant or zero takes |a| m(dp)^(1/p), and no walk. On
+    a bounded weight, a polynomial with kink radii in (0, 1) is a
+    component of two ``integrate_graded`` walks of M_p^p centred at them:
+    rho = (|a_0|/|a_d|)^(1/d) of a binomial a_0 + a_d z^d, else the sorted
+    moduli of its roots (``np.roots``) in (0, 1), those within 1e-12
+    relative of the next smaller modulus dropped. Every other polynomial
+    is a component of two plain ``integrate_against`` walks. Each route's
+    first walk runs at tolerances every level-0 panel meets
+    (``sys.float_info.max``) for the level-0 values v, its second, fresh
+    one at min(0.25 tol p v, 1e-3 (sum |a_k|)^p m(0)). Returns the norms
     and a call that repeats the fresh plain walk (None without one)."""
     norms = [0.0] * len(fs)
     graded, plain, centres = [], [], []
@@ -343,44 +339,39 @@ def two_walk_norms(fs, w, p, tol, subtract=True):
         d = f.degree
         if np.count_nonzero(cs) <= 1:
             norms[i] = float(np.sum(cs)) * moment(w, d * p) ** (1.0 / p)
-        elif np.count_nonzero(cs) == 2 and cs[0] and w.bounded and cs[0] < cs[d]:
+            continue
+        if np.count_nonzero(cs) == 2 and cs[0]:
+            radii = [(float(cs[0]) / float(cs[d])) ** (1.0 / d)]
+        else:
+            moduli = sorted(np.abs(np.roots(np.asarray(f.coeffs)[::-1])).tolist())
+            radii = [c for lower, c in zip([0.0] + moduli, moduli) if c - lower > 1e-12 * c]
+        radii = tuple(c for c in radii if 0.0 < c < 1.0)
+        if w.bounded and radii:
             graded.append(i)
-            centres.append(((float(cs[0]) / float(cs[d])) ** (1.0 / d),))
+            centres.append(radii)
         else:
             plain.append(i)
     scales = [float(np.sum(np.abs(f.coeffs))) ** p * moment(w, 0.0) for f in fs]
-    with np.errstate(over="ignore", invalid="ignore"):
-        if graded:
-            sub = [fs[i] for i in graded]
-            coarse_tols = _above_floor(sub, p, [1e-3 * scales[i] for i in graded])
-            phi = _mean_pows(sub, p, 0.25 * tol, [None] * len(sub))
-            level0 = w.integrate_graded(phi, centres, [sys.float_info.max] * len(sub))
-            fine_tols = _above_floor(sub, p, [
-                min(0.25 * tol * p * v, ct) for (v, _), ct in zip(level0, coarse_tols)
-            ])
-            fine = w.integrate_graded(phi, centres, fine_tols)
-            for i, (v, _) in zip(graded, fine):
-                norms[i] = max(v, 0.0) ** (1.0 / p)
-        if not plain:
-            return norms, None
-        sub = [fs[i] for i in plain]
-        coarse_tols = _above_floor(sub, p, [1e-3 * scales[i] for i in plain])
-        models = [_kink_models(f, p) if subtract and w.bounded else None for f in sub]
-        shares = [0.25 if m is None else m.share for m in models]
-        phi = _mean_pows(sub, p, 0.25 * tol, models)
-        level0 = w.integrate_against(phi, 0.0, 1.0, [sys.float_info.max] * len(sub))
-        values = [v for v, _ in level0]
-        closed = _closed_form_parts(models, w, p, tol, coarse_tols, values)
+
+    def two_walks(route, integrate):
+        sub = [fs[i] for i in route]
+        coarse_tols = _above_floor(sub, p, [1e-3 * scales[i] for i in route])
+        phi = _mean_pows(sub, p, 0.25 * tol)
+
+        def fresh(tols):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return integrate(phi, tols)
+
+        level0 = fresh([sys.float_info.max] * len(sub))
         fine_tols = _above_floor(sub, p, [
-            min(share * tol * p * (v + c), ct)
-            for share, v, c, ct in zip(shares, values, closed, coarse_tols)
+            min(0.25 * tol * p * v, ct) for (v, _), ct in zip(level0, coarse_tols)
         ])
-        fine = w.integrate_against(phi, 0.0, 1.0, fine_tols)
-    for i, (v, _), c in zip(plain, fine, closed):
-        norms[i] = max(v + c, 0.0) ** (1.0 / p)
+        for i, (v, _) in zip(route, fresh(fine_tols)):
+            norms[i] = max(v, 0.0) ** (1.0 / p)
+        return lambda: fresh(fine_tols)
 
-    def plain_walk():
-        with np.errstate(over="ignore", invalid="ignore"):
-            return w.integrate_against(phi, 0.0, 1.0, fine_tols)
-
-    return norms, plain_walk
+    if graded:
+        two_walks(graded, lambda phi, tols: w.integrate_graded(phi, centres, tols))
+    if not plain:
+        return norms, None
+    return norms, two_walks(plain, lambda phi, tols: w.integrate_against(phi, 0.0, 1.0, tols))

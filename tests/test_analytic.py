@@ -1008,8 +1008,9 @@ def _count_walks(monkeypatch):
 class TestNormRoutes:
     """A monomial or a constant takes |a| m(dp)^(1/p); a binomial with its
     kink radius rho in (0, 1) on a bounded weight takes the graded walk
-    centred at rho; every other polynomial, and any binomial on a standard
-    weight with alpha < 0, the plain walk."""
+    centred at rho (other polynomials: TestGradedRoots); a binomial with
+    rho >= 1, and any binomial on a standard weight with alpha < 0, the
+    plain walk."""
 
     RHOS = [0.9 * 2.0**-48, 0.01, 0.45, 0.99]
 
@@ -1060,6 +1061,15 @@ class TestNormRoutes:
             [reference] = mp_binomial_norms(p, a0, a1, f.degree, [mp_weight(spec)])
             assert weighted_norm(f, w, p) == pytest.approx(reference, rel=1e-11)
         assert counts == {"plain": 0, "graded": 2}
+
+    def test_graded_binomial_at_a_large_p(self):
+        # at p = 950 the integrand lives within about 1e-3 of r = 1: a
+        # reference split only at the kink read 0.4961774580664
+        constant = {"kind": "constant", "level": 1.0}
+        [reference] = mp_binomial_norms(950, 0.001, 0.499, 1, [mp_weight(constant)])
+        assert reference == pytest.approx(0.4961679994335, rel=1e-12)
+        [norm] = weighted_norms([Polynomial((0.001, 0.499))], ConstantWeight(1.0), 950.0)
+        assert norm == pytest.approx(reference, rel=1e-9)
 
     @pytest.mark.parametrize("p", [0.3, 1.0, 2.5, 1000.0])
     def test_monomial_is_its_moment(self, p, monkeypatch):
@@ -1137,7 +1147,7 @@ class TestResumedNorms:
         "step": (_MIXED, StepWeight(0.3), 0.5),
         "standard_direct": (_MIXED, StandardWeight(1.0), 3.0),
         "standard_alpha_below_0": (_MIXED, StandardWeight(-0.5), 0.5),
-        # twenty roots on |z| = 0.9, whose graded walk of C went past level 0
+        # twenty roots on |z| = 0.9 and one at -2, in one graded walk
         "twenty_roots": ([Polynomial((-0.9**20,) + (0.0,) * 19 + (1.0,)) * Polynomial((1.0, 0.5))],
                          ConstantWeight(1.0), 1.0),
     }
@@ -1149,9 +1159,8 @@ class TestResumedNorms:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_no_more_panels_than_the_fine_walk(self, case, monkeypatch):
-        # the plain walk and every graded walk (of the binomials and of the
-        # closed-form parts) each take no more panels than a fresh walk of
-        # the same integrand at the final tolerances
+        # the plain walk and the graded walk each take no more panels than
+        # a fresh walk of the same integrand at the final tolerances
         fs, w, p = self.CASES[case]
         _, plain_walk = two_walk_norms(fs, w, p, TOL)
         counts = {"walk": 0, "graded": 0}
@@ -1194,7 +1203,7 @@ class TestResumedNorms:
         assert resumed["graded"] <= counts["graded"]
 
 
-# polynomials whose radial kinks are subtracted, each with a hazard
+# polynomials with radial kinks inside the disk, each with a hazard
 KINK_POLYS = {
     "two_roots_on_one_ray": Polynomial((-0.3, 1.0)) * Polynomial((-0.6, 1.0)),
     "double_root": Polynomial((-0.5, 1.0)) * Polynomial((-0.5, 1.0)) * Polynomial((0.2, 1.0)),
@@ -1226,10 +1235,28 @@ def _affine_pair():
     return Polynomial((a / 2.0, 0.5)) * g, g
 
 
-class TestKinkSubtraction:
-    """At p < 2 the radial walk takes D = M_p^p - sum_k G_k S_k over the
-    roots 0 < |z_k| < 1 of f, and the closed-form parts of G_k S_k are
-    added on top."""
+def _count_work(monkeypatch):
+    """Counts of radial panels and of angular nodes from now on."""
+    counts = {"panels": 0, "nodes": 0}
+    panel_sums, inner = quadrature._panel_sums, analytic._abs_pow_means
+
+    def counted_panels(f, lo, hi, comp):
+        counts["panels"] += lo.size
+        return panel_sums(f, lo, hi, comp)
+
+    def counted_means(f, radii, p, n, offset=0.0):
+        counts["nodes"] += len(radii) * n
+        return inner(f, radii, p, n, offset)
+
+    monkeypatch.setattr(quadrature, "_panel_sums", counted_panels)
+    monkeypatch.setattr(analytic, "_abs_pow_means", counted_means)
+    return counts
+
+
+class TestGradedRoots:
+    """On a bounded weight a polynomial with roots 0 < |z_k| < 1 is a
+    component of the graded walk, its cells graded toward the root moduli,
+    neighbours within 1e-12 relative taken as one."""
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
     @pytest.mark.parametrize("name", sorted(KINK_POLYS))
@@ -1239,59 +1266,42 @@ class TestKinkSubtraction:
             reference = tanh_sinh_norm_p(f.coeffs, p, w_of_r, knots) ** (1.0 / p)
             assert weighted_norm(f, w, p) == pytest.approx(reference, rel=1e-11, abs=0.0)
 
-    def test_which_roots_are_subtracted(self):
-        def moduli(name, p=1.0):
-            model = analytic._kink_models(KINK_POLYS[name], p)
-            return None if model is None else sorted(np.round(model[0], 6).tolist())
+    def test_kink_radii(self):
+        def radii(name):
+            f = KINK_POLYS[name]
+            return [round(c, 6) for c in analytic._kink_radii(f, analytic._binomial_form(f))]
 
-        assert moduli("two_roots_on_one_ray") == [0.3, 0.6]
-        # the double root, split by np.roots, has no finite narrow model,
-        # and its kink, left in D, keeps D's share of the tolerance at 0.25
-        assert moduli("double_root") == [0.2]
-        assert analytic._kink_models(KINK_POLYS["double_root"], 1.0).share == 0.25
-        assert analytic._kink_models(KINK_POLYS["two_roots_on_one_ray"], 1.0).share == 0.025
-        assert moduli("five_roots_on_one_circle") == [0.45] * 5
-        assert moduli("root_at_zero") == [0.5, 0.5]
-        assert moduli("root_next_to_the_circle") == [0.4, 0.999]
-        assert moduli("lacunary") == [round(0.3 ** (1 / 3), 6)] * 3 + [round(0.5 ** (1 / 3), 6)] * 3
-        # no model at p >= 2, for a binomial, or for a zero polynomial
-        assert moduli("two_roots_on_one_ray", 2.0) is None
-        assert analytic._kink_models(Polynomial((0.3, 0.0, 1.0)), 1.0) is None
-        assert analytic._kink_models(Polynomial(()), 1.0) is None
+        assert radii("two_roots_on_one_ray") == [0.3, 0.6]
+        # np.roots splits the double root 0.5 into two moduli about 1e-8
+        # apart, farther than the merge
+        assert radii("double_root") == [0.2, 0.5, 0.5]
+        assert radii("five_roots_on_one_circle") == [0.45]
+        assert radii("root_at_zero") == [0.5]
+        assert radii("root_next_to_the_circle") == [0.4, 0.999]
+        assert radii("lacunary") == [round(0.3 ** (1 / 3), 6), round(0.5 ** (1 / 3), 6)]
+        # a binomial's one radius, none at or beyond 1
+        assert analytic._kink_radii(Polynomial((0.25, 0.0, 1.0)), (0.25, 1.0, 2)) == (0.5,)
+        assert analytic._kink_radii(Polynomial((1.0, 0.5)), (1.0, 0.5, 1)) == ()
+        assert analytic._kink_radii(Polynomial((6.0, -5.0, 1.0)), None) == ()  # roots 2, 3
 
     def test_many_roots_on_one_circle(self):
-        # twenty roots on |z| = 0.9: sum_k G_k S_k reaches 90, 400 and 1,592
-        # times M_p^p at a root modulus at p = 0.5, 1 and 1.5, the last above
-        # _MODEL_EXCESS, so that norm takes the plain walk. The reference's
+        # twenty roots on |z| = 0.9, one kink radius. The reference's
         # h = 1/16 is within 5e-14 of its h = 1/64 here
         f = Polynomial((-0.9**20,) + (0.0,) * 19 + (1.0,)) * Polynomial((1.0, 0.5))
-        for p, subtracted in ((0.5, True), (1.0, True), (1.5, False)):
-            assert (analytic._kink_models(f, p) is not None) == subtracted
+        for p in (0.5, 1.0, 1.5):
             reference = tanh_sinh_norm_p(f.coeffs, p, np.ones_like, h=1.0 / 16) ** (1.0 / p)
             assert weighted_norm(f, ConstantWeight(1.0), p) == pytest.approx(
                 reference, rel=1e-11, abs=0.0
             )
 
-    def test_a_root_left_out_costs_no_angular_nodes(self, monkeypatch):
-        # the double root's kink stays in D, whose share stays the plain
-        # walk's, so the subtraction of the simple root takes no more
-        # angular nodes than the plain walk (170,496 for both on the step
-        # weight; with a tenth of the share it took 475,136)
-        f, w = KINK_POLYS["double_root"], StepWeight(0.5)
-        nodes = [0]
-        inner = analytic._abs_pow_means
-
-        def counted(f, radii, p, n, offset=0.0):
-            nodes[0] += len(radii) * n
-            return inner(f, radii, p, n, offset)
-
-        analytic._kink_models(f, 0.5)  # its check's circle means, once
-        monkeypatch.setattr(analytic, "_abs_pow_means", counted)
-        weighted_norm(f, w, 0.5)
-        subtracted, nodes[0] = nodes[0], 0
-        monkeypatch.setattr(analytic, "_kink_models", lambda f, p: None)
-        weighted_norm(f, w, 0.5)
-        assert 0 < subtracted <= nodes[0]
+    def test_thirty_roots_on_one_circle_work(self, monkeypatch):
+        # np.roots spreads the thirty roots of z^30 - 0.8^30 over 2.8e-15
+        # of modulus, which are merged into one kink radius; the plain walk
+        # took 1,231,688,448 angular nodes, the graded one takes 9,861,120
+        f = Polynomial((-0.8**30,) + (0.0,) * 29 + (1.0,)) * Polynomial((-0.3, 1.0))
+        counts = _count_work(monkeypatch)
+        weighted_norm(f, ConstantWeight(1.0), 1.0)
+        assert counts["nodes"] <= 5e7
 
     @pytest.mark.parametrize("weight", sorted(KINK_WEIGHTS))
     def test_norm_alone_equals_norm_in_batch(self, weight):
@@ -1299,9 +1309,9 @@ class TestKinkSubtraction:
         fs = [*KINK_POLYS.values(), Polynomial((0.3, 1.0)), Polynomial(())]
         assert weighted_norms(fs, w, 1.0) == [weighted_norm(f, w, 1.0) for f in fs]
 
-    # (polynomials, weight, p) that take no subtraction: binomials, p >= 2,
-    # and a standard weight with alpha < 0, which is unbounded at r = 1
-    PLAIN = {
+    # (polynomials, weight, p): binomials, graded at even p and at p = 3,
+    # and a standard weight with alpha < 0, on which every f walks plain
+    CASES = {
         "binomials": ([Polynomial((0.3, 1.0)), Polynomial((1.0, 0.0, 0.0, -0.7j)), Polynomial(())],
                       ConstantWeight(1.0), 1.0),
         "p_2": (list(KINK_POLYS.values()), StepWeight(0.5), 2.0),
@@ -1309,68 +1319,21 @@ class TestKinkSubtraction:
         "standard_alpha_below_0": (list(KINK_POLYS.values()), StandardWeight(-0.5), 1.0),
     }
 
-    @pytest.mark.parametrize("case", sorted(PLAIN))
-    def test_unsubtracted_norms_are_the_plain_walks(self, case):
-        fs, w, p = self.PLAIN[case]
-        assert weighted_norms(fs, w, p) == two_walk_norms(fs, w, p, TOL, subtract=False)[0]
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_two_walks(self, case):
+        fs, w, p = self.CASES[case]
+        assert weighted_norms(fs, w, p) == two_walk_norms(fs, w, p, TOL)[0]
 
-    def test_affine_pair_work(self, monkeypatch):
-        # the plain walk of this pair took 178 radial panels and 5,860,864
-        # angular nodes; D takes 54 panels and the closed-form parts 14
-        # (one component per polynomial, at least 3 panels each)
-        counts = {"walk": 0, "graded": 0, "nodes": 0}
-        graded = [False]
-        panel_sums, integrate_graded = quadrature._panel_sums, ConstantWeight.integrate_graded
-
-        def counted_panels(f, lo, hi, comp):
-            counts["graded" if graded[0] else "walk"] += lo.size
-            return panel_sums(f, lo, hi, comp)
-
-        def counted_graded(self, *args, **kwargs):
-            graded[0] = True
-            try:
-                return integrate_graded(self, *args, **kwargs)
-            finally:
-                graded[0] = False
-
-        inner = analytic._abs_pow_means
-
-        def counted_means(f, radii, p, n, offset=0.0):
-            counts["nodes"] += len(radii) * n
-            return inner(f, radii, p, n, offset)
-
-        monkeypatch.setattr(quadrature, "_panel_sums", counted_panels)
-        monkeypatch.setattr(ConstantWeight, "integrate_graded", counted_graded)
-        monkeypatch.setattr(analytic, "_abs_pow_means", counted_means)
-        weighted_norms(list(_affine_pair()), ConstantWeight(1.0), 1.0)
-        assert counts["walk"] <= 178 // 2
-        assert counts["nodes"] <= 5_860_864 // 2
-        assert counts["graded"] <= 18
-
-
-    def test_graded_work_over_several_pieces(self, monkeypatch):
-        # the closed-form parts on the 3-knot table weight: one graded
-        # component per polynomial took 38 panels at p = 1, where one
-        # component per (polynomial, weight piece) took 78
-        w = KINK_WEIGHTS["table"][0]
-        panels, graded = [0], [False]
-        panel_sums, integrate_graded = quadrature._panel_sums, TableWeight.integrate_graded
-
-        def counted_panels(f, lo, hi, comp):
-            panels[0] += lo.size if graded[0] else 0
-            return panel_sums(f, lo, hi, comp)
-
-        def counted_graded(self, *args, **kwargs):
-            graded[0] = True
-            try:
-                return integrate_graded(self, *args, **kwargs)
-            finally:
-                graded[0] = False
-
-        monkeypatch.setattr(quadrature, "_panel_sums", counted_panels)
-        monkeypatch.setattr(TableWeight, "integrate_graded", counted_graded)
-        weighted_norms(list(KINK_POLYS.values()), w, 1.0)
-        assert 0 < panels[0] <= 78 // 2
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_affine_pair_work(self, p, monkeypatch):
+        # the verify deck's affine pair, roots at moduli 0.35, 0.6 and 0.8
+        # inside the disk: the plain walk with the kinks subtracted took
+        # 68, 48 and 34 radial panels at p = 1, 1.5 and 3, and 679,680,
+        # 339,200 and 276,992 angular nodes; the graded walk takes 6 panels
+        counts = _count_work(monkeypatch)
+        weighted_norms(list(_affine_pair()), ConstantWeight(1.0), p)
+        assert counts["panels"] <= 12
+        assert counts["nodes"] <= 1_000_000
 
 
 class TestMeanProfile:

@@ -371,9 +371,9 @@ class TestVerify:
 
     def test_near_root_report_is_pinned(self, capsys):
         # f = z g at p = 1, with g's roots at moduli 0.45 and 1.6: the
-        # radial walk takes D = M_1 - G S, S the closed-form mean of
-        # z - z_k at |z_k| = 0.45, and its radial nodes next to 0.45 switch
-        # to the control variate of that root. Reference: QUADPACK in r,
+        # graded walk of each norm is graded toward 0.45 in r, and its
+        # radial nodes next to 0.45 switch to the control variate of that
+        # root. Reference: QUADPACK in r,
         # with 0.45 as a breakpoint, over mpmath circle means split at the
         # roots' arguments (estimated error 1.3e-13 and 2.9e-15)
         f = ('{"coeffs":[[0.0,0.0],[1.038897546081614,0.14586410298052038],'
@@ -393,8 +393,8 @@ class TestVerify:
         assert out == (
             "{\n"
             '  "dominates": true,\n'
-            '  "norm_f": 1.2619959959329246,\n'
-            '  "norm_g": 1.7439044504273842,\n'
+            '  "norm_f": 1.2619959959327258,\n'
+            '  "norm_g": 1.743904450426968,\n'
             '  "principle_holds": true\n'
             "}\n"
         )

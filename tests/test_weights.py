@@ -18,6 +18,7 @@ from korenblum import (
     monomial_upper_bound,
     weight_from_spec,
 )
+import korenblum.quadrature as quadrature
 
 from oracles import const_moment, std_moment, step_moment
 
@@ -243,9 +244,9 @@ def test_integrate_against_no_components(w):
 
 
 class TestIntegrateGraded:
-    """int_0^1 2 r w(r) sum_j phi(r, j) dr over the terms j of each
-    component, term j with a kink at its centre, each term walked graded
-    toward its centre and the walk split at the weight's knots."""
+    """int_0^1 2 r w(r) phi(r, k) dr for each component k, kinked at its
+    centres: [0, 1] cut at the weight's knots and midway between
+    neighbouring centres, each cell walked graded toward its own centre."""
 
     # (weight, w for mpmath, its knots)
     WEIGHTS = {
@@ -257,15 +258,20 @@ class TestIntegrateGraded:
                   (0.35, 0.6)),
         "standard": (StandardWeight(1.5), lambda r: 2.5 * (1 - r * r) ** 1.5, ()),
     }
-    # the centres of each component's terms: the step's knot, a centre
-    # below it and one on a table knot, two terms in one component
+    # the centres of each component: one below the step's knot, the step's
+    # knot with a second centre, whose midway cut 0.69 is no knot, and one
+    # on a table knot
     CENTRES = ((0.3,), (0.45, 0.93), (0.6,))
-    TERMS = (0.3, 0.45, 0.93, 0.6)
 
     @staticmethod
-    def _kinked(r, term):
-        centre = np.array(TestIntegrateGraded.TERMS)[term]
-        return np.abs(r - centre) ** 1.5 * np.exp(r)
+    def _kinked(r, comp):
+        # prod_c |r - c|^1.5 e^r over the centres c of each node's component
+        out = np.exp(r)
+        for k, cs in enumerate(TestIntegrateGraded.CENTRES):
+            own = comp == k
+            for c in cs:
+                out[own] *= np.abs(r[own] - c) ** 1.5
+        return out
 
     @pytest.mark.parametrize("name", sorted(WEIGHTS))
     def test_against_mpmath(self, name):
@@ -273,10 +279,9 @@ class TestIntegrateGraded:
         results = w.integrate_graded(self._kinked, self.CENTRES, [1e-13] * len(self.CENTRES))
         for cs, (value, err) in zip(self.CENTRES, results):
             with mp.workdps(30):
-                reference = sum(
-                    mp.quad(lambda r: 2 * r * w_mp(r) * abs(r - c) ** 1.5 * mp.exp(r),
-                            sorted({0, 1, c, *knots}))
-                    for c in cs
+                reference = mp.quad(
+                    lambda r: 2 * r * w_mp(r) * mp.exp(r) * mp.fprod(abs(r - c) ** 1.5 for c in cs),
+                    sorted({0, 1, *cs, *knots}),
                 )
             assert value == pytest.approx(float(reference), rel=1e-12, abs=1e-13)
             assert err <= 1e-13
@@ -290,17 +295,32 @@ class TestIntegrateGraded:
             return [min(1e-12 * v, 1e-10) for v, _ in results]
 
         batch = w.integrate_graded(self._kinked, self.CENTRES, tols, refine=refine)
-        first = 0
         for k, cs in enumerate(self.CENTRES):
-            [alone] = w.integrate_graded(lambda r, term, first=first: self._kinked(r, term + first),
+            [alone] = w.integrate_graded(lambda r, comp, k=k: self._kinked(r, comp + k),
                                          [cs], [1e-10], refine=refine)
             assert alone == batch[k]
-            first += len(cs)
 
-    def test_no_centres(self):
-        w = ConstantWeight(1.0)
-        assert w.integrate_graded(self._kinked, [], []) == []
-        assert w.integrate_graded(self._kinked, [()], [1e-9]) == [(0.0, 0.0)]
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    def test_each_centre_has_its_cell(self, name, monkeypatch):
+        # the two-centre component at tol 1e-13 takes 11 to 51 panels; with
+        # one cell per weight piece, all graded toward 0.45, it took 79 to 123
+        w = self.WEIGHTS[name][0]
+        panels, panel_sums = [0], quadrature._panel_sums
+
+        def counted(f, lo, hi, comp):
+            panels[0] += lo.size
+            return panel_sums(f, lo, hi, comp)
+
+        monkeypatch.setattr(quadrature, "_panel_sums", counted)
+        w.integrate_graded(lambda r, comp: self._kinked(r, comp + 1), [(0.45, 0.93)], [1e-13])
+        assert panels[0] <= 64
+
+    def test_no_components(self):
+        assert ConstantWeight(1.0).integrate_graded(self._kinked, [], []) == []
+
+    def test_a_component_needs_a_centre(self):
+        with pytest.raises(DomainError, match="at least one centre"):
+            ConstantWeight(1.0).integrate_graded(self._kinked, [(0.3,), ()], [1e-9] * 2)
 
     def test_unbounded_weight_is_refused(self):
         with pytest.raises(DomainError, match="bounded"):
