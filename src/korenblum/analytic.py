@@ -6,7 +6,7 @@ The p-mean over the circle of radius r,
 
 is computed by the uniform trapezoid rule in the angle (exact mean of
 equispaced samples, spectrally accurate for smooth integrands) with node
-doubling, per radius, until two successive refinements agree. Near a
+doubling, per radius, until two successive grids agree. Near a
 root z_k of f the cusp of |f|^p slows the trapezoid to an error of about
 n^{-p-1} e^{-n |log(r/|z_k|)|}, so a radius still open at 1024 angles
 switches to the control variates z - z_k of its roots within
@@ -45,8 +45,8 @@ norm). A binomial a_0 + a_d z^d has its one kink radius
 rho = (|a_0|/|a_d|)^{1/d} from its coefficients, any other f the moduli
 of its np.roots, those within _KINK_MERGE of a neighbour taken as one.
 Every other polynomial is a component of one plain radial walk
-(RadialWeight.integrate_against). Both walks set their fine tolerances
-from their own level 0, and each polynomial is a component of the
+(RadialWeight.integrate_against). Both walks take each tolerance
+relative to the norm it walks, and each polynomial is a component of the
 integrand phi(r, comp) with its own tolerances and panel tree, so every
 norm is bit for bit the one it gets alone; the binomials of all
 components share one closed-form call per integrand call. A single
@@ -115,11 +115,12 @@ _CUSP_SWITCH_N = 1024
 #: enough for their cusps to be cancelled
 _CUSP_NEAR = 0.05
 #: relative distance within which neighbouring root moduli of f make one
-#: kink radius of its graded walk: np.roots spreads the 30 roots of
-#: z^30 - 0.8^30 over 2.8e-15 (23 distinct moduli), and a cell per
-#: modulus made one norm about 600 times slower than a merge at any
-#: threshold from 1e-14 to 1e-6
-_KINK_MERGE = 1e-12
+#: kink radius of its graded walk. np.roots splits a k-fold root into
+#: moduli about eps^(1/k) apart (1e-8 for the double root 0.5 of
+#: (z - 0.5)^2 (z + 0.2), up to 1.1e-5 for a triple one), and a cell per
+#: split modulus took 19.1 M angular nodes for that norm at p = 0.5 on
+#: StepWeight(0.5), where one cell takes 1.2 M
+_KINK_MERGE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -325,18 +326,17 @@ def _check_root_tol(p: float, tol: float) -> None:
         )
 
 
-def _above_floor(fs: list[Polynomial], p: float, tols: list[float]) -> list[float]:
-    """The radial walk tolerances of fs, refusing a p at which a nonzero
-    polynomial's would fall below 1e-300: that walk would settle at once,
-    on an integral lost under the floor. A zero polynomial's integrand is
-    exactly 0, and its walks take 1e-300."""
-    for f, t in zip(fs, tols):
-        if t < 1e-300 and not f.is_zero:
+def _above_floor(p: float, tols: list[float]) -> list[float]:
+    """The radial walk tolerances tols of walked (so nonzero) polynomials,
+    refusing a p at which one falls below 1e-300: that walk would settle
+    at once, on an integral lost under the floor."""
+    for t in tols:
+        if t < 1e-300:
             raise DomainError(
                 f"p = {p} is out of range: the radial quadrature tolerance of "
                 f"||f||^p, {t:.3e}, falls below 1e-300"
             )
-    return [max(t, 1e-300) for t in tols]
+    return tols
 
 
 @functools.lru_cache(maxsize=32)
@@ -636,10 +636,10 @@ def _mean_pow_batch(
     and d of _binomial_form, and no angular nodes; its `diff` is
     _BINOMIAL_REL_ERROR relative to the mean M. Any other f is sampled on
     its own coefficients, and the doubled grid is the current grid plus its
-    half-spacing offset, so each refinement reuses every node already
+    half-spacing offset, so each doubling reuses every node already
     evaluated. Convergence is measured on the means M themselves
     (relative, per row): a row leaves the doubling once two successive
-    refinements agree, so its grids, variates and exit depend only on its
+    grids agree, so its grids, variates and exit depend only on its
     own radius, not on the radii that share its batch; its value may still
     differ in its last bit with the batch (_abs_pow_means). A row whose
     value overflows leaves at once. Rows still open when the grid reaches _THETA_CAP stop there;
@@ -833,16 +833,18 @@ def weighted_norms(
       would have to resolve): one component of a single plain radial
       walk (``w.integrate_against``) of M_p^p(r; f).
 
-    Both walks start from the coarse tolerance 1e-3 (sum |a_k|)^p m(0)
-    and set their fine tolerances from their own level 0 (see
-    :func:`korenblum.quadrature.integrate_many`): 0.25 tol p v, v the
-    level-0 value, which targets the final relative accuracy of each
-    norm. Each component keeps its own tolerances and panel tree, and its
-    panels are added one by one in frontier order. A p with p tol < eps,
-    whose p-th root would miss tol, is refused (_check_root_tol), and so
-    are a walked f whose scale (sum |a_k|)^p m(0) overflows, a walk
-    tolerance below 1e-300 (_above_floor), a walk that finds ||f||^p = 0
-    for a nonzero f, whose weight mass it did not resolve, and a monomial
+    Both walks take ``tols`` 1e-3 (sum |a_k|)^p m(0), the coarse scale,
+    and ``rtols`` 0.25 tol p (see
+    :func:`korenblum.quadrature.integrate_many`): each norm is walked to
+    min(0.25 tol p v, 1e-3 (sum |a_k|)^p m(0)), v its level-0 value,
+    which targets the final relative accuracy of each norm. Each
+    component keeps its own tolerance and panel tree, and its panels are
+    added one by one in frontier order. A p with p tol < eps, whose p-th
+    root would miss tol, is refused (_check_root_tol), and so are a
+    walked f whose scale (sum |a_k|)^p m(0) overflows, a walk tolerance
+    below 1e-300 (_above_floor: the coarse one before the walk, the
+    relative one on the walk's value), a walk that finds ||f||^p <= 0 for
+    a nonzero f, whose weight mass it did not resolve, and a monomial
     whose moment m(dp) underflows. A monomial forms no (sum |a_k|)^p.
     """
     positive("p", p)
@@ -872,32 +874,29 @@ def weighted_norms(
             raise DomainError(
                 f"p = {p}: the scale (sum |a_k|)^p m(0) of the radial tolerance overflows a float"
             )
-        cts = _above_floor(sub, p, [1e-3 * scale for scale in scales])
-
-        def fine_tols(level0):
-            for f, (v, _), ct in zip(sub, level0, cts):
-                if v <= 0.0 and not f.is_zero:
-                    raise DomainError(
-                        f"the weight's mass m(0) = {m0:.6g} was not resolved: the radial "
-                        f"quadrature of ||f||^p at tolerance {ct:.3e} found 0 for a nonzero f"
-                    )
-            fine = [min(0.25 * tol * p * v, ct) for (v, _), ct in zip(level0, cts)]
-            return _above_floor(sub, p, fine)
-
+        cts = _above_floor(p, [1e-3 * scale for scale in scales])
+        rtol = 0.25 * tol * p
         phi = _mean_pows(sub, p, 0.25 * tol)
         # an overflowing integrand is reported by the walk's non-finite panel check
         with np.errstate(over="ignore", invalid="ignore"):
-            results = integrate(phi, cts, fine_tols)
+            values = [v for v, _ in integrate(phi, cts, [rtol] * len(sub))]
+        for v, ct in zip(values, cts):
+            if v <= 0.0:
+                raise DomainError(
+                    f"the weight's mass m(0) = {m0:.6g} was not resolved: the radial "
+                    f"quadrature of ||f||^p at tolerance {ct:.3e} found 0 for a nonzero f"
+                )
+        _above_floor(p, [min(rtol * v, ct) for v, ct in zip(values, cts)])
         try:
-            for i, (v, _) in zip(route, results):
-                norms[i] = max(v, 0.0) ** (1.0 / p)
+            for i, v in zip(route, values):
+                norms[i] = v ** (1.0 / p)
         except OverflowError:
             raise _norm_overflow(p) from None
 
     if graded:
-        walk(graded, lambda phi, cts, refine: w.integrate_graded(phi, centres, cts, refine=refine))
+        walk(graded, lambda phi, cts, rtols: w.integrate_graded(phi, centres, cts, rtols=rtols))
     if plain:
-        walk(plain, lambda phi, cts, refine: w.integrate_against(phi, 0.0, 1.0, cts, refine=refine))
+        walk(plain, lambda phi, cts, rtols: w.integrate_against(phi, 0.0, 1.0, cts, rtols=rtols))
     return norms
 
 

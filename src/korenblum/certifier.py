@@ -66,9 +66,12 @@ class InstanceReport:
 
 
 def radius_grid(grid: int) -> np.ndarray:
-    """Geometric midpoint grid of candidate radii strictly inside (C_GRID_LO, C_GRID_HI)."""
+    """Geometric midpoint grid of candidate radii strictly inside (C_GRID_LO, C_GRID_HI).
+
+    Each point is a Python float power, libm's pow, whose bits do not
+    depend on the SIMD kernels numpy picks for the CPU."""
     ratio = (C_GRID_HI / C_GRID_LO) ** (1.0 / grid)
-    return C_GRID_LO * ratio ** (np.arange(grid) + 0.5)
+    return np.array([C_GRID_LO * ratio ** (k + 0.5) for k in range(grid)])
 
 
 def _sides_at(w: RadialWeight, c: float, quad_tol: float) -> tuple[float, float]:

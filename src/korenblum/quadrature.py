@@ -7,7 +7,7 @@ themselves, which no bisection can lower: 8 eps (|left| + |right|), or
 the shift that rounding the nodes makes, 8 eps |mid| times the sum of
 the halves' rises |f(last node) - f(first node)|.
 Gauss nodes never touch panel endpoints, so integrable endpoint
-singularities are refined into rather than evaluated.
+singularities are bisected toward rather than evaluated.
 
 :func:`integrate_many` integrates K integrands over the same [a, b] and
 breakpoints in one walk of their panel trees, level by level: the halves
@@ -22,11 +22,12 @@ by one in frontier order, the order a walk of it alone takes; so each
 component's result is bit for bit what a separate walk would give.
 :func:`integrate` is that walk for a single integrand ``f(x)``.
 
-``integrate_many(..., refine=...)`` sets its tolerances from its own
-level 0: once every piece's panel sum and its two halves are evaluated,
-``refine`` maps each component's level-0 estimate to the tolerances
-that decide level 0 and every later level. The walk is bit for bit a
-fresh walk at those tolerances, and calls the integrand as that walk does.
+``integrate_many(..., rtols=...)`` makes each tolerance relative to
+the integral it walks: once every piece's panel sum and its two halves
+are evaluated, component k takes min(tols[k], rtols[k] |v_k|), v_k the
+sum of its level-0 halves, for level 0 and every later level. The walk
+is bit for bit a fresh walk at those tolerances, and calls the integrand
+as that walk does.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import QuadratureDivergence, positive
+from .errors import DomainError, QuadratureDivergence, positive
 
 #: default absolute tolerance of the package's quadratures
 DEFAULT_TOL = 1e-9
@@ -75,16 +76,14 @@ def _panel_sums(
     return half * sums, rise
 
 
-def _walk(finite_sums, edges, tols, refine=None):
+def _walk(finite_sums, edges, tols, rtols=None):
     """One level-by-level walk of every component's panel tree over the
     pieces between ``edges``, component k at tolerance ``tols[k]``, its
     panels evaluated by ``finite_sums(lo, hi, comp)``.
 
-    With ``refine``, the tolerances are ``refine(level0)`` instead, where
-    ``level0`` holds each component's (sum of its level-0 halves, sum of
-    their max(error, rounding floor)): what the walk returns at
-    tolerances every level-0 panel meets. Returns per-component arrays
-    (total, settled error, stuck error) and the tolerances walked.
+    With ``rtols``, component k walks at min(tols[k], rtols[k] |v_k|)
+    instead, v_k the sum of its level-0 halves. Returns per-component
+    arrays (total, settled error, stuck error) and the tolerances walked.
     """
     K = len(tols)
     pieces = edges.size - 1
@@ -108,21 +107,16 @@ def _walk(finite_sums, edges, tols, refine=None):
         rounding = _ROUNDING * np.maximum(
             np.abs(left) + np.abs(right), np.abs(mid) * (rise[: lo.size] + rise[lo.size :])
         )
-        floor = np.maximum(err, rounding)
         if depth == 0:
-            if refine is not None:
-                level0 = (np.bincount(comp, fine, K), np.bincount(comp, floor, K))
-                tols = refine(list(zip(*(a.tolist() for a in level0))))
+            if rtols is not None:
+                level0 = np.abs(np.bincount(comp, fine, K))
+                tols = np.minimum(tols, np.asarray(rtols) * level0).tolist()
             panel_tol = np.repeat(np.array(tols) / pieces, pieces)
-        settled = (
-            (err <= np.maximum(panel_tol, rounding))
-            | (mid <= lo)
-            | (mid >= hi)
-        )
+        settled = (err <= np.maximum(panel_tol, rounding)) | (mid <= lo) | (mid >= hi)
         done = settled | (depth >= MAX_DEPTH)
         total += np.bincount(comp[done], fine[done], K)
         # a panel settled at the rounding floor may be off by that much
-        settled_err += np.bincount(comp[settled], floor[settled], K)
+        settled_err += np.bincount(comp[settled], np.maximum(err, rounding)[settled], K)
         if depth >= MAX_DEPTH:  # the panels still open are stuck
             stuck_err += np.bincount(comp[~settled], err[~settled], K)
         # children keep each component's panels in the order of its own walk:
@@ -144,7 +138,7 @@ def integrate_many(
     tols: Sequence[float],
     *,
     breakpoints: Iterable[float] = (),
-    refine: Callable[[list[tuple[float, float]]], Sequence[float]] | None = None,
+    rtols: Sequence[float] | None = None,
 ) -> list[tuple[float, float]]:
     """Integrate the components k of ``f(x, comp)`` over [a, b], component
     k to absolute tolerance ``tols[k]``, in one walk (see the module notes).
@@ -160,27 +154,20 @@ def integrate_many(
     error of a component's panels that hit ``MAX_DEPTH`` still exceeds
     its tolerance.
 
-    ``refine`` maps each component's level-0 estimate, the ``(value,
-    err_est)`` this function returns at tolerances every level-0 panel
-    meets, to the tolerances the walk then takes; ``tols`` caps them. The
-    result is bit for bit a fresh walk's at those tolerances. A refined
-    tolerance above ``tols`` raises ``ValueError``.
+    ``rtols``, one finite entry >= 0 per component, makes component k's
+    tolerance min(tols[k], rtols[k] |v_k|), v_k the sum of its level-0
+    halves, fixed before any panel settles: the result is bit for bit a
+    fresh walk's at those tolerances.
     """
     tols = [positive("tol", tol) for tol in tols]
+    if rtols is not None:
+        rtols = [positive("rtol", rtol, closed=True) for rtol in rtols]
+        if len(rtols) != len(tols):
+            raise DomainError(f"rtols needs one entry per component: {len(tols)}, got {len(rtols)}")
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
-
-    def refined(level0):
-        fine_tols = [positive("tol", tol) for tol in refine(level0)]
-        if len(fine_tols) != len(tols) or any(t > u for t, u in zip(fine_tols, tols)):
-            raise ValueError("refine must give one tolerance per component, none above tols")
-        return fine_tols
-
     if a == b:
-        results = [(0.0, 0.0)] * len(tols)
-        if refine is not None:
-            refined(results)
-        return results
+        return [(0.0, 0.0)] * len(tols)
 
     def finite_sums(lo, hi, comp):
         sums, rise = _panel_sums(f, lo, hi, comp)
@@ -190,9 +177,7 @@ def integrate_many(
 
     cuts = sorted({float(x) for x in breakpoints if a < x < b})
     edges = np.array([a, *cuts, b], dtype=float)
-    total, settled_err, stuck_err, tols = _walk(
-        finite_sums, edges, tols, None if refine is None else refined
-    )
+    total, settled_err, stuck_err, tols = _walk(finite_sums, edges, tols, rtols)
     for tol, err in zip(tols, stuck_err.tolist()):
         if err > tol:
             raise QuadratureDivergence(

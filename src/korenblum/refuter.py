@@ -20,7 +20,7 @@ import numpy as np
 from .analytic import Polynomial, _check_root_tol, weighted_norms
 from .errors import DomainError, KorenblumError, NoWitnessFound, positive
 from .quadrature import DEFAULT_TOL
-from .weights import RadialWeight, moment
+from .weights import OriginLiminf, RadialWeight, moment
 
 EPSILON_SCAN_STEPS = 48
 
@@ -93,7 +93,10 @@ def find_counterexample(
     With n unset, p must lie in (0,1) and n is the smallest exponent with
     n(1-p) > 2. An explicit n may be forced for any p > 0, which is how
     the p >= 1 immunity sweeps are run. Raises :class:`NoWitnessFound`
-    when no scanned epsilon clears the gap threshold 2*quad_tol.
+    when no scanned epsilon clears the gap threshold 2*quad_tol, naming
+    the n and epsilons scanned, the best gap and its epsilon, and, as
+    context, the weight's liminf at 0. A miss claims only that this scan
+    found nothing.
 
     Only the norms are computed. Domination needs no check: on |z| = rho
     the least value of |g| - |f| is (rho^n - c^n) e^n / (c^n + e^n),
@@ -117,10 +120,17 @@ def find_counterexample(
         if gap > best_gap:
             best_j, best_gap, best_norm_f = j, gap, norm_f
     if best_gap <= 2.0 * quad_tol:
-        hint = w.liminf_at_origin().value
+        liminf = w.liminf_at_origin()
+        context = f"liminf of w at 0: {liminf.value}"
+        if p < 1.0:
+            has = "has" if liminf is OriginLiminf.POSITIVE_LIMINF else "does not have"
+            context += (f"; the failure theorem for 0 < p < 1 assumes liminf w > 0, "
+                        f"which this weight {has}")
         raise NoWitnessFound(
-            f"no epsilon in the scan reversed the norms at p={p}, c={c}, n={n} "
-            f"(best gap {best_gap:.3e}; weight liminf hint: {hint})"
+            f"no epsilon reversed the norms at p={p}, c={c}: the scan took n={n} and "
+            f"epsilon = c 2^-j for j = 1..{EPSILON_SCAN_STEPS}, and its best gap "
+            f"||f|| - ||g|| = {best_gap:.3e}, at epsilon = {c * 2.0**-best_j!r} (j = {best_j}), "
+            f"is not above 2 quad_tol = {2.0 * quad_tol:g} ({context})"
         )
     return CounterexampleWitness(
         p=p,

@@ -20,7 +20,7 @@ Both radial walks of general integrands phi(r, k),
 :meth:`RadialWeight.integrate_against` and
 :meth:`RadialWeight.integrate_graded`, keep one contract: the caller's
 components k = 0..K-1 go in, one adaptive quadrature walk takes them
-all, with ``tols`` and ``refine`` passed straight to it, and one
+all, with ``tols`` and ``rtols`` passed straight to it, and one
 (value, err_est) per component comes out. The direct walk runs in r
 with the weight's knots as breakpoints, for every kind; only a walk of
 the standard kind with alpha < 0 up to r = 1 runs in the substituted
@@ -105,21 +105,21 @@ class RadialWeight:
 
     def integrate_against(
         self, phi: Callable, a: float, b: float, tols: Sequence[float], *,
-        refine: Callable | None = None,
+        rtols: Sequence[float] | None = None,
     ) -> list[tuple[float, float]]:
         """int_a^b 2 r w(r) phi(r, k) dr for k = 0..K-1, component k with
         absolute error <= tols[k], in one quadrature walk.
 
         ``phi(r, comp)`` maps arrays of radii and of their components
-        elementwise; ``tols`` and ``refine``, which sets the walk's
-        tolerances from its own level 0, go straight to
+        elementwise; ``tols`` and ``rtols``, which makes the walk's
+        tolerances relative to its own level 0, go straight to
         :func:`korenblum.quadrature.integrate_many`. Returns one
         (value, err_est) per component. The walk runs in r from the first
         knot (w is 0 below it) with the knots as breakpoints; a walk of an
         unbounded weight up to r = 1 is its own (_integrate_to_one).
         """
         if not self.bounded and b == 1.0:
-            return self._integrate_to_one(phi, a, tols, refine)
+            return self._integrate_to_one(phi, a, tols, rtols)
         knots = self._support_knots()
         # a walk of [b, b] returns zeros
         lo = min(max(a, knots[0]), b)
@@ -127,15 +127,15 @@ class RadialWeight:
         def kernel(r, comp):
             return self._kernel(r) * phi(r, comp)
 
-        return integrate_many(kernel, lo, b, tols, breakpoints=knots, refine=refine)
+        return integrate_many(kernel, lo, b, tols, breakpoints=knots, rtols=rtols)
 
-    def _integrate_to_one(self, phi, a, tols, refine):
+    def _integrate_to_one(self, phi, a, tols, rtols):
         """integrate_against on [a, 1] for an unbounded weight."""
         raise NotImplementedError
 
     def integrate_graded(
         self, phi: Callable, centres: Sequence[Sequence[float]], tols: Sequence[float], *,
-        refine: Callable | None = None,
+        rtols: Sequence[float] | None = None,
     ) -> list[tuple[float, float]]:
         """int_0^1 2 r w(r) phi(r, k) dr for k = 0..K-1, component k smooth but
         for a kink |r - c|^q at each of its centres c, centres[k], sorted
@@ -154,7 +154,7 @@ class RadialWeight:
         the SIMD kernels numpy picks for the CPU. Component k is one
         component of a :func:`korenblum.quadrature.integrate_many` walk in
         x, whose integrand adds, at each x, its cells in order; ``phi``,
-        ``tols`` and ``refine`` keep the contract of
+        ``tols`` and ``rtols`` keep the contract of
         :meth:`integrate_against`. Returns one (value, err_est) per
         component, each bit for bit what it gets alone. The weight must be
         bounded, and every component needs a centre.
@@ -191,7 +191,7 @@ class RadialWeight:
             cells = self._kernel(r) * phi(r, comp[row]) * (3.0 * width[row] * s * s)
             return np.bincount(node, cells, x.size)
 
-        return integrate_many(kernel, 0.0, 1.0, tols, refine=refine)
+        return integrate_many(kernel, 0.0, 1.0, tols, rtols=rtols)
 
     def power_mass(self, s: float, a: float, b: float) -> float:
         """int_a^b 2 r^{s+1} w(r) dr in closed form."""
@@ -282,7 +282,7 @@ class StandardWeight(RadialWeight):
     def _support_knots(self):
         return (0.0,)
 
-    def _integrate_to_one(self, phi, a, tols, refine):
+    def _integrate_to_one(self, phi, a, tols, rtols):
         # v = (1-r^2)^{alpha+1} turns the kernel into plain dv and keeps the
         # transformed integrand bounded up to r = 1, where v = 0; walks short
         # of r = 1 stay in r, since v cannot resolve r^2 under rounding
@@ -293,7 +293,7 @@ class StandardWeight(RadialWeight):
             u = np.clip(1.0 - v**q, 0.0, 1.0)
             return phi(np.sqrt(u), comp)
 
-        return integrate_many(transformed, 0.0, va, tols, refine=refine)
+        return integrate_many(transformed, 0.0, va, tols, rtols=rtols)
 
     def power_mass(self, s, a, b):
         ap1 = self.alpha + 1.0

@@ -6,7 +6,7 @@ weighted norms by a tanh-sinh product rule and the full binomial series.
 
 Nothing here goes through the package's quadrature paths, except
 :func:`two_walk_norms`, the weighted norms as two separate walks, which
-the package's one walk, refined from its own level 0, must reproduce bit
+the package's one walk, relative to its own level 0, must reproduce bit
 for bit.
 """
 import math
@@ -325,7 +325,7 @@ def two_walk_norms(fs, w, p, tol):
     a bounded weight, a polynomial with kink radii in (0, 1) is a
     component of two ``integrate_graded`` walks of M_p^p centred at them:
     rho = (|a_0|/|a_d|)^(1/d) of a binomial a_0 + a_d z^d, else the sorted
-    moduli of its roots (``np.roots``) in (0, 1), those within 1e-12
+    moduli of its roots (``np.roots``) in (0, 1), those within 1e-4
     relative of the next smaller modulus dropped. Every other polynomial
     is a component of two plain ``integrate_against`` walks. Each route's
     first walk runs at tolerances every level-0 panel meets
@@ -344,7 +344,7 @@ def two_walk_norms(fs, w, p, tol):
             radii = [(float(cs[0]) / float(cs[d])) ** (1.0 / d)]
         else:
             moduli = sorted(np.abs(np.roots(np.asarray(f.coeffs)[::-1])).tolist())
-            radii = [c for lower, c in zip([0.0] + moduli, moduli) if c - lower > 1e-12 * c]
+            radii = [c for lower, c in zip([0.0] + moduli, moduli) if c - lower > 1e-4 * c]
         radii = tuple(c for c in radii if 0.0 < c < 1.0)
         if w.bounded and radii:
             graded.append(i)
@@ -355,7 +355,7 @@ def two_walk_norms(fs, w, p, tol):
 
     def two_walks(route, integrate):
         sub = [fs[i] for i in route]
-        coarse_tols = _above_floor(sub, p, [1e-3 * scales[i] for i in route])
+        coarse_tols = _above_floor(p, [1e-3 * scales[i] for i in route])
         phi = _mean_pows(sub, p, 0.25 * tol)
 
         def fresh(tols):
@@ -363,7 +363,7 @@ def two_walk_norms(fs, w, p, tol):
                 return integrate(phi, tols)
 
         level0 = fresh([sys.float_info.max] * len(sub))
-        fine_tols = _above_floor(sub, p, [
+        fine_tols = _above_floor(p, [
             min(0.25 * tol * p * v, ct) for (v, _), ct in zip(level0, coarse_tols)
         ])
         for i, (v, _) in zip(route, fresh(fine_tols)):

@@ -527,7 +527,7 @@ PINNED_REPORTS = {
     ("certify", "constant"): CERTIFY_HEADER
     + "0.186821041861,0.0349021016822,0.0548670586805,0.0199649569983,1e-09\n",
     ("certify", "standard"): CERTIFY_HEADER
-    + "0.226865576104,0.0260739194483,0.0262334669411,0.000159547492846,1e-09\n",
+    + "0.226865576104,0.0260739194483,0.0262334669411,0.000159547492845,1e-09\n",
     ("certify", "step"): CERTIFY_HEADER
     + "0.226865576104,0.0289679896212,0.0378022118913,0.00883422227014,1e-09\n",
     ("certify", "table"): CERTIFY_HEADER

@@ -1,7 +1,7 @@
 """The adaptive Gauss-Legendre engine: accuracy, the level-by-level walk
 of the panel tree against the depth-first reference walk, the walk of
-many integrals at once against one walk per integral, and a walk refined
-from its own level 0 against a fresh walk."""
+many integrals at once against one walk per integral, and a walk whose
+tolerances are relative to its own level 0 against a fresh walk."""
 import sys
 
 import mpmath as mp
@@ -216,99 +216,100 @@ def _recording_many(f):
     return g, rows
 
 
-class TestResume:
-    """integrate_many(..., refine=...) takes its tolerances from its own
-    level 0: bit for bit a fresh walk at the refined tolerances, with no
-    node evaluated twice."""
+class TestRelativeTolerance:
+    """integrate_many(..., rtols=...) walks component k to
+    min(tols[k], rtols[k] |v_k|), v_k its level-0 value: bit for bit a
+    fresh walk at those tolerances, with no node evaluated twice."""
 
     F = staticmethod(
         _kinked([1.0, 2.0, 0.5, 3.0], [0.3, 0.6, 0.9, 0.45], [0.5, 1.5, 3.0, 1.0],
                 [1.0, 50.0, 9.0, 200.0])
     )
     CUTS = (0.25, 0.7)
-    # component 0 keeps its tolerance (full reuse), the others refine a
-    # little, a lot and down to the rounding floor
     T1 = [1e-6, 1e-6, 1e-4, 1e-3]
-    T2 = [1e-6, 3e-7, 1e-12, 1e-300]
+    # component 0 keeps its tolerance, the others go a little, a lot and
+    # down to the rounding floor below it
+    R = [1.0, 2e-7, 2.5e-12, 1e-300]
+
+    @staticmethod
+    def fresh_tols(f, a, b, tols, rtols, cuts=()):
+        """min(tols, rtols |v0|), v0 the values of a walk whose tolerances
+        every level-0 panel meets."""
+        level0 = integrate_many(f, a, b, [sys.float_info.max] * len(tols), breakpoints=cuts)
+        return [min(t, r * abs(v)) for t, r, (v, _) in zip(tols, rtols, level0)]
 
     @pytest.mark.parametrize("cuts", [(), CUTS], ids=["no_breakpoints", "breakpoints"])
     def test_equals_a_fresh_walk(self, cuts):
-        seen = []
-
-        def refine(results):
-            seen.append(results)
-            return self.T2
-
-        resumed = integrate_many(self.F, -0.5, 1.5, self.T1, breakpoints=cuts, refine=refine)
-        # refine sees the level-0 estimate: a walk whose tolerances every
-        # level-0 panel meets
-        level0 = integrate_many(self.F, -0.5, 1.5, [sys.float_info.max] * 4, breakpoints=cuts)
-        assert seen == [level0]
-        assert resumed == integrate_many(self.F, -0.5, 1.5, self.T2, breakpoints=cuts)
+        fresh = self.fresh_tols(self.F, -0.5, 1.5, self.T1, self.R, cuts)
+        assert fresh[0] == self.T1[0] and all(t < u for t, u in zip(fresh[1:], self.T1[1:]))
+        relative = integrate_many(self.F, -0.5, 1.5, self.T1, breakpoints=cuts, rtols=self.R)
+        assert relative == integrate_many(self.F, -0.5, 1.5, fresh, breakpoints=cuts)
 
     def test_equals_a_fresh_walk_at_the_node_rounding_floor(self):
         # the chirp's panels settle by node rounding, eps |mid| times the
-        # halves' rises, at both tolerances: a reused half keeps its rise
+        # halves' rises, at both tolerances
         def chirp(x, comp):
             return np.sin(2000.0 * x**2) * (1.0 + comp)
 
-        resumed = integrate_many(chirp, 0.0, 3.0, [1e-10, 1e-11], refine=lambda _: [1e-11, 1e-12])
-        assert resumed == integrate_many(chirp, 0.0, 3.0, [1e-11, 1e-12])
+        rtols = [1e-10, 1e-11]
+        fresh = self.fresh_tols(chirp, 0.0, 3.0, [1e-10, 1e-11], rtols)
+        relative = integrate_many(chirp, 0.0, 3.0, [1e-10, 1e-11], rtols=rtols)
+        assert relative == integrate_many(chirp, 0.0, 3.0, fresh)
 
     def test_each_panel_evaluated_once(self):
         g, rows = _recording_many(self.F)
-        integrate_many(g, -0.5, 1.5, self.T1, breakpoints=self.CUTS, refine=lambda _: self.T2)
-        resumed = np.concatenate(rows)
-        assert np.unique(resumed, axis=0).shape == resumed.shape
-
-        # the nodes are exactly those of a fresh walk at the refined tolerances
-        g, rows = _recording_many(self.F)
-        integrate_many(g, -0.5, 1.5, self.T2, breakpoints=self.CUTS)
-        assert np.array_equal(np.unique(resumed, axis=0), np.unique(np.concatenate(rows), axis=0))
+        integrate_many(g, -0.5, 1.5, self.T1, breakpoints=self.CUTS, rtols=self.R)
+        relative = np.concatenate(rows)
+        assert np.unique(relative, axis=0).shape == relative.shape
 
     def test_calls_like_a_fresh_walk(self):
-        # the same integrand calls, in the same order, as a fresh walk at the
-        # refined tolerances
-        g, refined = _recording_many(self.F)
-        integrate_many(g, -0.5, 1.5, self.T1, breakpoints=self.CUTS, refine=lambda _: self.T2)
+        # the same integrand calls, in the same order, as a fresh walk at
+        # the tolerances rtols sets
+        fresh_tols = self.fresh_tols(self.F, -0.5, 1.5, self.T1, self.R, self.CUTS)
+        g, relative = _recording_many(self.F)
+        integrate_many(g, -0.5, 1.5, self.T1, breakpoints=self.CUTS, rtols=self.R)
         g, fresh = _recording_many(self.F)
-        integrate_many(g, -0.5, 1.5, self.T2, breakpoints=self.CUTS)
-        assert len(refined) == len(fresh)
-        assert all(np.array_equal(r, s) for r, s in zip(refined, fresh))
+        integrate_many(g, -0.5, 1.5, fresh_tols, breakpoints=self.CUTS)
+        assert len(relative) == len(fresh)
+        assert all(np.array_equal(r, s) for r, s in zip(relative, fresh))
 
-    def test_full_reuse_evaluates_nothing_new(self):
+    def test_rtols_above_tols_change_nothing(self):
         g, rows = _recording_many(self.F)
         first = integrate_many(g, -0.5, 1.5, self.T1)
         calls = len(rows)
-        assert integrate_many(g, -0.5, 1.5, self.T1, refine=lambda _: self.T1) == first
+        assert integrate_many(g, -0.5, 1.5, self.T1, rtols=[1.0] * 4) == first
         assert len(rows) == 2 * calls
 
     def test_stuck_component_raises_as_a_fresh_walk(self):
         from korenblum import QuadratureDivergence
 
         # an undeclared jump hits MAX_DEPTH with an error of about 2.3e-14,
-        # within the first walk's tolerance but not the refined one's
+        # within tols but not within rtols |v| (about 1e-14)
         def f(x, comp):
             return np.where(comp == 1, (x >= 1.0 / 3.0).astype(float), np.cos(x))
 
+        rtols = [1e-10, 1.5e-14]
+        fresh_tols = self.fresh_tols(f, 0.0, 1.0, [1e-9, 1e-9], rtols)
         with pytest.raises(QuadratureDivergence) as fresh:
-            integrate_many(f, 0.0, 1.0, [1e-10, 1e-14])
-        with pytest.raises(QuadratureDivergence) as resumed:
-            integrate_many(f, 0.0, 1.0, [1e-9, 1e-9], refine=lambda _: [1e-10, 1e-14])
-        assert str(resumed.value) == str(fresh.value)
-        assert "> tol 1.000e-14 after 40 bisection levels" in str(fresh.value)
+            integrate_many(f, 0.0, 1.0, fresh_tols)
+        with pytest.raises(QuadratureDivergence) as relative:
+            integrate_many(f, 0.0, 1.0, [1e-9, 1e-9], rtols=rtols)
+        assert str(relative.value) == str(fresh.value)
+        assert f"> tol {fresh_tols[1]:.3e} after 40 bisection levels" in str(fresh.value)
 
     @pytest.mark.parametrize(
-        "refined", [[1e-6, 2e-6, 1e-6, 1e-3], [1e-6, 1e-6, 1e-4]], ids=["above", "too_few"]
+        "rtols", [[1e-6, 1e-6, 1e-6], [1e-6, -1e-6, 1e-6, 1e-6], [1e-6, np.nan, 1e-6, 1e-6],
+                  [1e-6, np.inf, 1e-6, 1e-6]],
+        ids=["too_few", "negative", "nan", "inf"],
     )
-    def test_refused_tolerances(self, refined):
-        with pytest.raises(ValueError, match="refine must give one tolerance per component"):
-            integrate_many(self.F, -0.5, 1.5, self.T1, refine=lambda _: refined)
+    def test_refused_rtols(self, rtols):
+        from korenblum import DomainError
+
+        with pytest.raises(DomainError, match="rtol"):
+            integrate_many(self.F, -0.5, 1.5, self.T1, rtols=rtols)
 
     def test_zero_width_interval(self):
-        assert integrate_many(self.F, 0.5, 0.5, [1e-3], refine=lambda _: [1e-9]) == [(0.0, 0.0)]
-        with pytest.raises(ValueError):
-            integrate_many(self.F, 0.5, 0.5, [1e-9], refine=lambda _: [1e-3])
+        assert integrate_many(self.F, 0.5, 0.5, [1e-3, 1e-3], rtols=[0.0, 1e-9]) == [(0.0, 0.0)] * 2
 
 
 class TestRoundingFloor:

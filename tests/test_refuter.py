@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -135,6 +136,27 @@ class TestFindCounterexample:
         with pytest.raises(NoWitnessFound) as err:
             find_counterexample(0.5, 0.2, StepWeight(0.5), quad_tol=QUAD_TOL)
         assert "ZeroNearOrigin" in str(err.value)
+
+    def test_no_witness_states_the_search(self):
+        # the scan's n, its epsilons, the best gap and where it occurred;
+        # the liminf at 0 is context, not the cause
+        with pytest.raises(NoWitnessFound) as err:
+            find_counterexample(0.5, 0.2, StepWeight(0.5), quad_tol=QUAD_TOL)
+        message = str(err.value)
+        assert message.startswith(
+            "no epsilon reversed the norms at p=0.5, c=0.2: the scan took n=5 and "
+            "epsilon = c 2^-j for j = 1..48, and its best gap ||f|| - ||g|| = "
+        )
+        best_j = int(re.search(r"\(j = (\d+)\)", message)[1])
+        assert f"at epsilon = {0.2 * 2.0**-best_j!r} (j = {best_j}), " in message
+        assert message.endswith(
+            "is not above 2 quad_tol = 2e-09 (liminf of w at 0: ZeroNearOrigin; the failure "
+            "theorem for 0 < p < 1 assumes liminf w > 0, which this weight does not have)"
+        )
+        # the theorem's assumption is named only for 0 < p < 1
+        with pytest.raises(NoWitnessFound) as err:
+            find_counterexample(2.0, 0.3, ConstantWeight(1.0), quad_tol=QUAD_TOL, n=5)
+        assert str(err.value).endswith("(liminf of w at 0: PositiveLiminf)")
 
     def test_revalidates_at_finer_quadrature(self):
         witness = find_counterexample(0.5, 0.9, ConstantWeight(1.0), quad_tol=QUAD_TOL)

@@ -289,15 +289,11 @@ class TestIntegrateGraded:
     @pytest.mark.parametrize("name", sorted(WEIGHTS))
     def test_each_component_alone_equals_the_batch(self, name):
         w = self.WEIGHTS[name][0]
-        tols = [1e-10] * len(self.CENTRES)
-
-        def refine(results):
-            return [min(1e-12 * v, 1e-10) for v, _ in results]
-
-        batch = w.integrate_graded(self._kinked, self.CENTRES, tols, refine=refine)
+        tols, rtols = [1e-10] * len(self.CENTRES), [1e-12] * len(self.CENTRES)
+        batch = w.integrate_graded(self._kinked, self.CENTRES, tols, rtols=rtols)
         for k, cs in enumerate(self.CENTRES):
             [alone] = w.integrate_graded(lambda r, comp, k=k: self._kinked(r, comp + k),
-                                         [cs], [1e-10], refine=refine)
+                                         [cs], [1e-10], rtols=[1e-12])
             assert alone == batch[k]
 
     @pytest.mark.parametrize("name", sorted(WEIGHTS))
