@@ -33,9 +33,13 @@ _unit_binomial_means). The weighted norm
     ||f||_{p,w} = ( int_0^1 2 r w(r) M_p^p(r; f) dr )^{1/p}
 
 nests that angular quadrature inside the radial quadrature of the weight.
-:func:`weighted_norms` takes each polynomial by one of three routes. A
+:func:`weighted_norms` takes each polynomial by one of four routes. A
 monomial a z^d or a constant has ||f||^p = |a|^p m(dp) in closed form,
-with no walk. Except at even p, M_p^p(r; f) has a kink like
+with no walk. At an even p = 2k, Parseval's identity gives
+||f||^p = sum_j |b_j|^2 m(2j), b the coefficients of f^k, with no walk
+and no angular node (_parseval_norm), up to k deg f = _PARSEVAL_CAP and
+where its rounding bound meets the walk's tolerance. Except at even p,
+M_p^p(r; f) has a kink like
 |r - |z_k||^{p+1} at the modulus of every root 0 < |z_k| < 1, toward
 which a walk in r bisects; so on a bounded weight, a polynomial with
 such a kink radius is a component of one graded walk
@@ -121,6 +125,10 @@ _CUSP_NEAR = 0.05
 #: split modulus took 19.1 M angular nodes for that norm at p = 0.5 on
 #: StepWeight(0.5), where one cell takes 1.2 M
 _KINK_MERGE = 1e-4
+#: the largest k deg f of an even p = 2k at which ||f||_p takes Parseval's
+#: sum (_parseval_norm), over the k deg f + 1 coefficients of f^k
+_PARSEVAL_CAP = 4096
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -318,11 +326,10 @@ def _check_root_tol(p: float, tol: float) -> None:
     """Refuse a p whose p-th root cannot meet tol: x^(1/p) turns a
     relative rounding eps of x into eps/p, so p tol < eps misses tol. A
     tol below eps asks for the best rounding allows and is let through."""
-    eps = float(np.finfo(float).eps)
-    if tol >= eps and p * tol < eps:
+    if tol >= _EPS and p * tol < _EPS:
         raise DomainError(
             f"p = {p} is too small for tol = {tol:g}: a p-th root turns a relative "
-            f"rounding error eps into eps/p, so the smallest tol p allows is eps/p = {eps / p:.3e}"
+            f"rounding error eps into eps/p, so the smallest tol p allows is eps/p = {_EPS / p:.3e}"
         )
 
 
@@ -810,16 +817,83 @@ def _norm_overflow(p: float) -> DomainError:
     return DomainError(f"p = {p}: the norm (int 2 r w M_p^p dr)^(1/p) overflows a float")
 
 
+@functools.lru_cache(maxsize=64)
+def _even_moments(w: RadialWeight, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """m(2j) and the bound w.moment_error(2j) on its rounding, j < count."""
+    m = np.array([moment(w, 2.0 * j) for j in range(count)])
+    err = np.array([w.moment_error(2.0 * j) for j in range(count)])
+    m.flags.writeable = err.flags.writeable = False  # shared through the cache
+    return m, err
+
+
+def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The coefficients of the product of two real polynomials: the
+    products x_i y_j, each one rounding, added into i + j in order of i by
+    np.bincount, whose sums do not change with the SIMD kernels numpy
+    picks for the CPU (np.convolve's complex dot product is BLAS's)."""
+    index = np.add.outer(np.arange(x.size), np.arange(y.size)).ravel()
+    return np.bincount(index, np.multiply.outer(x, y).ravel(), x.size + y.size - 1)
+
+
+def _parseval_norm(f: Polynomial, w: RadialWeight, p: float, tol: float) -> float | None:
+    """||f||_{p,w} at an even p = 2k with k deg f <= _PARSEVAL_CAP, by
+    Parseval: with S = sum |a_j| and b the coefficients of (f/S)^k,
+
+        ||f||^p = S^p sum_j |b_j|^2 m(2j),
+
+    no walk and no angular node, and S^p never formed. None where the
+    route does not apply: another p, a larger k deg f, a sum S that
+    overflows, or a sum that fails its rounding gate. The gate bounds the
+    sum's rounding error by gamma sum_j B_j^2 m(2j) plus the moments' own
+    errors (RadialWeight.moment_error), B the coefficients of
+    (sum_j |a_j/S| z^j)^k, and passes a bound of at most 0.25 tol p
+    times the sum, the accuracy the radial walk targets. gamma counts the
+    roundings along each b_j, about k (deg f + 3) of size B_j, twice for
+    |b_j|^2: where f^k cancels heavily, so that |b_j| << B_j, it fails.
+    """
+    if p % 2.0 or (k := int(p) // 2) * f.degree > _PARSEVAL_CAP:
+        return None
+    a = np.asarray(f.coeffs, dtype=complex)
+    moduli = np.array([abs(c) for c in f.coeffs])
+    scale = math.fsum(moduli.tolist())
+    if not math.isfinite(scale):
+        return None
+    re, im, size = a.real / scale, a.imag / scale, moduli / scale
+    b_re, b_im, big = re, im, size
+    for _ in range(k - 1):
+        b_re, b_im = (_convolve(re, b_re) - _convolve(im, b_im),
+                      _convolve(re, b_im) + _convolve(im, b_re))
+        big = _convolve(size, big)
+    m, m_err = _even_moments(w, big.size)
+    value = math.fsum(((b_re * b_re + b_im * b_im) * m).tolist())
+    big2 = big * big
+    rounds = k * (f.degree + 3)
+    bound = ((2 * rounds + 4) * _EPS * math.fsum((big2 * m).tolist())
+             + math.fsum((big2 * m_err).tolist())
+             # what underflows is off by a subnormal spacing per rounding
+             + big.size * (rounds * m[0] + 1.0) * 2.0**-1074)
+    if not bound <= 0.25 * tol * p * value:
+        return None
+    norm = scale * value ** (1.0 / p)
+    if not math.isfinite(norm):
+        raise _norm_overflow(p)
+    return norm
+
+
 def weighted_norms(
     fs, w: RadialWeight, p: float, tol: float = DEFAULT_TOL
 ) -> list[float]:
     """||f||_{p,w} of every f in fs, each with relative error about tol.
 
-    Each f takes one of three routes, and its norm is bit for bit the one
-    it gets alone, ``weighted_norms([f], ...)``:
+    Each f takes the first of four routes that applies, and its norm is
+    bit for bit the one it gets alone, ``weighted_norms([f], ...)``:
 
     - a monomial a z^d, a constant or zero: ||f||^p = |a|^p m(dp) in
       closed form (_monomial_norm), on every weight;
+    - at an even p = 2k with k deg f <= _PARSEVAL_CAP, on every weight:
+      ||f||^p = S^p sum_j |b_j|^2 m(2j), S = sum |a_j| and b the
+      coefficients of (f/S)^k (_parseval_norm), if a bound on its
+      rounding is at most 0.25 tol p times the sum;
     - on a bounded weight, an f with a kink radius c in (0, 1)
       (_kink_radii): one component of a single graded walk
       (``w.integrate_graded``) of M_p^p(r; f), whose substitution
@@ -833,7 +907,7 @@ def weighted_norms(
       would have to resolve): one component of a single plain radial
       walk (``w.integrate_against``) of M_p^p(r; f).
 
-    Both walks take ``tols`` 1e-3 (sum |a_k|)^p m(0), the coarse scale,
+    The two walks take ``tols`` 1e-3 (sum |a_k|)^p m(0), the coarse scale,
     and ``rtols`` 0.25 tol p (see
     :func:`korenblum.quadrature.integrate_many`): each norm is walked to
     min(0.25 tol p v, 1e-3 (sum |a_k|)^p m(0)), v its level-0 value,
@@ -845,7 +919,8 @@ def weighted_norms(
     below 1e-300 (_above_floor: the coarse one before the walk, the
     relative one on the walk's value), a walk that finds ||f||^p <= 0 for
     a nonzero f, whose weight mass it did not resolve, and a monomial
-    whose moment m(dp) underflows. A monomial forms no (sum |a_k|)^p.
+    whose moment m(dp) underflows. A monomial forms no (sum |a_k|)^p, and
+    neither does Parseval's sum, which refuses only a norm that overflows.
     """
     positive("p", p)
     positive("tol", tol)
@@ -858,6 +933,8 @@ def weighted_norms(
         form = _binomial_form(f)
         if form and not (form[0] and form[1]):
             norms[i] = _monomial_norm(form[0] + form[1], form[2], w, p)
+        elif (norm := _parseval_norm(f, w, p, tol)) is not None:
+            norms[i] = norm
         elif w.bounded and (radii := _kink_radii(f, form)):
             graded.append(i)
             centres.append(radii)

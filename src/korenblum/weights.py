@@ -6,11 +6,13 @@ constant weight 1 has total mass exactly 1. Moments
     m(s) = int_0^1 2 r^{s+1} w(r) dr
 
 are computed in closed form for every kind and returned as plain floats,
-with no tolerance and no error estimate; they give the norm
-||a z^d||^p = |a|^p m(dp) of a monomial directly. The constant, step
-and table kinds are piecewise linear, each given once by its knots, and
-share one implementation: power masses by primitives, w by interpolation
-and the knots as quadrature breakpoints. For the standard kind
+with no tolerance; they give the norm ||a z^d||^p = |a|^p m(dp) of a
+monomial directly. RadialWeight.moment_error(s) bounds the rounding
+error of m(s), which the Parseval sum of an even-p norm gates on. The
+constant, step and table kinds are piecewise linear, each given once by
+its knots, and share one implementation: power masses by primitives, w
+by interpolation and the knots as quadrature breakpoints. For the
+standard kind
 w(r) = (alpha+1)(1-r^2)^alpha, m(s) = (alpha+1) B(s/2 + 1, alpha + 1),
 its log-Gamma ratio from Stirling's series once alpha is large
 (_log_gamma_ratio), and the partial masses of s = 0 from the primitive
@@ -51,6 +53,7 @@ from .quadrature import integrate_many
 #: truncation error under 1e-16 (its next term is 3617/(122400 x^15))
 _STIRLING_X = 10.0
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+_EPS = float(np.finfo(float).eps)
 
 
 def _stirling_tail(x: float) -> float:
@@ -197,6 +200,10 @@ class RadialWeight:
         """int_a^b 2 r^{s+1} w(r) dr in closed form."""
         raise NotImplementedError
 
+    def moment_error(self, s: float) -> float:
+        """A bound on the absolute rounding error of moment(self, s)."""
+        raise NotImplementedError
+
     def to_spec(self) -> dict:
         raise NotImplementedError
 
@@ -243,6 +250,19 @@ class _PiecewiseLinear(RadialWeight):
                     s, alpha, beta, lo
                 )
         return total
+
+    def moment_error(self, s):
+        # each term 2 alpha r^{s+2}/(s+2) or 2 beta r^{s+3}/(s+3) of a piece's
+        # primitives is a few roundings, a pow included, of its own size;
+        # alpha and beta, from the knots, a few more, and the alpha term's
+        # share of that is at most the beta term's size, since r >= lo;
+        # each sum adds one per piece. A term whose pow underflows is off by
+        # a subnormal spacing times 2 (|alpha| + |beta|)
+        pieces = self._pieces()
+        size = sum(_power_primitive(s, abs(alpha), abs(beta), r)
+                   for lo, hi, alpha, beta in pieces for r in (lo, hi))
+        lost = sum(abs(alpha) + abs(beta) for _, _, alpha, beta in pieces)
+        return (8 + len(pieces)) * _EPS * size + lost * 2.0**-1070
 
 
 @dataclass(frozen=True)
@@ -319,6 +339,21 @@ class StandardWeight(RadialWeight):
         raise DomainError(
             f"standard weight power mass has no closed form for s = {s} on [{a}, {b}]"
         )
+
+    def moment_error(self, s):
+        # m(0) = 0 - (-1) is exact. Any other m(s) is exp of a sum of
+        # log-Gamma terms, each within a few ulps of its own size, so m(s)
+        # is off by a few eps times their sizes, relative, plus the
+        # subnormal spacing where it underflows
+        if s == 0.0:
+            return 0.0
+        ap1, h = self.alpha + 1.0, 0.5 * s + 1.0
+        if ap1 + 1.0 < _STIRLING_X:
+            logs = abs(math.lgamma(h)) + abs(math.lgamma(ap1)) + abs(math.lgamma(h + ap1))
+        else:
+            x, t = ap1 + 1.0, 0.5 * s
+            logs = abs(math.lgamma(h)) + (x - 0.5) * math.log1p(t / x) + t * math.log(x + t) + t
+        return 4.0 * (logs + 1.0) * _EPS * self.power_mass(s, 0.0, 1.0) + 2.0**-1070
 
     def to_spec(self) -> dict:
         return {"kind": "standard", "alpha": self.alpha}

@@ -98,6 +98,45 @@ def mp_weight(spec: dict):
     return table, tuple(spec["r"])
 
 
+def mp_moment(spec: dict, s):
+    """m(s) = int_0^1 2 r^{s+1} w(r) dr of a weight spec in mpmath, at the
+    caller's precision: (alpha+1) B(s/2 + 1, alpha + 1) for a standard
+    weight, else the exact primitive of 2 r^{s+1} (alpha + beta r) on each
+    piece between the knots."""
+    s = mp.mpf(s)
+    if spec["kind"] == "standard":
+        alpha = mp.mpf(spec["alpha"])
+        return (alpha + 1) * mp.beta(s / 2 + 1, alpha + 1)
+    knots, values = {
+        "constant": lambda: ([0], [spec["level"]]),
+        "step": lambda: ([spec["R"]], [1]),
+        "table": lambda: (spec["r"], spec["w"]),
+    }[spec["kind"]]()
+    knots, values = [mp.mpf(x) for x in knots] + [mp.mpf(1)], [mp.mpf(x) for x in values]
+    values.append(values[-1])
+    total = mp.mpf(0)
+    for lo, hi, w_lo, w_hi in zip(knots, knots[1:], values, values[1:]):
+        beta = (w_hi - w_lo) / (hi - lo)
+        alpha = w_lo - beta * lo
+        total += 2 * alpha * (hi ** (s + 2) - lo ** (s + 2)) / (s + 2)
+        total += 2 * beta * (hi ** (s + 3) - lo ** (s + 3)) / (s + 3)
+    return total
+
+
+def mp_parseval_norm(coeffs, p: int, spec: dict, dps: int = 40) -> float:
+    """||f||_{p,w} at an even p = 2k by Parseval in mpmath:
+    (sum_j |b_j|^2 m(2j))^(1/p), b the coefficients of f^k by repeated
+    multiplication and m from mp_moment, all at ``dps`` digits."""
+    with mp.workdps(dps):
+        a = [mp.mpc(c) for c in coeffs]
+        b = [mp.mpc(1)]
+        for _ in range(p // 2):
+            b = [sum(a[i] * b[j - i] for i in range(len(a)) if 0 <= j - i < len(b))
+                 for j in range(len(a) + len(b) - 1)]
+        total = sum(abs(bj) ** 2 * mp_moment(spec, 2 * j) for j, bj in enumerate(b))
+        return float(total ** (mp.mpf(1) / p))
+
+
 def mp_binomial_norms(p, a0, a1, d, weights, dps: int = 30):
     """||a0 + a1 z^d||_{p,w} for each (w, knots) of ``weights`` (as from
     mp_weight): int_0^1 2 r w(r) M_p^p(r) dr by mpmath's tanh-sinh quad,

@@ -48,6 +48,7 @@ from oracles import (
     const_moment,
     full_series_binomial_means,
     mp_binomial_norms,
+    mp_parseval_norm,
     mp_weight,
     parseval_norm,
     std_moment,
@@ -842,16 +843,32 @@ class TestToleranceFloor:
 
     # the graded route (kink radius 0.002) at the coarse and at the fine
     # floor, and the plain route at the coarse floor, twice: (sum |a_k|)^p
-    # is 0.5^1000, 0.5^985 and 4e-400
+    # is 0.5^999, 0.5^985 and 8e-600, at odd p, which Parseval's sum of
+    # an even p does not take (test_even_p_takes_parseval)
     @pytest.mark.parametrize(
         "coeffs, p",
-        [((0.001, 0.499), 1000.0), ((0.001, 0.499), 985.0), ((0.0, 1e-200, 1e-200), 2.0),
-         ((0.0, 0.25, 0.25), 1000.0)],
+        [((0.001, 0.499), 999.0), ((0.001, 0.499), 985.0), ((0.0, 1e-200, 1e-200), 3.0),
+         ((0.0, 0.25, 0.25), 999.0)],
     )
     def test_refused(self, coeffs, p):
         fs = [Polynomial(()), Polynomial(coeffs)]
         with pytest.raises(DomainError, match=f"p = {p} is out of range"):
             weighted_norms(fs, ConstantWeight(1.0), p)
+
+    # the same norms at even p, which used to be refused, against mpmath
+    # (f^k is 0.25^k z^k (1 + z)^k for the last): Parseval's sum walks
+    # nothing and forms no (sum |a_k|)^p
+    @pytest.mark.parametrize(
+        "coeffs, p, norm",
+        [((0.001, 0.499), 1000.0, 0.49631810996275093),
+         ((0.0, 1e-200, 1e-200), 2.0, 9.1287092917527686e-201),
+         ((0.0, 0.25, 0.25), 1000.0, 0.49487583104880119)],
+    )
+    def test_even_p_takes_parseval(self, coeffs, p, norm, monkeypatch):
+        counts = _count_walks(monkeypatch)
+        fs = [Polynomial(()), Polynomial(coeffs)]
+        assert weighted_norms(fs, ConstantWeight(1.0), p) == [0.0, pytest.approx(norm, rel=1e-15)]
+        assert counts == {"plain": 0, "graded": 0}
 
     def test_zero_polynomial_keeps_norm_zero(self):
         assert weighted_norms([Polynomial(())], ConstantWeight(1.0), 1000.0) == [0.0]
@@ -1098,13 +1115,20 @@ class TestNormRoutes:
         with pytest.raises(DomainError, match=r"the norm \(int 2 r w M_p\^p dr\)\^\(1/p\) overflows"):
             weighted_norms([f], ConstantWeight(1e300), 0.5)
         if is_graded:
-            # (sum |a_k|)^p = 3^1100 overflows, and so does M_p^p near r = 1
+            # (sum |a_k|)^p = 3^1101 overflows, and so does M_p^p near r = 1
             with pytest.raises(DomainError, match=r"too large: \(sum \|a_k\|\)\^p"):
-                weighted_norms([Polynomial((1.0, 2.0))], ConstantWeight(1.0), 1100.0)
+                weighted_norms([Polynomial((1.0, 2.0))], ConstantWeight(1.0), 1101.0)
             # the mass of alpha = 1e20 lies within about 1e-10 of r = 0,
             # where the graded walk finds 0
             with pytest.raises(DomainError, match=r"mass m\(0\) = 1 was not resolved"):
-                weighted_norms([f], StandardWeight(1e20), 2.0)
+                weighted_norms([f], StandardWeight(1e20), 3.0)
+            # at even p Parseval's sum answers both, against mpmath:
+            # (sum |b_j|^2 m(2j))^(1/p), b the coefficients of f^(p/2)
+            [norm] = weighted_norms([Polynomial((1.0, 2.0))], ConstantWeight(1.0), 1100.0)
+            assert norm == pytest.approx(2.9739981916682366, rel=1e-15)
+            [norm] = weighted_norms([f], StandardWeight(1e20), 2.0)
+            spec = {"kind": "standard", "alpha": 1e20}
+            assert norm == pytest.approx(mp_parseval_norm(f.coeffs, 2, spec), rel=1e-15)
         else:
             # m(40) = 20! Gamma(1e20 + 2)/Gamma(1e20 + 22), about 2.4e-382,
             # underflows to 0
@@ -1322,12 +1346,13 @@ class TestGradedRoots:
         fs = [*KINK_POLYS.values(), Polynomial((0.3, 1.0)), Polynomial(())]
         assert weighted_norms(fs, w, 1.0) == [weighted_norm(f, w, 1.0) for f in fs]
 
-    # (polynomials, weight, p): binomials, graded at even p and at p = 3,
+    # (polynomials, weight, p): binomials, graded at p = 2.5 and at p = 3,
     # and a standard weight with alpha < 0, on which every f walks plain
+    # (an even p takes Parseval's sum, no walk: TestParsevalRoute)
     CASES = {
         "binomials": ([Polynomial((0.3, 1.0)), Polynomial((1.0, 0.0, 0.0, -0.7j)), Polynomial(())],
                       ConstantWeight(1.0), 1.0),
-        "p_2": (list(KINK_POLYS.values()), StepWeight(0.5), 2.0),
+        "p_2.5": (list(KINK_POLYS.values()), StepWeight(0.5), 2.5),
         "p_3": (list(KINK_POLYS.values()), ConstantWeight(1.0), 3.0),
         "standard_alpha_below_0": (list(KINK_POLYS.values()), StandardWeight(-0.5), 1.0),
     }
@@ -1347,6 +1372,73 @@ class TestGradedRoots:
         weighted_norms(list(_affine_pair()), ConstantWeight(1.0), p)
         assert counts["panels"] <= 12
         assert counts["nodes"] <= 1_000_000
+
+
+class TestParsevalRoute:
+    """At an even p = 2k, ||f||^p = S^p sum_j |b_j|^2 m(2j), b the
+    coefficients of (f/S)^k and S = sum |a_j|: no walk and no angular
+    node, unless k deg f exceeds the cap or the sum fails its rounding
+    gate, when the norm takes its walk."""
+
+    SPECS = {
+        "constant": {"kind": "constant", "level": 1.3},
+        "step": {"kind": "step", "R": 0.45},
+        "table": {"kind": "table", "r": [0.0, 0.35, 0.6], "w": [0.0, 1.2, 0.6]},
+        "standard_1": {"kind": "standard", "alpha": 1.0},
+        "standard_-0.5": {"kind": "standard", "alpha": -0.5},
+        "standard_1e20": {"kind": "standard", "alpha": 1e20},
+    }
+    FS = [_G4, *_MIXED[:2], KINK_POLYS["root_next_to_the_circle"], KINK_POLYS["lacunary"],
+          Polynomial((0.3, 1.0))]
+
+    @pytest.mark.parametrize("spec", sorted(SPECS))
+    @pytest.mark.parametrize("p", [2, 4, 6])
+    def test_against_mpmath(self, p, spec, monkeypatch):
+        counts = _count_walks(monkeypatch)
+        norms = weighted_norms(self.FS, weight_from_spec(self.SPECS[spec]), float(p))
+        for f, norm in zip(self.FS, norms):
+            assert norm == pytest.approx(mp_parseval_norm(f.coeffs, p, self.SPECS[spec]), rel=1e-13)
+        assert counts == {"plain": 0, "graded": 0}
+
+    def test_no_walk_and_no_angular_node(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an even-p norm walked or sampled a circle")
+
+        monkeypatch.setattr(quadrature, "integrate_many", refuse)
+        monkeypatch.setattr("korenblum.weights.integrate_many", refuse)
+        monkeypatch.setattr(analytic, "_abs_pow_means", refuse)
+        for spec in self.SPECS.values():
+            for p in (2.0, 4.0):
+                assert all(n > 0.0 for n in weighted_norms(self.FS, weight_from_spec(spec), p))
+
+    @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+    def test_alone_equals_batch(self, p):
+        w = weight_from_spec(self.SPECS["table"])
+        fs = [*self.FS, Polynomial(()), Polynomial((0.0, 2.0)), Polynomial((0.0, 0.25, 0.25))]
+        assert weighted_norms(fs, w, p) == [weighted_norm(f, w, p) for f in fs]
+
+    @pytest.mark.parametrize(
+        "f, p",
+        [
+            # |f| <= 8^(1/2) on the circle, where sum |a_j| = 4: the
+            # coefficients of f^20 cancel, and sum |b_j|^2 m(2j) falls below
+            # gamma sum B_j^2 m(2j) / (0.25 tol p)
+            (Polynomial((1.0, 1.0, 1.0, -1.0)), 40.0),
+            # k deg f = 65 * 64 is above the cap 4096
+            (Polynomial((0.5,) + (0.0,) * 63 + (1.0,)), 130.0),
+        ],
+        ids=["cancelling", "above_the_cap"],
+    )
+    def test_walks_where_the_route_does_not_apply(self, f, p):
+        w = ConstantWeight(1.0)
+        assert analytic._parseval_norm(f, w, p, TOL) is None
+        assert weighted_norms([f], w, p) == two_walk_norms([f], w, p, TOL)[0]
+
+    def test_at_the_cap(self):
+        # k deg f = 64 * 64 takes the sum, within the walk's tolerance
+        f = Polynomial((0.5,) + (0.0,) * 63 + (1.0,))
+        norm = analytic._parseval_norm(f, ConstantWeight(1.0), 128.0, TOL)
+        assert norm == pytest.approx(two_walk_norms([f], ConstantWeight(1.0), 128.0, TOL)[0][0], rel=TOL)
 
 
 class TestMeanProfile:

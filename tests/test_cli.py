@@ -20,7 +20,7 @@ from korenblum import (
     weight_from_spec,
 )
 from korenblum.cli import SWEEP_HEADER, main
-from oracles import mp_binomial_norms, mp_weight
+from oracles import mp_binomial_norms, mp_parseval_norm, mp_weight
 
 CONST1 = '{"kind":"constant","level":1}'
 
@@ -82,19 +82,26 @@ class TestNorm:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_integrand_warns_nothing(self, capsys):
-        # 1e300 times |30000 + 1e-9 z|^2 overflows the radial integrand of
-        # the plain walk (the binomial's kink radius is far outside the
+        # 1e300 times |30000 + 1e-9 z|^2.01 overflows the radial integrand
+        # of the plain walk (the binomial's kink radius is far outside the
         # disk): the walk's non-finite panel check reports it, with no
         # numpy RuntimeWarning before the one diagnostic line. The norm
-        # (about 1.24e154) is representable, so this exit 3 may later
+        # (about 1.6e151) is representable, so this exit 3 may later
         # become a success.
         weight = '{"kind":"table","r":[0,0.5,0.51],"w":[0,1e300,0]}'
-        code, out, err = run_cli(capsys, "norm", "--poly", "30000,1e-9", "--p", "2", "--weight", weight)
+        code, out, err = run_cli(capsys, "norm", "--poly", "30000,1e-9", "--p", "2.01", "--weight", weight)
         assert code == 3
         assert out == ""
         assert err.splitlines() == [
             "korenblum norm: quadrature on [0.0, 1.0] met a non-finite panel sum"
         ]
+        # at p = 2 Parseval's sum 30000^2 m(0) + 1e-18 m(2) overflows
+        # nothing; m(0), whose primitive terms on the weight's falling
+        # piece are about 250 times its size, is 7e-15 off
+        code, out, err = run_cli(capsys, "norm", "--poly", "30000,1e-9", "--p", "2", "--weight", weight)
+        assert (code, err) == (0, "")
+        expected = mp_parseval_norm((30000.0, 1e-9), 2, json.loads(weight))
+        assert json.loads(out)["norm"] == pytest.approx(expected, rel=1e-13)
         # the constant 30000 walks nothing: 30000 m(0)^(1/2) in closed form
         code, out, err = run_cli(capsys, "norm", "--poly", "30000", "--p", "2", "--weight", weight)
         assert (code, err) == (0, "")
@@ -104,26 +111,30 @@ class TestNorm:
     def test_unresolved_weight_mass_exit_2(self, capsys):
         # the mass of a standard weight with alpha = 1e20 lies within about
         # 1e-10 of r = 0, where the coarse walk finds 0 for a nonzero f
-        code, out, err = run_cli(
-            capsys, "norm", "--poly", "1,2", "--p", "2",
-            "--weight", '{"kind":"standard","alpha":1e20}',
-        )
+        weight = '{"kind":"standard","alpha":1e20}'
+        code, out, err = run_cli(capsys, "norm", "--poly", "1,2", "--p", "3", "--weight", weight)
         assert (code, out) == (2, "")
         assert err.splitlines() == [
             "korenblum norm: the weight's mass m(0) = 1 was not resolved: the radial "
-            "quadrature of ||f||^p at tolerance 9.000e-03 found 0 for a nonzero f"
+            "quadrature of ||f||^p at tolerance 2.700e-02 found 0 for a nonzero f"
         ]
+        # at p = 2 Parseval's sum m(0) + 4 m(2) needs no walk
+        code, out, err = run_cli(capsys, "norm", "--poly", "1,2", "--p", "2", "--weight", weight)
+        assert (code, err) == (0, "")
+        expected = mp_parseval_norm((1.0, 2.0), 2, json.loads(weight))
+        assert json.loads(out)["norm"] == pytest.approx(expected, rel=1e-15)
 
     def test_tolerance_underflow_exit_2(self, capsys):
-        # (sum |a_k|)^p = 0.5^1000 puts the coarse tolerance of the graded
-        # walk (kink radius 0.002) under 1e-300
+        # (sum |a_k|)^p = 0.5^999 puts the coarse tolerance of the graded
+        # walk (kink radius 0.002) under 1e-300 (p = 1000 takes Parseval's
+        # sum: test_even_p_norm_takes_parseval)
         code, out, err = run_cli(
-            capsys, "norm", "--poly", "0.001,0.499", "--p", "1000", "--weight", CONST1
+            capsys, "norm", "--poly", "0.001,0.499", "--p", "999", "--weight", CONST1
         )
         assert (code, out) == (2, "")
         assert err.splitlines() == [
-            "korenblum norm: p = 1000.0 is out of range: the radial quadrature "
-            "tolerance of ||f||^p, 9.333e-305, falls below 1e-300"
+            "korenblum norm: p = 999.0 is out of range: the radial quadrature "
+            "tolerance of ||f||^p, 1.867e-304, falls below 1e-300"
         ]
 
     @pytest.mark.parametrize(
@@ -667,10 +678,10 @@ class TestDeterminismAndErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("norm", "--poly", "1,2", "--p", "1000", "--weight", CONST1),
-             "p = 1000.0 is too large: (sum |a_k|)^p"),
-            (("norm", "--poly", "0.5,1", "--p", "1100", "--weight", CONST1),
-             "p = 1100.0 is too large: the series coefficient"),
+            (("norm", "--poly", "1,2", "--p", "999", "--weight", CONST1),
+             "p = 999.0 is too large: (sum |a_k|)^p"),
+            (("norm", "--poly", "0.5,1", "--p", "1101", "--weight", CONST1),
+             "p = 1101.0 is too large: the series coefficient"),
             (("means", "--poly", "0.5,1", "--p", "1030", "--grid", "1"),
              "p = 1030.0 is too large: Gamma(1 + p)/Gamma(1 + p/2)^2"),
             (("means", "--poly", "1,2", "--p", "1000", "--grid", "4"),
@@ -686,7 +697,7 @@ class TestDeterminismAndErrors:
              "norm-root", "beta-moment"],
     )
     def test_large_p_overflow_exit_2(self, capsys, argv, message):
-        # 3^1000, the series coefficients C(550, k)^2, at r = 0.5 where
+        # 3^999, the series coefficients C(550.5, k)^2, at r = 0.5 where
         # x = 1, Gamma(1031)/Gamma(516)^2, M_p^p of 1 + 2z at r = 0.6
         # (about 2.2^1000), 3e10 times the weight's mass 1e300 (which used
         # to be refused as an infinite tol), the square of ||1||^p = 1e300,
@@ -700,10 +711,10 @@ class TestDeterminismAndErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("norm", "--poly", "0.001,0.499", "--p", "1000", "--weight", CONST1),
+            ("norm", "--poly", "0.001,0.499", "--p", "999", "--weight", CONST1),
             ("norm", "--poly", "0.001,0.499", "--p", "985", "--weight", CONST1),
-            ("norm", "--poly", "0,1e-200,1e-200", "--p", "2", "--weight", CONST1),
-            ("verify", "--poly", "0,1e-200,1e-200", "--poly", "0,2e-200,2e-200", "--p", "2",
+            ("norm", "--poly", "0,1e-200,1e-200", "--p", "3", "--weight", CONST1),
+            ("verify", "--poly", "0,1e-200,1e-200", "--poly", "0,2e-200,2e-200", "--p", "3",
              "--c", "0.5", "--weight", CONST1),
         ],
         ids=["coarse-floor", "fine-floor", "tiny-poly", "verify-tiny-pair"],
@@ -714,8 +725,9 @@ class TestDeterminismAndErrors:
         # at p = 1000, an error of 5.2e-9 at p = 985, and 0.0 for 1e-200 z,
         # both norms of the verify pair included, with principle_holds
         # true. A monomial takes its closed form instead
-        # (test_monomial_below_the_floor); the graded walk of the binomial
-        # and the plain walk of the trinomials keep the refusal
+        # (test_monomial_below_the_floor), and an even p Parseval's sum
+        # (test_even_p_norm_takes_parseval); at odd p the graded walk of
+        # the binomial and the plain walk of the trinomials keep the refusal
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -745,6 +757,30 @@ class TestDeterminismAndErrors:
         code, out, err = run_cli(capsys, "norm", "--poly", poly, "--p", p, "--weight", CONST1)
         assert (code, err) == (0, "")
         assert json.loads(out)["norm"] == norm
+
+    @pytest.mark.parametrize(
+        "poly, p, norm",
+        [("1,2", "1000", 2.9718344851514862), ("1,0.001", "2000", 1.0002320273354269),
+         ("0.001,0.499", "1000", 0.49631810996275093), ("0,1e-200,1e-200", "2", 9.1287092917527686e-201)],
+    )
+    def test_even_p_norm_takes_parseval(self, capsys, poly, p, norm):
+        # once refused: (sum |a_k|)^p = 3^1000 overflowed, the series
+        # coefficient C(1000, k)^2 overflowed, and the walk tolerances of
+        # the last two fell below 1e-300. Parseval's sum of (f/S)^(p/2),
+        # S = sum |a_k|, forms none of them; the norms are mpmath's
+        code, out, err = run_cli(capsys, "norm", "--poly", poly, "--p", p, "--weight", CONST1)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["norm"] == pytest.approx(norm, rel=1e-15)
+
+    def test_even_p_verify_tiny_pair(self, capsys):
+        # the pair refused at p = 3 (test_norm_below_tolerance_floor_exit_2)
+        code, out, err = run_cli(capsys, "verify", "--poly", "0,1e-200,1e-200", "--poly",
+                                 "0,2e-200,2e-200", "--p", "2", "--c", "0.5", "--weight", CONST1)
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["dominates"] and report["principle_holds"]
+        assert report["norm_f"] == pytest.approx(9.1287092917527686e-201, rel=1e-15)
+        assert report["norm_g"] == pytest.approx(2 * 9.1287092917527686e-201, rel=1e-15)
 
     def test_norm_above_tolerance_floor(self, capsys):
         # at p = 950 the fine tolerance 0.25 tol p ||f||^p of these walks,

@@ -58,13 +58,14 @@ def test_trace_hooks_find_every_layer(tracer):
 @pytest.mark.parametrize("alpha", [1.0, -0.5])
 def test_one_span_per_walk(tracer, alpha):
     # the direct walk in r and the walk in v up to r = 1 are each one
-    # integrate_against call, so one span; a trinomial, since a monomial
-    # takes its closed form and walks nothing
+    # integrate_against call, so one span; a trinomial at an odd p, since
+    # a monomial takes its closed form and an even p Parseval's sum, and
+    # neither walks
     weight = f'{{"kind":"standard","alpha":{alpha}}}'
     sid = tracer.begin_job()
     try:
         with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exit_:
-            main(["norm", "--poly", "1,0.5,0.25", "--p", "2", "--weight", weight])
+            main(["norm", "--poly", "1,0.5,0.25", "--p", "3", "--weight", weight])
     finally:
         tracer.close(sid)
     assert exit_.value.code == 0

@@ -20,7 +20,7 @@ from korenblum import (
 )
 import korenblum.quadrature as quadrature
 
-from oracles import const_moment, std_moment, step_moment
+from oracles import const_moment, mp_moment, std_moment, step_moment
 
 TOL = 1e-9
 
@@ -109,6 +109,25 @@ class TestClosedFormsAgainstOracles:
         quads = w.integrate_against(lambda r, comp: r ** ss[comp], 0.0, 1.0, [TOL] * ss.size)
         for s, (quad, _) in zip(ss, quads):
             assert quad == pytest.approx(moment(w, s), abs=2 * TOL)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "constant", "level": 1.3},
+        {"kind": "step", "R": 0.45},
+        {"kind": "table", "r": [0.0, 0.25, 0.6], "w": [1.0, 0.2, 0.8]},
+        # a falling piece whose primitive terms are about 250 times m(0)
+        {"kind": "table", "r": [0.0, 0.5, 0.51], "w": [0.0, 1e300, 0.0]},
+        {"kind": "standard", "alpha": 1.0},
+        {"kind": "standard", "alpha": -0.5},
+        {"kind": "standard", "alpha": 1e20},
+    ], ids=["constant", "step", "table", "falling_table", "standard_1", "standard_-0.5",
+            "standard_1e20"])
+    def test_moment_error_bounds_the_error(self, spec):
+        # the bound the even-p Parseval sum gates on, against 50-digit mpmath
+        w = weight_from_spec(spec)
+        for s in (0.0, 2.0, 10.0, 100.0, 1000.0, 8192.0):
+            with mp.workdps(50):
+                error = abs(mp.mpf(moment(w, s)) - mp_moment(spec, s))
+            assert error <= w.moment_error(s), s
 
 
 class TestPiecewisePartialRanges:
