@@ -6,10 +6,10 @@ The p-mean over the circle of radius r,
 
 is computed by the uniform trapezoid rule in the angle (exact mean of
 equispaced samples, spectrally accurate for smooth integrands) with node
-doubling, per radius, until two successive grids agree. Near a
-root z_k of f the cusp of |f|^p slows the trapezoid to an error of about
-n^{-p-1} e^{-n |log(r/|z_k|)|}, so a radius still open at 1024 angles
-switches to the control variates z - z_k of its roots within
+doubling from 256 angles, per radius, until two successive grids agree.
+Near a root z_k of f the cusp of |f|^p slows the trapezoid to an error
+of about n^{-p-1} e^{-n |log(r/|z_k|)|}, so a radius still open at 1024
+angles switches to the control variates z - z_k of its roots within
 log-distance 0.05, whose means are exact: it estimates
 T_n(|f|^p) + sum_k G_k (S_k - T_n(|z - z_k|^p)), an identity for any
 weights G_k, with G_k chosen to cancel the cusps (see _mean_pow_batch).
@@ -65,7 +65,6 @@ import functools
 import json
 import math
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,8 +168,9 @@ class Polynomial:
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial(())
-        prod = np.convolve(np.asarray(self.coeffs), np.asarray(other.coeffs))
-        return Polynomial(tuple(prod))
+        a, b = np.asarray(self.coeffs), np.asarray(other.coeffs)
+        re, im = _product(a.real, a.imag, b.real, b.imag)
+        return Polynomial(tuple(map(complex, re.tolist(), im.tolist())))
 
     def to_spec(self) -> dict:
         return {"coeffs": [[c.real, c.imag] for c in self.coeffs]}
@@ -229,11 +229,6 @@ def _circle_grid(n: int, degree: int) -> np.ndarray:
     return circle
 
 
-#: per-thread buffers of _abs_pow_means (one complex, two real), grown on
-#: demand and reused by every later call of that thread
-_workspace = threading.local()
-
-
 def _abs_pow_means(
     f: Polynomial, radii: np.ndarray, p: float, n: int, offset: float = 0.0
 ) -> np.ndarray:
@@ -246,18 +241,12 @@ def _abs_pow_means(
     amplitudes a_j r^j e^{i j offset} are stacked in n/m copies, copy q
     multiplied by e^{2 pi i j q/n}, and its mean is taken over all n values.
     Such an n must be m times a power of two, as every n of the doubling
-    in _mean_pow_batch is (256 or 8 (degree + 1), times 2^k).
-    Radii are taken in blocks of at most _BLOCK_NODES nodes, which bounds
-    the memory of a large batch at a fine grid. The product, |f|^2, its
-    p/2 power and the row sums of a block are written into this thread's
-    workspace (_workspace, at most max(_BLOCK_NODES, n) entries per
-    buffer), which persists across calls, so a call faults in no fresh
-    pages; the values are bit for bit those of the allocating formula
-    mean((f.real**2 + f.imag**2) ** (p/2)), whose `**` fast paths the
-    power mirrors. The returned array is fresh. A row's value may differ
-    in its last bit with the number of rows of its block, since the matrix
-    product may take another kernel for another shape (2.2e-16 relative
-    on one row alone and in a batch of six).
+    in _mean_pow_batch is (256 times 2^k). Radii are taken in blocks of at
+    most _BLOCK_NODES nodes, which bounds the memory of a large batch at a
+    fine grid. A row's value may differ in its last bit with the number of
+    rows of its block, since the matrix product may take another kernel
+    for another shape (2.2e-16 relative on one row alone and in a batch of
+    six).
     """
     degree = f.degree
     js = np.arange(degree + 1)
@@ -268,32 +257,17 @@ def _abs_pow_means(
     coeffs = np.asarray(f.coeffs)[None, :]
     phase = np.exp(1j * offset * js)[None, :] if offset else None
     turns = np.exp(2j * np.pi / n * np.outer(np.arange(n // m), js)) if m < n else None
-    exponent = 0.5 * p
     out = np.empty(len(radii))
     rows = max(1, _BLOCK_NODES // n)
-    size = min(rows, len(radii)) * n
-    buffers = getattr(_workspace, "buffers", None)
-    if buffers is None or buffers[0].size < size:
-        buffers = (np.empty(size, dtype=complex), np.empty(size), np.empty(size))
-        _workspace.buffers = buffers
-    fz_buf, mod2_buf, square_buf = buffers
     for start in range(0, len(radii), rows):
         amps = coeffs * radii[start : start + rows, None] ** js[None, :]
         if phase is not None:
             amps = amps * phase
         if turns is not None:
             amps = (amps[:, None, :] * turns).reshape(-1, degree + 1)
-        nodes = amps.shape[0] * m
-        fz = np.matmul(amps, circle, out=fz_buf[:nodes].reshape(-1, m))
-        mod2 = np.square(fz.real, out=mod2_buf[:nodes].reshape(-1, m))
-        np.add(mod2, np.square(fz.imag, out=square_buf[:nodes].reshape(-1, m)), out=mod2)
-        if exponent == 0.5:
-            np.sqrt(mod2, out=mod2)
-        elif exponent == 2.0:
-            np.square(mod2, out=mod2)
-        elif exponent != 1.0:
-            np.power(mod2, exponent, out=mod2)
-        np.add.reduce(mod2.reshape(-1, n), axis=1, out=out[start : start + rows])
+        fz = amps @ circle
+        np.add.reduce(((fz.real**2 + fz.imag**2) ** (0.5 * p)).reshape(-1, n), axis=1,
+                      out=out[start : start + rows])
     out /= n
     return out
 
@@ -593,8 +567,8 @@ def _cusp_variates(f: Polynomial, radii: np.ndarray, p: float):
     w = r e^{i arg z_k} and S_k = M_p^p(r; z - z_k) = max(r, |z_k|)^p S_p(x),
     x = min/max, by _binomial_means (x >= e^-_CUSP_NEAR). G_k is taken
     as |a_n|^p prod_{j != k} |w - z_j|^p, which stays accurate where f(w)
-    is lost to rounding. A pair is left out when r = |z_k| or when G_k or
-    S_k is not finite; a radius with no pair stays plain. Each row's pairs
+    is lost to rounding. A pair is left out when G_k or S_k is not
+    finite; a radius with no pair stays plain. Each row's pairs
     depend on its own r only.
     """
     roots, _ = _root_factors(f)
@@ -608,7 +582,7 @@ def _cusp_variates(f: Polynomial, radii: np.ndarray, p: float):
         gaps = np.abs(np.log(radii[:, None] / moduli[nonzero]))
         paired = spacing > np.abs(radii[:, None] - moduli[nonzero])
         paired[np.arange(radii.size), np.argmin(gaps, axis=1)] = True
-        paired &= (gaps < _CUSP_NEAR) & (radii[:, None] != moduli[nonzero])
+        paired &= gaps < _CUSP_NEAR
         rows, near = np.nonzero(paired)
         k, r = nonzero[near], radii[rows]
         dists = np.abs(r[:, None] * (roots[k] / moduli[k])[:, None] - roots)
@@ -644,13 +618,17 @@ def _mean_pow_batch(
     _BINOMIAL_REL_ERROR relative to the mean M. Any other f is sampled on
     its own coefficients, and the doubled grid is the current grid plus its
     half-spacing offset, so each doubling reuses every node already
-    evaluated. Convergence is measured on the means M themselves
+    evaluated. Every doubling starts at 256 angles, whatever the degree,
+    so every angle count is 256 times a power of two, one of them
+    _CUSP_SWITCH_N, and _circle_cache holds at most one grid per power of
+    two up to _CIRCLE_CACHE_MAX_N.
+    Convergence is measured on the means M themselves
     (relative, per row): a row leaves the doubling once two successive
     grids agree, so its grids, variates and exit depend only on its
     own radius, not on the radii that share its batch; its value may still
     differ in its last bit with the batch (_abs_pow_means). A row whose
-    value overflows leaves at once. Rows still open when the grid reaches _THETA_CAP stop there;
-    `diff` holds each row's last change.
+    value overflows leaves at once. Rows still open when the grid reaches
+    _THETA_CAP stop there; `diff` holds each row's last change.
 
     Near a root z_k of f, |f|^p has a cusp at w = r e^{i arg z_k}, against
     which the trapezoid error falls only like n^{-p-1} e^{-n delta},
@@ -673,7 +651,8 @@ def _mean_pow_batch(
     sum_k G_k _BINOMIAL_REL_ERROR S_k, the closed forms' error, on the
     scale of M. A circle through several roots, as of z^5 + e^5, needs the
     variate of each: with only the nearest one its rows stopped at the
-    cap, off by up to 1e-7.
+    cap, off by up to 1e-7. A row at a root modulus, r = |z_k|, takes its
+    variate like its neighbours.
     """
     binomial = _binomial_form(f)
     if binomial:
@@ -682,7 +661,7 @@ def _mean_pow_batch(
             radii = np.asarray(radii, dtype=float) ** d
         vals = _binomial_means(a0, a1, radii, p)
         return vals, _BINOMIAL_REL_ERROR * vals ** (1.0 / p)
-    n = max(256, 8 * (f.degree + 1))
+    n = 256
     vals = _abs_pow_means(f, radii, p, n)
     means = vals ** (1.0 / p)
     diff = np.zeros_like(vals)
@@ -835,6 +814,14 @@ def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.bincount(index, np.multiply.outer(x, y).ravel(), x.size + y.size - 1)
 
 
+def _product(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray, b_im: np.ndarray):
+    """The real and imaginary parts of the coefficients of the product of
+    two complex polynomials, from four _convolve of their parts: the same
+    bits on every CPU."""
+    return (_convolve(a_re, b_re) - _convolve(a_im, b_im),
+            _convolve(a_re, b_im) + _convolve(a_im, b_re))
+
+
 def _parseval_norm(f: Polynomial, w: RadialWeight, p: float, tol: float) -> float | None:
     """||f||_{p,w} at an even p = 2k with k deg f <= _PARSEVAL_CAP, by
     Parseval: with S = sum |a_j| and b the coefficients of (f/S)^k,
@@ -861,8 +848,7 @@ def _parseval_norm(f: Polynomial, w: RadialWeight, p: float, tol: float) -> floa
     re, im, size = a.real / scale, a.imag / scale, moduli / scale
     b_re, b_im, big = re, im, size
     for _ in range(k - 1):
-        b_re, b_im = (_convolve(re, b_re) - _convolve(im, b_im),
-                      _convolve(re, b_im) + _convolve(im, b_re))
+        b_re, b_im = _product(re, im, b_re, b_im)
         big = _convolve(size, big)
     m, m_err = _even_moments(w, big.size)
     value = math.fsum(((b_re * b_re + b_im * b_im) * m).tolist())

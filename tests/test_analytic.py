@@ -29,6 +29,7 @@ from korenblum import (
     moment,
     monomial_upper_bound,
     polynomial_from_spec,
+    random_dominating_pair,
     verify_instance,
     weight_from_spec,
     weighted_norm,
@@ -88,6 +89,23 @@ class TestPolynomial:
     def test_product(self):
         prod = Polynomial((1, 1)) * Polynomial((1, -1))
         assert prod.coeffs == (1 + 0j, 0j, -1 + 0j)
+
+    def test_pinned_product(self):
+        # f = h g of `verify --count --seed 0`'s first pair; np.convolve's
+        # BLAS dot product gave a1 as -0x1.b78ddfb951728p-4 on AVX-512
+        # kernels and -0x1.b78ddfb951726p-4 on Haswell's
+        f, _ = random_dominating_pair(np.random.default_rng(0))
+        assert [(c.real.hex(), c.imag.hex()) for c in f.coeffs] == [
+            ("0x1.b25a72ae58329p-4", "0x1.4481cb1f042a6p-3"),
+            ("-0x1.b78ddfb951726p-4", "-0x1.02b7885a6bfbcp-1"),
+            ("0x1.36b359f5b4224p-2", "-0x1.3d35782ab32a7p-2"),
+            ("0x1.24fa29fe85000p-2", "0x1.2a49cc4816b2fp-2"),
+            ("-0x1.33a7e8d50aaf9p-2", "-0x1.1bb46aae91ce7p+0"),
+            ("0x1.85c9dd8b636b2p-4", "0x1.2cf327fc83ecap-3"),
+            ("0x1.27cbd20603350p-1", "-0x1.d6aef48bdf0f4p-2"),
+            ("0x1.35b2b90810dd7p-1", "-0x1.5f7bef5d71687p-2"),
+            ("-0x1.684ffc1daaf28p-2", "-0x1.16a91d07da4d4p-2"),
+        ]
 
     def test_json_round_trip(self):
         f = Polynomial((1 + 2j, 0, -0.5))
@@ -294,19 +312,39 @@ class TestCuspVariate:
             alone, alone_diff = _mean_pow_batch(f, radii[i : i + 1], p, 2.5e-13)
             assert (alone[0], alone_diff[0]) == (vals[i], diff[i])
 
-    def test_radius_at_the_root_modulus_stays_plain(self, monkeypatch):
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_radius_at_the_root_modulus_takes_its_variate(self, monkeypatch, p):
+        # this row used to be left out of the variates and to double to the
+        # angular cap
         roots, _ = analytic._root_factors(CUSP_F)
-        r = float(abs(roots[np.argmin(np.abs(np.abs(roots) - 0.6))]))
-        assert analytic._cusp_variates(CUSP_F, np.array([r]), 1.0)[0].size == 0
+        k = int(np.argmin(np.abs(np.abs(roots) - 0.6)))
+        r = float(abs(roots[k]))
+        rows, near, _, _ = analytic._cusp_variates(CUSP_F, np.array([r]), p)
+        assert rows.tolist() == [0] and near.tolist() == [k]
         calls = _counting_means(monkeypatch)
-        vals, _ = _mean_pow_batch(CUSP_F, np.array([r]), 1.0, 2.5e-10)
-        assert all(g.degree == 3 for g, _, _ in calls)
-        assert vals[0] == pytest.approx(circle_mean(CUSP_F.coeffs, r, 1.0), rel=1e-10)
-        # beside a row that switches and settles while this one still doubles
+        vals, _ = _mean_pow_batch(CUSP_F, np.array([r]), p, 2.5e-10)
+        assert any(g.degree == 1 for g, _, _ in calls)
+        assert max(n for _, _, n in calls) < analytic._THETA_CAP
+        assert vals[0] == pytest.approx(circle_mean(CUSP_F.coeffs, r, p), rel=1e-10, abs=0.0)
+        # in a batch with a row just off the root modulus, each as alone
         near = r * math.exp(1e-6)
-        both, _ = _mean_pow_batch(CUSP_F, np.array([r, near]), 1.0, 2.5e-10)
-        alone, _ = _mean_pow_batch(CUSP_F, np.array([near]), 1.0, 2.5e-10)
+        both, _ = _mean_pow_batch(CUSP_F, np.array([r, near]), p, 2.5e-10)
+        alone, _ = _mean_pow_batch(CUSP_F, np.array([near]), p, 2.5e-10)
         np.testing.assert_allclose(both, [vals[0], alone[0]], rtol=1e-14)
+
+    def test_degree_64_switches_at_1024_angles(self, monkeypatch):
+        # every degree starts its doubling at 256 angles, so a row near a
+        # root of a degree-64 f still meets _CUSP_SWITCH_N and its variate
+        # (a start of 8 (deg + 1) = 520 angles switched at 1040)
+        root = 0.6 * cmath.exp(0.7j)
+        f = Polynomial((-root, 1.0)) * Polynomial((1.0,) + (0.0,) * 62 + (0.5,))
+        assert f.degree == 64
+        calls = _counting_means(monkeypatch)
+        r = 0.6 * math.exp(1e-7)
+        vals, diff = _mean_pow_batch(f, np.array([r]), 1.0, 2.5e-10)
+        assert [(g.degree, n) for g, _, n in calls] == [
+            (64, 256), (64, 256), (64, 512), (1, 512), (1, 512)]
+        assert diff[0] <= 2.5e-10 * vals[0]
 
     @pytest.mark.parametrize("p", [0.5, 1.0])
     def test_double_root(self, p):
@@ -637,7 +675,7 @@ class TestTurnedGrids:
     )
     @pytest.mark.parametrize("half_step", [False, True])
     def test_against_direct_grid(self, monkeypatch, rng, degree, n, half_step):
-        # degree 40 starts at n = 8 * 41 = 328, so 20992 is 4 grids of 5248
+        # 20992 is 4 turned grids of 5248: any m times a power of two is taken
         monkeypatch.setattr(analytic, "_circle_cache", {})
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
         f = Polynomial(tuple(coeffs))
@@ -654,6 +692,15 @@ class TestTurnedGrids:
         assert analytic._circle_cache
         assert max(analytic._circle_cache) <= analytic._CIRCLE_CACHE_MAX_N
 
+    def test_grid_cache_holds_powers_of_two(self, monkeypatch, rng):
+        # a doubling that started at 8 (degree + 1) angles kept one set of
+        # grids per degree
+        monkeypatch.setattr(analytic, "_circle_cache", {})
+        for degree in range(32, 65):
+            coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+            mean_profile(Polynomial(tuple(coeffs)), 1.5, np.linspace(0.1, 0.9, 9))
+        assert set(analytic._circle_cache) <= {256 << k for k in range(6)}
+
     def test_single_row_memory_at_the_finest_grid(self):
         f = Polynomial(tuple(np.linspace(1.0, 0.1, 10)))
         radius, n = np.array([0.7]), 1 << 16
@@ -667,29 +714,11 @@ class TestTurnedGrids:
         # a 10 x 65536 grid alone takes 10 MB
         assert peak < 4 * 2**20
 
-    def test_warm_full_block_allocates_no_temporaries(self):
-        # 256 radii at n = 256 fill one block of _BLOCK_NODES nodes; the
-        # allocating formula peaks at 2 MB there
-        f = Polynomial(tuple(np.linspace(1.0, 0.1, 10)))
-        radii, n = np.linspace(0.05, 0.95, 256), 256
-        first = analytic._abs_pow_means(f, radii, 1.5, n)  # warm the workspace
-        kept = first.copy()
-        tracemalloc.start()
-        try:
-            analytic._abs_pow_means(f, radii[::-1], 3.0, n, offset=np.pi / n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.25 * 2**20
-        # no result is a view of the workspace the next call overwrites
-        assert np.array_equal(first, kept)
-
     def test_one_call_per_doubling_step(self, monkeypatch):
         # |f| has a kink on the circle through its root 0.5. At exactly the
-        # root's modulus (as np.roots finds it) the row stays plain and
-        # doubles to the angular cap; one float above it, the row switches
-        # to the control variate at 1024 angles, with one call of z - z_k
-        # on each half of that grid, and settles there
+        # root's modulus (as np.roots finds it) and one float above it, the
+        # row switches to the control variate at 1024 angles, with one call
+        # of z - z_k on each half of that grid, and settles there
         calls = []
         inner = analytic._abs_pow_means
 
@@ -700,15 +729,15 @@ class TestTurnedGrids:
         monkeypatch.setattr(analytic, "_abs_pow_means", counting)
         f = Polynomial((-0.5, 1.0)) * Polynomial((0.3, 1.0))
         at_root = float(np.max(np.abs(analytic._root_factors(f)[0])))
-        _mean_pow_batch(f, np.array([at_root]), 1.0, 2.5e-10)
-        assert calls == [(2, 256)] + [(2, 256 << k) for k in range(9)]
-        calls.clear()
-        _mean_pow_batch(f, np.array([math.nextafter(at_root, 1.0)]), 1.0, 2.5e-10)
-        assert calls == [(2, 256), (2, 256), (2, 512), (1, 512), (1, 512)]
+        for r in (at_root, math.nextafter(at_root, 1.0)):
+            calls.clear()
+            _mean_pow_batch(f, np.array([r]), 1.0, 2.5e-10)
+            assert calls == [(2, 256), (2, 256), (2, 512), (1, 512), (1, 512)]
 
 
-class TestWorkspace:
-    """_abs_pow_means in its per-thread workspace against the allocating formula."""
+class TestAllocatingFormula:
+    """_abs_pow_means against the oracle's copy of its formula, and under
+    concurrent use."""
 
     @pytest.mark.parametrize("n", [256, 8192, 16384, 65536])
     @pytest.mark.parametrize("degree", [2, 40])

@@ -20,7 +20,7 @@ from korenblum import (
     weight_from_spec,
 )
 from korenblum.cli import SWEEP_HEADER, main
-from oracles import mp_binomial_norms, mp_parseval_norm, mp_weight
+from oracles import circle_mean, mp_binomial_norms, mp_parseval_norm, mp_weight
 
 CONST1 = '{"kind":"constant","level":1}'
 
@@ -167,6 +167,18 @@ class TestMeans:
         lines = out.strip().splitlines()
         assert lines[0] == "r,mean"
         assert len(lines) == 17
+
+    def test_radius_at_a_root_modulus(self, capsys):
+        # np.roots puts the root -0.3 of -0.15 - 0.2 z + z^2 exactly on the
+        # grid radius 0.3; that row used to double to the angular cap and
+        # print 0.16409993641791806, 5.3e-8 relative from mpmath
+        code, out, err = run_cli(capsys, "means", "--poly=-0.15,-0.2,1", "--p", "0.5",
+                                 "--grid", "9")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["radii"][2] == 0.3
+        expected = circle_mean((-0.15, -0.2, 1.0), 0.3, 0.5) ** 2  # 0.16409994513495551
+        assert payload["values"][2] == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("poly, p, report", [
         # a binomial, in closed form
