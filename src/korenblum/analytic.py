@@ -27,8 +27,8 @@ x^2 <= 1/2 takes that series, or 1.0 where its tail cannot move 1.0, and
 so does every x at even p, where it ends at k = p/2. Above, p = 1 takes
 the complete elliptic integral E by the AGM, a non-integer p <= 12 the
 z -> 1 - z connection formula (two series in 1 - x^2 <= 1/2), and any
-other p an integral by the fewest Gauss panels that resolve it (see
-_unit_binomial_means). The weighted norm
+other p an integral, walked by quadrature.integrate_many to the rounding
+floor (see _unit_binomial_means). The weighted norm
 
     ||f||_{p,w} = ( int_0^1 2 r w(r) M_p^p(r; f) dr )^{1/p}
 
@@ -70,23 +70,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, MonotonicityViolation, positive
-from .quadrature import _BLOCK_NODES, _NODES, _WEIGHTS, DEFAULT_TOL
+from .quadrature import _BLOCK_NODES, DEFAULT_TOL, integrate_many
 from .weights import RadialWeight, moment
 
 DEGREE_CAP = 64
 
 #: angle count at which the doubling of a circle mean stops
 _THETA_CAP = 1 << 17
-#: counts of equal 15-node Gauss panels of S_p's integral form on the
-#: sinh-substituted v in [0, 1/2], the route of the rows 1/2 < x^2 < 1
-#: that neither a finite sum, the AGM nor the connection series takes: a
-#: row takes the fewest whose tau panels are no wider than 1, else the most
-_TAU_PANELS = (4, 8, 16)
-#: the p up to which 4 equal 15-node Gauss panels of the integral form take
-#: v in [1/2, pi/2], and 16 above: the integrand peaks like
-#: exp(-p (v - pi/2)^2 / 2), and against mpmath 4 panels lose 4e-13
-#: relative at p = 500 and 4e-10 at p = 1000, where 16 stay within 4e-14
-_V_FEW_PANELS_P = 100.0
 #: the largest p whose rows 1/2 < x^2 < 1 take the connection series: its
 #: first series alternates, with terms up to about 60 times S_p at p = 20
 #: and x^2 = 1/2; against mpmath it stayed within 3.3e-15 relative up to
@@ -272,26 +262,6 @@ def _abs_pow_means(
     return out
 
 
-def _gauss_panels(lo: float, hi: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of `panels` equal 15-node Gauss panels on [lo, hi]."""
-    edges = np.linspace(lo, hi, panels + 1)
-    half = 0.5 * np.diff(edges)
-    x = edges[:-1, None] + half[:, None] * (_NODES + 1.0)
-    return x.ravel(), (half[:, None] * _WEIGHTS).ravel()
-
-
-def _v_rule(panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights of `panels` equal Gauss panels on v in [1/2, pi/2], and sin^2 v
-    at their nodes."""
-    nodes, weights = _gauss_panels(0.5, 0.5 * np.pi, panels)
-    return weights, np.sin(nodes) ** 2
-
-
-# each tau rule on [0, 1] is scaled to a row's [0, asinh(1/(2b))]
-_TAU_RULES = {n: _gauss_panels(0.0, 1.0, n) for n in _TAU_PANELS}
-_V_RULES = {n: _v_rule(n) for n in (4, 16)}
-
-
 def _p_overflow(p: float, quantity: str) -> DomainError:
     return DomainError(f"p = {p} is too large: {quantity} overflows a float")
 
@@ -410,7 +380,8 @@ def _near_one_means(x: np.ndarray, p: float) -> np.ndarray:
     from every integer >= 1 (_connection_means), else by the integral
     form (_binomial_integral). Against mpmath's hyp2f1 the AGM stayed
     within 2.6e-15 relative, the connection series within 3.3e-15 and the
-    integral within a few 1e-15 up to p = 100."""
+    integral within 8.6e-16 up to p = 13, 6.2e-15 at p = 100 and 101 and
+    4.3e-14 at p = 999 and 1001."""
     if p == 1.0:
         return _agm_means(x)
     m = round(p)
@@ -492,30 +463,27 @@ def _binomial_integral(x: np.ndarray, p: float) -> np.ndarray:
 
         S_p = (2/pi) int_0^{pi/2} ((1 - x)^2 + 4 x sin^2 v)^{p/2} dv,
 
-    whose integrand nearly vanishes at v = +-i b, b = (1 - x)/(2 sqrt x).
-    On [0, 1/2] the substitution v = b sinh(tau) moves that pair to
-    tau = +-i pi/2, so equal Gauss panels in tau no wider than 1 converge
-    at a rate that does not depend on x: each row takes the fewest of 4,
-    8 or 16 such panels on its own [0, top], top = asinh(1/(2b)), and 16
-    where top > 16 (1 - x below about 2.3e-7). [1/2, pi/2] is smooth,
-    and 4 panels resolve its peak at pi/2 up to p = 100, 16 above. Rows
-    are independent."""
-    out = np.empty_like(x)
-    v_weights, sin2_v = _V_RULES[4 if p <= _V_FEW_PANELS_P else 16]
-    b_rows = (1.0 - x) / (2.0 * np.sqrt(x))
-    top_rows = np.arcsinh(0.5 / b_rows)
-    tau_panels = np.where(top_rows <= 4.0, 4, np.where(top_rows <= 8.0, 8, 16))
-    for n, (tau_nodes, tau_weights) in _TAU_RULES.items():
-        # the integral holds about four temporaries of its block at once
-        size = _BLOCK_NODES // (4 * max(tau_nodes.size, v_weights.size))
-        for sel in _row_blocks(np.flatnonzero(tau_panels == n), size):
-            xi, b, top = x[sel, None], b_rows[sel, None], top_rows[sel, None]
-            gap2 = (1.0 - xi) ** 2
-            tau = top * tau_nodes
-            inner = gap2 + 4.0 * xi * np.sin(b * np.sinh(tau)) ** 2
-            inner_sum = np.sum((top * tau_weights) * inner ** (0.5 * p) * (b * np.cosh(tau)), axis=1)
-            outer_sum = np.sum(v_weights * (gap2 + 4.0 * xi * sin2_v) ** (0.5 * p), axis=1)
-            out[sel] = (2.0 / np.pi) * (inner_sum + outer_sum)
+    each row one component of an integrate_many walk to the rounding
+    floor (tols of sys.float_info.max, rtols of eps), in blocks of
+    _BLOCK_NODES / 128 rows, so that a batch of many rows holds no more
+    memory than 512 rows do. The integrand peaks at (1 + x)^p, v = pi/2: a
+    row where that overflows is inf, as its mean would be, and the walk
+    takes 1/8 of the integrand, exact in binary, so that its panel sums
+    and rises stay finite below such a peak (at the full integrand, a
+    peak of 0.9 times the largest float settled 4.4e-7 off). Each row's
+    value is the one its walk alone gives."""
+    out = np.full_like(x, math.inf)
+    with np.errstate(over="ignore"):
+        rows = np.flatnonzero(np.isfinite((1.0 + x) ** p))
+    for sel in _row_blocks(rows, _BLOCK_NODES // 128):
+        gap2, cross = (1.0 - x[sel]) ** 2, 4.0 * x[sel]
+
+        def integrand(v, comp):
+            return 0.125 * (gap2[comp] + cross[comp] * np.sin(v) ** 2) ** (0.5 * p)
+
+        walked = integrate_many(integrand, 0.0, 0.5 * np.pi, [sys.float_info.max] * sel.size,
+                                rtols=[_EPS] * sel.size)
+        out[sel] = (16.0 / np.pi) * np.array([v for v, _ in walked])
     return out
 
 
@@ -822,6 +790,14 @@ def _product(a_re: np.ndarray, a_im: np.ndarray, b_re: np.ndarray, b_im: np.ndar
             _convolve(a_re, b_im) + _convolve(a_im, b_re))
 
 
+def _coeff_sum(f: Polynomial) -> float:
+    """sum |a_k| of f's coefficients by math.fsum, inf where it overflows."""
+    try:
+        return math.fsum(abs(c) for c in f.coeffs)
+    except OverflowError:
+        return math.inf
+
+
 def _parseval_norm(f: Polynomial, w: RadialWeight, p: float, tol: float) -> float | None:
     """||f||_{p,w} at an even p = 2k with k deg f <= _PARSEVAL_CAP, by
     Parseval: with S = sum |a_j| and b the coefficients of (f/S)^k,
@@ -840,11 +816,11 @@ def _parseval_norm(f: Polynomial, w: RadialWeight, p: float, tol: float) -> floa
     """
     if p % 2.0 or (k := int(p) // 2) * f.degree > _PARSEVAL_CAP:
         return None
-    a = np.asarray(f.coeffs, dtype=complex)
-    moduli = np.array([abs(c) for c in f.coeffs])
-    scale = math.fsum(moduli.tolist())
+    scale = _coeff_sum(f)
     if not math.isfinite(scale):
         return None
+    a = np.asarray(f.coeffs, dtype=complex)
+    moduli = np.array([abs(c) for c in f.coeffs])
     re, im, size = a.real / scale, a.imag / scale, moduli / scale
     b_re, b_im, big = re, im, size
     for _ in range(k - 1):
@@ -930,7 +906,7 @@ def weighted_norms(
     def walk(route, integrate):
         sub = [fs[i] for i in route]
         try:
-            scales = [float(np.sum(np.abs(f.coeffs))) ** p * m0 for f in sub]
+            scales = [_coeff_sum(f) ** p * m0 for f in sub]
         except OverflowError:
             raise _p_overflow(p, "(sum |a_k|)^p") from None
         if not all(map(math.isfinite, scales)):

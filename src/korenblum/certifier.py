@@ -127,7 +127,9 @@ def check_domination(f: Polynomial, g: Polynomial, c: float) -> DominationReport
     # pair) off the grid, where the sampled gap would be rounding noise
     angles = np.exp(2j * np.pi * (np.arange(n_a) + 0.5) / n_a)
     z = radii[:, None] * angles[None, :]
-    gap = np.abs(g(z)) - np.abs(f(z))
+    # huge coefficients overflow Horner's sums: a NaN gap reads as inconclusive
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap = np.abs(g(z)) - np.abs(f(z))
     min_gap = float(np.min(gap))
     return DominationReport(c=c, min_gap=min_gap, grid=DOMINATION_GRID, conclusive=min_gap >= 0.0)
 

@@ -393,13 +393,6 @@ BINOMIAL_PS = (0.05, 0.45, 0.5, 0.74, 1.0, 1.5, 2.0, 3.0, 4.0, 7.3, 20.0)
 BINOMIAL_XS = (0.0, 0.3, 0.7071, 0.7072, 0.9, 0.999, 1 - 1e-8, 1 - 2.0**-52, 1.0)
 
 
-def _x_at_top(top):
-    """The x whose tau interval [0, asinh(1/(2b))], b = (1 - x)/(2 sqrt x),
-    ends at top: sqrt(x) solves s^2 + s/sinh(top) - 1 = 0."""
-    k = 1.0 / math.sinh(top)
-    return (0.5 * (math.sqrt(k * k + 4.0) - k)) ** 2
-
-
 def _near_one_route(p):
     """The way _unit_binomial_means takes its rows 1/2 < x^2 < 1 at p:
     "sum" (the finite series of an even p), "agm" (p = 1), "connection"
@@ -416,18 +409,12 @@ def _near_one_route(p):
 def _binomial_path(x, p, one):
     """The way _unit_binomial_means takes a row x at p: "one" (a series
     whose tail cannot move 1.0; one is the x^2 bound of _binomial_series),
-    "series", "edge" (x = 1), or for 1/2 < x^2 < 1 its _near_one_route,
-    an integral row as its count of tau panels. A row of the finite sum of
-    an even p is "one" or "sum" for every x."""
+    "series", "edge" (x = 1), or for 1/2 < x^2 < 1 its _near_one_route.
+    A row of the finite sum of an even p is "one" or "sum" for every x."""
     route = _near_one_route(p)
     if x * x <= 0.5 or route == "sum":
         return "one" if x * x <= one else "series" if x * x <= 0.5 else "sum"
-    if x == 1.0:
-        return "edge"
-    if route != "integral":
-        return route
-    top = math.asinh(math.sqrt(x) / (1.0 - x))
-    return 4 if top <= 4.0 else 8 if top <= 8.0 else 16
+    return "edge" if x == 1.0 else route
 
 
 def _first_float(pred, lo, hi):
@@ -474,18 +461,11 @@ class TestBinomialMeans:
 
     @pytest.mark.parametrize("p", BINOMIAL_PS + (1000.0,))
     def test_each_row_path_against_hypergeometric(self, p):
-        # either side of the series switch x^2 = 1/2, of the integral's 4/8
-        # and 8/16 tau panel switches top = 4 and top = 8, and the last x
-        # below 1, whose top is about 36.7
-        xs = [0.7071, 0.7072, 1.0 - 2.0**-52]
-        for top in (4.0, 8.0):
-            xs += [_x_at_top(top) * (1.0 - 1e-9), _x_at_top(top) * (1.0 + 1e-9)]
+        # either side of the series switch x^2 = 1/2, rows nearer 1, and
+        # the last x below 1
+        xs = [0.7071, 0.7072, 0.9, 0.999, 1.0 - 1e-8, 1.0 - 2.0**-52]
         paths = [_binomial_path(x, p, 0.0) for x in xs]
-        route = _near_one_route(p)
-        if route == "integral":
-            assert paths == ["series", 4, 16, 4, 8, 8, 16]
-        else:
-            assert paths == ["series"] + [route] * 6
+        assert paths == ["series"] + [_near_one_route(p)] * 5
         vals = analytic._unit_binomial_means(np.array(xs), p)
         for x, v in zip(xs, vals):
             assert v == pytest.approx(binomial_mean(p, 1.0, 1.0, x), rel=1e-13, abs=0.0)
@@ -567,13 +547,15 @@ class TestBinomialMeans:
 
 
 #: p -> the route of its rows 1/2 < x^2 < 1: small p, both sides of the
-#: integer windows at 1 and 3, p = 1, even p and both sides of the cap
+#: integer windows at 1 and 3, p = 1, even p, both sides of the cap, and
+#: large p, odd and not
 NEAR_ONE_ROUTES = {
     1e-6: "connection", 1e-3: "connection", 0.5: "connection",
     0.99: "connection", 0.995: "integral", 1.0: "agm", 1.005: "integral",
     1.01: "connection", 1.5: "connection", 2.0: "sum", 2.99: "connection",
     3.0: "integral", 3.01: "connection", 4.0: "sum", 11.99: "connection",
-    12.0: "sum", 12.5: "integral", 13.0: "integral",
+    12.0: "sum", 12.5: "integral", 13.0: "integral", 101.0: "integral",
+    1001.0: "integral",
 }
 #: both sides of x^2 = 1/2, the middle, near 1 and the last float below 1
 NEAR_ONE_XS = (0.7071, 0.70711, 0.75, 0.9, 0.99, 0.999999, 1 - 1e-12, 1 - 2.0**-52)
@@ -596,8 +578,24 @@ class TestBinomialNearOne:
         route = NEAR_ONE_ROUTES[p]
         assert _near_one_route(p) == route
         assert taken == ([] if route == "sum" else [route])
+        # above p = 13 within the error every closed-form row reports
+        rel = 1e-14 if p <= 13.0 else analytic._BINOMIAL_REL_ERROR
         for x, v in zip(NEAR_ONE_XS, vals):
-            assert v == pytest.approx(binomial_mean(p, 1.0, 1.0, x, dps=40), rel=1e-14, abs=0.0)
+            assert v == pytest.approx(binomial_mean(p, 1.0, 1.0, x, dps=40), rel=rel, abs=0.0)
+
+    def test_integral_rows_near_and_past_the_largest_float(self):
+        # the integrand peaks at (1 + x)^p: at 0.9 times the largest float
+        # the walk of the full integrand overflowed its rises and settled
+        # at once, 4.4e-7 off; a row whose peak overflows is inf, and so is
+        # its circle mean
+        x = 0.99
+        p = math.log(0.9 * sys.float_info.max) / math.log(1.0 + x)
+        [val] = analytic._binomial_integral(np.array([x]), p)
+        assert val == pytest.approx(binomial_mean(p, 1.0, 1.0, x, dps=40), rel=1e-13, abs=0.0)
+        vals = analytic._binomial_integral(np.array([0.7072, 0.99]), 1033.0)
+        assert vals[0] == pytest.approx(binomial_mean(1033.0, 1.0, 1.0, 0.7072, dps=40),
+                                        rel=1e-13, abs=0.0)
+        assert vals[1] == math.inf
 
     @pytest.mark.parametrize("x", [0.7072, 0.99, 1 - 1e-8, 1 - 2.0**-52, 1 - 2.0**-53, 1.0])
     def test_even_p_is_the_finite_sum(self, x):
@@ -657,7 +655,7 @@ class TestAngularBlocks:
             0.5: ("one", "series", "connection", "edge"),
             1.0: ("one", "series", "agm", "edge"),
             2.0: ("one", "series", "sum"),
-            3.0: ("one", "series", "4", "8", "16", "edge"),
+            3.0: ("one", "series", "integral", "edge"),
         }[p]
         assert set(paths) == set(expected)
         for path in expected:

@@ -259,6 +259,22 @@ class TestRefute:
         assert json.loads(out)["found"] is False
         assert "ZeroNearOrigin" in err
 
+    def test_no_witness_detail_is_pinned(self, capsys):
+        # the best gap of this scan is rounding noise, printed as 6.939e-16
+        # on AVX-512 kernels and 7.216e-16 on AVX2's: the detail names only
+        # the bound quad_tol ||g|| that it misses, the same on every CPU
+        code, out, err = run_cli(capsys, "refute", "--p", "0.5297938131590573", "--c", "0.65",
+                                 "--weight", '{"kind":"step","R":0.3}')
+        assert code == 1
+        detail = (
+            "no epsilon reversed the norms at p=0.5297938131590573, c=0.65: the scan took "
+            "n=5 and epsilon = c 2^-j for j = 1..48, and no gap ||f|| - ||g|| reaches "
+            "quad_tol ||g|| = 2.02e-10 (liminf of w at 0: ZeroNearOrigin; the failure "
+            "theorem for 0 < p < 1 assumes liminf w > 0, which this weight does not have)"
+        )
+        assert json.loads(out) == {"detail": detail, "found": False, "reason": "NoWitnessFound"}
+        assert detail in err
+
     def test_forced_n(self, capsys):
         code, out, _ = run_cli(
             capsys, "refute", "--p", "0.5", "--c", "0.9", "--weight", CONST1,
@@ -698,6 +714,8 @@ class TestDeterminismAndErrors:
              "p = 1030.0 is too large: Gamma(1 + p)/Gamma(1 + p/2)^2"),
             (("means", "--poly", "1,2", "--p", "1000", "--grid", "4"),
              "p = 1000.0 is too large: the circle mean M_p^p"),
+            (("means", "--poly", "1,1", "--p", "1033", "--grid", "99"),
+             "p = 1033.0 is too large: the circle mean M_p^p"),
             (("norm", "--poly", "1e10,1e10,1e10", "--p", "1", "--weight", '{"kind":"constant","level":1e300}'),
              "p = 1.0: the scale (sum |a_k|)^p m(0) of the radial tolerance overflows a float"),
             (("norm", "--poly", "1", "--p", "0.5", "--weight", '{"kind":"constant","level":1e300}'),
@@ -705,13 +723,15 @@ class TestDeterminismAndErrors:
             (("bound", "--p", "1e308", "--weight", '{"kind":"standard","alpha":1}'),
              "B(s/2 + 1, alpha + 1) overflows a float in log-Gamma at s = 1e+308"),
         ],
-        ids=["p-th-power", "binomial-series", "gamma-ratio", "circle-mean", "coarse-scale",
-             "norm-root", "beta-moment"],
+        ids=["p-th-power", "binomial-series", "gamma-ratio", "circle-mean",
+             "integral-circle-mean", "coarse-scale", "norm-root", "beta-moment"],
     )
     def test_large_p_overflow_exit_2(self, capsys, argv, message):
         # 3^999, the series coefficients C(550.5, k)^2, at r = 0.5 where
         # x = 1, Gamma(1031)/Gamma(516)^2, M_p^p of 1 + 2z at r = 0.6
-        # (about 2.2^1000), 3e10 times the weight's mass 1e300 (which used
+        # (about 2.2^1000), the integral form's peak (1 + x)^1033 of 1 + z
+        # at r = 0.99, which the walk would meet as a non-finite panel
+        # sum, 3e10 times the weight's mass 1e300 (which used
         # to be refused as an infinite tol), the square of ||1||^p = 1e300,
         # and lgamma(1 + 1e308/2) overflow a float: bad input, not a
         # traceback and not Infinity in the report
@@ -719,6 +739,29 @@ class TestDeterminismAndErrors:
         assert code == 2
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("norm", "--poly", "1e308,1e308", "--p", "2"),
+            ("norm", "--poly", "1e308,1e308,1e308", "--p", "4"),
+            ("verify", "--poly", "1e308,1e308", "--poly", "1e308,1e308", "--p", "2", "--c", "0.5"),
+            ("norm", "--poly", "1e308,1e308", "--p", "1"),
+        ],
+        ids=["parseval", "parseval-trinomial", "verify", "walk"],
+    )
+    def test_huge_coefficients_exit_2(self, capsys, argv):
+        # sum |a_k| = 2e308 overflows a float: at even p math.fsum raised
+        # an OverflowError traceback, the walk's numpy sum warned of an
+        # overflow, and verify's sampled domination grid of overflows and
+        # invalid values, before the one line of the refusal
+        code, out, err = run_cli(capsys, *argv, "--weight", CONST1)
+        assert (code, out) == (2, "")
+        p = float(argv[argv.index("--p") + 1])
+        assert err.splitlines() == [
+            f"korenblum {argv[0]}: p = {p}: the scale (sum |a_k|)^p m(0) of the radial "
+            "tolerance overflows a float"
+        ]
 
     @pytest.mark.parametrize(
         "argv",

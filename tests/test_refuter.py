@@ -138,20 +138,31 @@ class TestFindCounterexample:
         assert "ZeroNearOrigin" in str(err.value)
 
     def test_no_witness_states_the_search(self):
-        # the scan's n, its epsilons, the best gap and where it occurred;
-        # the liminf at 0 is context, not the cause
+        # the scan's n and its epsilons; the liminf at 0 is context, not the
+        # cause. A best gap below quad_tol ||g||, which the norms do not
+        # resolve, is not printed, only that bound
         with pytest.raises(NoWitnessFound) as err:
             find_counterexample(0.5, 0.2, StepWeight(0.5), quad_tol=QUAD_TOL)
+        [norm_g] = weighted_norms([Polynomial.monomial(5)], StepWeight(0.5), 0.5, tol=QUAD_TOL)
+        assert str(err.value) == (
+            "no epsilon reversed the norms at p=0.5, c=0.2: the scan took n=5 and "
+            "epsilon = c 2^-j for j = 1..48, and no gap ||f|| - ||g|| reaches quad_tol "
+            f"||g|| = {QUAD_TOL * norm_g:.2e} (liminf of w at 0: ZeroNearOrigin; the failure "
+            "theorem for 0 < p < 1 assumes liminf w > 0, which this weight does not have)"
+        )
+        # a best gap the norms resolve is printed with its epsilon
+        with pytest.raises(NoWitnessFound) as err:
+            find_counterexample(0.55, 0.7, ConstantWeight(1.0), quad_tol=QUAD_TOL)
         message = str(err.value)
         assert message.startswith(
-            "no epsilon reversed the norms at p=0.5, c=0.2: the scan took n=5 and "
+            "no epsilon reversed the norms at p=0.55, c=0.7: the scan took n=5 and "
             "epsilon = c 2^-j for j = 1..48, and its best gap ||f|| - ||g|| = "
         )
         best_j = int(re.search(r"\(j = (\d+)\)", message)[1])
-        assert f"at epsilon = {0.2 * 2.0**-best_j!r} (j = {best_j}), " in message
+        assert f"at epsilon = {0.7 * 2.0**-best_j!r} (j = {best_j}), " in message
         assert message.endswith(
-            "is not above 2 quad_tol = 2e-09 (liminf of w at 0: ZeroNearOrigin; the failure "
-            "theorem for 0 < p < 1 assumes liminf w > 0, which this weight does not have)"
+            "is not above 2 quad_tol = 2e-09 (liminf of w at 0: PositiveLiminf; the failure "
+            "theorem for 0 < p < 1 assumes liminf w > 0, which this weight has)"
         )
         # the theorem's assumption is named only for 0 < p < 1
         with pytest.raises(NoWitnessFound) as err:
